@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -253,8 +253,8 @@ def _count_gfp(cols: np.ndarray, need: int, p: int) -> int:
 
 
 def _count_exact(cols: np.ndarray, need: int, divisor: int) -> int:
-    # Fraction-free one-step elimination; entries stay minors of the 0/1
-    # start matrix, far below the int64 range at the sizes used here.
+    # Fraction-free one-step elimination: entries stay minors of the start
+    # matrix, and each step forms a difference of two products of minors.
     total = 0
     nc = cols.shape[1]
     for idx in range(nc):
@@ -295,12 +295,25 @@ def count_bases(
         packed = [sum((bit & 1) << r for r, bit in enumerate(col)) for col in cols]
         return _count_gf2([c for c in packed if c], need)
     if field.char:
-        arr = np.array(cols, dtype=np.int64).T % field.char
-        arr = arr[:, arr.any(axis=0)]
-        return _count_gfp(arr, need, field.char)
-    arr = np.array(cols, dtype=np.int64).T
-    arr = arr[:, arr.any(axis=0)]
+        p = field.char
+        arr = _column_array([[v % p for v in col] for col in cols], p * p)
+        return _count_gfp(arr, need, p)
+    # Hadamard: every minor of at most `need` columns is at most the product
+    # of the `need` largest column norms, and a step's products are two minors
+    norms_sq = sorted((sum(v * v for v in col) for col in cols if any(col)), reverse=True)
+    arr = _column_array(cols, prod(norms_sq[:need]))
     return _count_exact(arr, need, 1)
+
+
+def _column_array(cols, product_bound: int) -> np.ndarray:
+    """Columns as an array without zero columns, in a dtype that keeps the search exact.
+
+    ``product_bound`` bounds every product of two values the search forms.
+    A step takes the difference of two such products, so int64 is used only
+    while twice the bound fits in it, and Python ints otherwise.
+    """
+    arr = np.array(cols, dtype=np.int64 if product_bound < 1 << 62 else object).T
+    return arr[:, arr.any(axis=0)]
 
 
 # ---------------------------------------------------------------------------

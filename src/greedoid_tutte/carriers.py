@@ -268,6 +268,43 @@ def to_greedoid(carrier: Carrier | Greedoid) -> Greedoid:
     raise TypeError(f"not a carrier: {carrier!r}")
 
 
+def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]]:
+    """The core carrier with one element per class of identical elements, and the class sizes.
+
+    Identical elements are edges with the same unordered endpoint pair, arcs
+    with the same (tail, head), or equal columns.  No feasible set holds two
+    elements of one class and any member may stand for the others, so the
+    rank of a subset depends only on which classes it meets.  Core element i
+    is the first element of the i-th class in carrier order; a carrier
+    without repeated elements is its own core.
+    """
+    if isinstance(carrier, RootedGraph):
+        items = carrier.edges
+        keys = [(min(u, v), max(u, v)) for u, v in items]
+    elif isinstance(carrier, RootedDigraph):
+        items = keys = carrier.arcs
+    elif isinstance(carrier, BinaryMatrix):
+        items = keys = tuple(zip(*carrier.bits))
+    else:
+        raise TypeError(f"not a carrier: {carrier!r}")
+    sizes: dict = {}
+    firsts = []
+    for key, item in zip(keys, items):
+        if key not in sizes:
+            sizes[key] = 0
+            firsts.append(item)
+        sizes[key] += 1
+    if len(firsts) == len(items):
+        return carrier, (1,) * len(items)
+    if isinstance(carrier, RootedGraph):
+        core = RootedGraph(carrier.vertex_count, tuple(firsts), carrier.root)
+    elif isinstance(carrier, RootedDigraph):
+        core = RootedDigraph(carrier.vertex_count, tuple(firsts), carrier.root)
+    else:
+        core = BinaryMatrix(tuple(zip(*firsts)))
+    return core, tuple(sizes.values())
+
+
 # ---------------------------------------------------------------------------
 # connectivity helpers
 
@@ -326,25 +363,23 @@ def require_root_connected(digraph: RootedDigraph) -> None:
 
 
 def digraph_has_directed_cycle(digraph: RootedDigraph) -> bool:
+    """Kahn's algorithm: the digraph is acyclic exactly when repeatedly
+    removing vertices of in-degree zero removes every vertex."""
+    indegree = [0] * digraph.vertex_count
     out: dict[int, list[int]] = {}
     for u, v in digraph.arcs:
-        if u == v:
-            return True
+        indegree[v] += 1
         out.setdefault(u, []).append(v)
-    state = {}  # 1 = on stack, 2 = done
-
-    def visit(u: int) -> bool:
-        state[u] = 1
+    ready = [v for v, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        u = ready.pop()
+        removed += 1
         for v in out.get(u, ()):
-            mark = state.get(v)
-            if mark == 1:
-                return True
-            if mark is None and visit(v):
-                return True
-        state[u] = 2
-        return False
-
-    return any(state.get(u) is None and visit(u) for u in range(digraph.vertex_count))
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return removed < digraph.vertex_count
 
 
 def sink_count(digraph: RootedDigraph) -> int:
@@ -445,6 +480,13 @@ def row_add_isomorphism_check(
 # file formats
 
 
+def _vertex_id(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: vertex id {token!r} is not an integer") from None
+
+
 def parse_graph_text(text: str) -> RootedGraph | RootedDigraph | UnrootedGraph:
     """Parse the edge-list format.
 
@@ -467,12 +509,12 @@ def parse_graph_text(text: str) -> RootedGraph | RootedDigraph | UnrootedGraph:
                 raise ParseError(f"line {lineno}: duplicate root line")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'root <v>'")
-            root = int(parts[1])
+            root = _vertex_id(parts[1], lineno)
         elif parts[0] in ("edge", "arc"):
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected '{parts[0]} <u> <v>'")
             kinds.add(parts[0])
-            pairs.append((int(parts[1]), int(parts[2])))
+            pairs.append((_vertex_id(parts[1], lineno), _vertex_id(parts[2], lineno)))
         else:
             raise ParseError(f"line {lineno}: unknown directive {parts[0]!r}")
     if len(kinds) > 1:

@@ -14,7 +14,8 @@ a million subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from math import comb
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -213,16 +214,30 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
 
 
 def rank_size_profile(
-    greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS
+    greedoid: Greedoid,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    class_sizes: Sequence[int] | None = None,
 ) -> dict[tuple[int, int], int]:
     """Count subsets by (rank deficit, size surplus).
 
     Key (d, s) counts the subsets A with rank(ground) - rank(A) = d and
     |A| - rank(A) = s.  This table is exactly the data the Tutte polynomial
     and all its curve restrictions are built from.
+
+    With ``class_sizes``, the greedoid is the core of a larger ground set in
+    which element i stands for a class of ``class_sizes[i]`` identical
+    elements (no feasible set holds two of a class, and any member may stand
+    for the others).  The counts are those of the larger ground set, and
+    ``max_elements`` bounds its size, not the core's.
     """
-    n = greedoid.size
+    sizes = (1,) * greedoid.size if class_sizes is None else tuple(class_sizes)
+    if len(sizes) != greedoid.size or any(c < 1 for c in sizes):
+        raise ValueError("need one positive class size per core element")
+    _check_bound(sum(sizes), max_elements)
     ranks = subset_ranks(greedoid, max_elements)
+    if any(c > 1 for c in sizes):
+        return _class_profile(ranks, sizes)
+    n = greedoid.size
     pc = _popcounts(n)
     top = int(ranks[-1])
     deficit = (top - ranks).astype(np.int64)
@@ -231,6 +246,53 @@ def rank_size_profile(
     profile: dict[tuple[int, int], int] = {}
     for key in np.nonzero(counts)[0]:
         profile[(int(key) // (n + 1), int(key) % (n + 1))] = int(counts[key])
+    return profile
+
+
+def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Profile of a ground set of identical-element classes, from the core's rank table.
+
+    A subset A meeting exactly the classes U has rank r(U), and the subsets
+    meeting exactly U are counted by size by prod over c in U of
+    ((1+z)^|c| - 1).  Core subsets are first counted by (deficit, number of
+    singleton classes met, set of larger classes met); each such group is
+    then expanded by its size polynomial in Python ints, since the counts
+    reach 2^(ground size).
+    """
+    core = len(sizes)
+    multi = [e for e, c in enumerate(sizes) if c > 1]
+    t = len(multi)
+    singletons = sum(1 << e for e, c in enumerate(sizes) if c == 1)
+    masks = np.arange(1 << core, dtype=np.int64)
+    met = np.zeros(1 << core, dtype=np.int64)
+    for j, e in enumerate(multi):
+        met |= ((masks >> e) & 1) << j
+    singles = _popcounts(core)[masks & singletons].astype(np.int64)
+    top = int(ranks[-1])
+    width = core - t + 1
+    counts = np.bincount((((top - ranks.astype(np.int64)) * width + singles) << t) | met)
+
+    # by_size[m]: counts by size of the subsets meeting exactly the larger classes in m
+    by_size = [[1]]
+    for e in multi:
+        c = sizes[e]
+        grown = []
+        for w in by_size:
+            out = [0] * (len(w) + c)
+            for i, wi in enumerate(w):
+                for k in range(1, c + 1):
+                    out[i + k] += wi * comb(c, k)
+            grown.append(out)
+        by_size += grown
+    profile: dict[tuple[int, int], int] = {}
+    for key in np.nonzero(counts)[0]:
+        count = int(counts[key])
+        d, single = divmod(int(key) >> t, width)
+        offset = single - (top - d)
+        for size, w in enumerate(by_size[int(key) & ((1 << t) - 1)]):
+            if w:
+                k = (d, size + offset)
+                profile[k] = profile.get(k, 0) + count * w
     return profile
 
 

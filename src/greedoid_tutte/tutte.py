@@ -29,6 +29,7 @@ from .carriers import (
     UnrootedGraph,
     digraph_has_directed_cycle,
     graph_is_connected,
+    merge_identical_elements,
     require_root_connected,
     root_component_vertices,
     reachable_from_root,
@@ -78,15 +79,18 @@ CurveSpec = Union[HAlpha, H0X, H0Y, LineY]
 Evaluatable = Union[Greedoid, Carrier]
 
 
-def _profile(source: Evaluatable, max_elements: int) -> tuple[dict[tuple[int, int], int], int, int]:
-    g = to_greedoid(source)
-    profile = rank_size_profile(g, max_elements)
-    return profile, g.size, g.rank
+def _profile(source: Evaluatable, max_elements: int) -> tuple[dict[tuple[int, int], int], int]:
+    """Subset profile and rank; a carrier is enumerated over its classes of identical elements."""
+    if isinstance(source, Greedoid):
+        return rank_size_profile(source, max_elements), source.rank
+    core, sizes = merge_identical_elements(source)
+    g = to_greedoid(core)
+    return rank_size_profile(g, max_elements, sizes), g.rank
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
     """Exact Tutte polynomial by subset enumeration."""
-    profile, _, _ = _profile(source, max_elements)
+    profile, _ = _profile(source, max_elements)
     terms: dict[tuple[int, int], Fraction] = {}
     for (d, s), count in profile.items():
         for i in range(d + 1):
@@ -101,7 +105,7 @@ def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMEN
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
     """Exact T(a, b) straight from the subset profile."""
     a, b = rational(a), rational(b)
-    profile, _, _ = _profile(source, max_elements)
+    profile, _ = _profile(source, max_elements)
     total = Fraction(0)
     for (d, s), count in profile.items():
         total += count * (a - 1) ** d * (b - 1) ** s
@@ -119,7 +123,7 @@ def tutte_restrict(
     y = 1 only surplus-zero (feasible) subsets survive and the result is a
     polynomial in x; on y = c the result is a polynomial in z = x - 1.
     """
-    profile, _, _ = _profile(source, max_elements)
+    profile, _ = _profile(source, max_elements)
     terms: dict[int, Fraction] = {}
     if isinstance(curve, HAlpha):
         for (d, s), count in profile.items():
@@ -167,7 +171,7 @@ def characteristic_polynomial(
     source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> LaurentPoly:
     """(-1)^rank T(1 - z, 0) as a polynomial in z."""
-    profile, _, rank = _profile(source, max_elements)
+    profile, rank = _profile(source, max_elements)
     terms: dict[int, Fraction] = {}
     sign = (-1) ** rank
     for (d, s), count in profile.items():

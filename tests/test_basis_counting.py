@@ -110,6 +110,18 @@ def test_count_bases_against_direct_rank_filter():
         assert count_bases(cols, field) == direct
 
 
+def test_count_bases_beyond_int64():
+    # 2^32 * 2^32 wraps to 0 in int64; over GF(p) with p > 2^32 the residue
+    # products wrap, and two equal columns looked independent
+    assert count_bases([(2**32, 0), (0, 2**32)], RATIONALS, 2) == 1
+    assert count_bases([(2**40, 3, 1), (5, 2**40, 0), (2**40 + 5, 2**40 + 3, 1)], RATIONALS, 3) == 0
+    big = Field(4294967311)
+    assert count_bases([(big.char - 1, 1), (big.char - 1, 1)], big, 2) == 0
+    cols = [(big.char - 1, 1), (1, big.char - 2), (2, 2)]
+    direct = sum(1 for pair in itertools.combinations(cols, 2) if matrix_rank(pair, big) == 2)
+    assert count_bases(cols, big, 2) == direct
+
+
 def test_templates_k2():
     for char_two in (True, False):
         counts = template_counts_by_bidirected(enumerate_feasible_templates(K2, char_two))

@@ -124,6 +124,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["tutte", str(missing)]) == 2
 
 
+def test_non_integer_vertex_exit_code(tmp_path, capsys):
+    for name, text in (("edge", "root 0\nedge 0 x\n"), ("root", "root r\nedge 0 1\n")):
+        bad = tmp_path / f"{name}.graph"
+        bad.write_text(text)
+        assert main(["tutte", str(bad)]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+
 def test_bound_exit_code(tmp_path, capsys):
     big = tmp_path / "big.graph"
     big.write_text(format_carrier(path_graph(21)))

@@ -204,6 +204,10 @@ def test_sinks_fastpath_examples():
         digraph_sinks_fastpath(RootedDigraph(2, (), 0), 2)
 
 
+def test_sinks_fastpath_long_path():
+    assert digraph_sinks_fastpath(directed_path(3000), 2) == 2
+
+
 def test_sinks_fastpath_matches_brute_force():
     digraphs = [
         directed_path(1),
