@@ -44,6 +44,7 @@ from .constructions import (
 from .exact import ExactMatrix, bareiss_solve, det_exact, vandermonde_solve
 from .greedoid import (
     Greedoid,
+    SubsetProfile,
     closure,
     elements_of,
     enumerate_bases,

@@ -39,6 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact import ExactMatrix, bareiss_solve
+from .greedoid import DEFAULT_MAX_ELEMENTS
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -446,8 +447,16 @@ def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool)
     return _orientable_indegree_one(graph, states)
 
 
-def enumerate_feasible_templates(graph: SimpleGraph, char_two: bool) -> list[Template]:
-    """All feasible templates, by brute force over per-edge states."""
+def enumerate_feasible_templates(
+    graph: SimpleGraph, char_two: bool, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> list[Template]:
+    """All feasible templates, by brute force over per-edge states.
+
+    Each edge has 8 = 2^3 states, so the search covers 2^(3|E|) templates
+    and is bounded like a ground set of 3|E| elements.
+    """
+    if 3 * graph.edge_count > max_elements:
+        raise GroundSetTooLargeError(3 * graph.edge_count, max_elements)
     options = [_edge_options(a, b) for a, b in graph.edges]
     out = []
     for combo in itertools.product(*options):
@@ -572,7 +581,10 @@ class RecoveryReport:
 
 
 def recover_perfect_matchings(
-    graph: SimpleGraph, field: Field, direct_limit: int = 100_000
+    graph: SimpleGraph,
+    field: Field,
+    direct_limit: int = 100_000,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> RecoveryReport:
     """Recover the perfect matching count from basis counts of the lifts.
 
@@ -581,13 +593,16 @@ def recover_perfect_matchings(
     per-template closed form otherwise (legitimized by the partition
     property, which the test suite establishes on directly enumerable
     cases).  Solving the linear system in the template counts then yields
-    t_(n/2), the number of perfect matchings.
+    t_(n/2), the number of perfect matchings.  The template search is
+    bounded by ``max_elements`` as in :func:`enumerate_feasible_templates`.
     """
     n, m = graph.vertex_count, graph.edge_count
     if n % 2:
         raise OddVertexCountError("perfect matching recovery needs an even vertex count")
     char_two = field.is_char_two
-    t_true = template_counts_by_bidirected(enumerate_feasible_templates(graph, char_two))
+    t_true = template_counts_by_bidirected(
+        enumerate_feasible_templates(graph, char_two, max_elements)
+    )
     top = n // 2
     b_values: list[int] = []
     sources: list[str] = []

@@ -83,6 +83,13 @@ def _emit(args, payload: str) -> None:
         print(payload)
 
 
+def _read_rooted(path: str):
+    """A rooted graph, rooted digraph or binary matrix read from a file."""
+    carrier = _read_carrier(path)
+    _family_of(carrier)
+    return carrier
+
+
 def _family_of(carrier) -> str:
     if isinstance(carrier, RootedGraph):
         return "graph"
@@ -94,21 +101,20 @@ def _family_of(carrier) -> str:
 
 
 def _cmd_tutte(args) -> int:
-    carrier = _read_carrier(args.file)
-    poly = tutte_polynomial(to_greedoid(carrier), args.max_elements)
+    poly = tutte_polynomial(_read_rooted(args.file), args.max_elements)
     _emit(args, json.dumps(poly.to_json_obj(), indent=2))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    carrier = _read_carrier(args.file)
-    value = tutte_eval(to_greedoid(carrier), rational(args.x), rational(args.y), args.max_elements)
+    carrier = _read_rooted(args.file)
+    value = tutte_eval(carrier, rational(args.x), rational(args.y), args.max_elements)
     _emit(args, str(value))
     return 0
 
 
 def _cmd_restrict(args) -> int:
-    carrier = _read_carrier(args.file)
+    carrier = _read_rooted(args.file)
     if args.curve == "halpha":
         if args.alpha is None:
             raise ParseError("--alpha is required for the hyperbola restriction")
@@ -121,7 +127,7 @@ def _cmd_restrict(args) -> int:
         if args.c is None:
             raise ParseError("--c is required for the horizontal-line restriction")
         curve = LineY(rational(args.c))
-    poly = tutte_restrict(to_greedoid(carrier), curve, args.max_elements)
+    poly = tutte_restrict(carrier, curve, args.max_elements)
     _emit(args, json.dumps(poly.to_json_obj(), indent=2))
     return 0
 
@@ -178,7 +184,7 @@ def _cmd_reduce(args) -> int:
     else:
         recovered = interpolate_line_y_minus1(oracle, carrier, args.max_elements)
         curve, curve_name = LineY(Fraction(-1)), "y=-1"
-    direct = tutte_restrict(to_greedoid(carrier), curve, args.max_elements)
+    direct = tutte_restrict(carrier, curve, args.max_elements)
     report = {
         "family": family,
         "point": {"a": str(a), "b": str(b)},
@@ -203,7 +209,7 @@ def _cmd_vertigan(args) -> int:
         raise PreconditionError("the basis-counting reduction takes a simple graph file")
     graph = SimpleGraph(carrier.vertex_count, carrier.edges)
     field = _FIELDS[args.field]
-    report = recover_perfect_matchings(graph, field, args.direct_limit)
+    report = recover_perfect_matchings(graph, field, args.direct_limit, args.max_elements)
     payload = {
         "field": str(field),
         "vertices": graph.vertex_count,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,9 +50,28 @@ def _check_bound(size: int, max_elements: int) -> None:
         raise GroundSetTooLargeError(size, max_elements)
 
 
+@dataclass(frozen=True)
+class SubsetProfile:
+    """Subset counts of a ground set keyed by (rank deficit, size surplus).
+
+    ``counts[(d, s)]`` is the number of subsets A with rank(E) - rank(A) = d
+    and |A| - rank(A) = s, where ``size`` is |E| and ``rank`` is rank(E).
+    The counts are a read-only view, so one profile can be shared by every
+    query about its ground set.
+    """
+
+    counts: Mapping[tuple[int, int], int]
+    size: int
+    rank: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+
 @dataclass(eq=False)
 class Greedoid:
-    """Ground set plus feasibility oracle, with the overall rank cached.
+    """Ground set plus feasibility oracle, with the overall rank and the
+    subset profile cached.
 
     The oracle must be a pure function of the subset bitmask with the empty
     set feasible; the exchange axiom is assumed (and can be verified on
@@ -62,6 +82,7 @@ class Greedoid:
     feasible_mask: Callable[[int], bool]
     name: str = ""
     _rank: int | None = field(default=None, repr=False, compare=False)
+    _profile: SubsetProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
@@ -78,6 +99,17 @@ class Greedoid:
         if self._rank is None:
             self._rank = len(elements_of(max_feasible_subset(self, self.full_mask)))
         return self._rank
+
+    def profile(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> SubsetProfile:
+        """The subset profile, enumerated on first use and then kept.
+
+        The bound is checked on every call, before the kept profile is looked
+        at, so a smaller ``max_elements`` still raises.
+        """
+        _check_bound(self.size, max_elements)
+        if self._profile is None:
+            self._profile = SubsetProfile(rank_size_profile(self, max_elements), self.size, self.rank)
+        return self._profile
 
     def _check_subset(self, subset: int) -> None:
         if subset < 0 or subset >> self.size:

@@ -46,7 +46,7 @@ from .errors import (
     ProbabilityRangeError,
 )
 from .exact import vandermonde_solve
-from .greedoid import DEFAULT_MAX_ELEMENTS, loops_of, rank_size_profile
+from .greedoid import DEFAULT_MAX_ELEMENTS, loops_of
 from .polynomials import LaurentPoly, rational
 from .tutte import H0Y, tutte_eval, tutte_restrict
 
@@ -279,9 +279,8 @@ def reliability_identity(
     require_root_connected(digraph)
     g = to_greedoid(digraph)
     size, rank = g.size, g.rank
-    profile = rank_size_profile(g, max_elements)
     direct = Fraction(0)
-    for (d, s), count in profile.items():
+    for (d, s), count in g.profile(max_elements).counts.items():
         if d:
             continue
         j = s + rank  # subsets with full rank have size rank + surplus

@@ -6,8 +6,9 @@ by (rank deficit, size surplus).  The Tutte polynomial
     T(x, y) = sum over subsets A of (x-1)^(rank(E)-rank(A)) * (y-1)^(|A|-rank(A))
 
 and all its curve restrictions are exact rearrangements of that profile, so
-every public operation here shares one brute-force enumeration and then does
-only polynomial algebra on integer counts.
+every public operation here reads one profile, enumerated once per greedoid
+or carrier and then shared, and does only polynomial algebra on its integer
+counts.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from typing import Union
+from typing import Callable, Mapping, Union
 
 from .carriers import (
     Carrier,
@@ -38,7 +40,7 @@ from .carriers import (
 )
 from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
-from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, rank_size_profile
+from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
 
 
@@ -79,37 +81,89 @@ CurveSpec = Union[HAlpha, H0X, H0Y, LineY]
 Evaluatable = Union[Greedoid, Carrier]
 
 
-def _profile(source: Evaluatable, max_elements: int) -> tuple[dict[tuple[int, int], int], int]:
-    """Subset profile and rank; a carrier is enumerated over its classes of identical elements."""
+# Carrier profiles kept for reuse.  A caller asking several queries about one
+# carrier needs one entry; a few more allow interleaving, and each entry keeps
+# its carrier and a few KiB of counts alive until it is evicted.
+_PROFILE_CACHE_SIZE = 16
+
+
+def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
+    """The subset profile of a greedoid or carrier, computed once and then shared.
+
+    The element bound is checked on every call, before any kept profile is
+    looked at.  A greedoid keeps its own profile; carriers are frozen and
+    hashable, so their profiles are kept in a fixed-size cache keyed by the
+    carrier.
+    """
     if isinstance(source, Greedoid):
-        return rank_size_profile(source, max_elements), source.rank
-    core, sizes = merge_identical_elements(source)
+        return source.profile(max_elements)
+    if source.edge_count > max_elements:
+        raise GroundSetTooLargeError(source.edge_count, max_elements)
+    return _carrier_profile(source)
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _carrier_profile(carrier: Carrier) -> SubsetProfile:
+    """Profile of a carrier, enumerated over its classes of identical elements."""
+    core, sizes = merge_identical_elements(carrier)
     g = to_greedoid(core)
-    return rank_size_profile(g, max_elements, sizes), g.rank
+    size = sum(sizes)
+    return SubsetProfile(rank_size_profile(g, size, sizes), size, g.rank)
+
+
+def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s.
+
+    Integer arithmetic throughout; callers turn the result into rationals.
+    """
+    exponents = {e for key in counts for e in key}
+    # rows[k][i] is the coefficient of t^i in (t-1)^k
+    rows = {k: [comb(k, i) * (-1) ** (k - i) for i in range(k + 1)] for k in exponents}
+    terms: dict[tuple[int, int], int] = {}
+    for (d, s), count in counts.items():
+        ys = rows[s]
+        for i, ci in enumerate(rows[d]):
+            ci *= count
+            for j, cj in enumerate(ys):
+                terms[i, j] = terms.get((i, j), 0) + ci * cj
+    return terms
+
+
+def _collect(
+    counts: Mapping[tuple[int, int], int], key: Callable[[int, int], int], u: Fraction, v: Fraction
+) -> dict[int, Fraction]:
+    """Sums of counts[d, s] u^d v^s, grouped by key(d, s).
+
+    The terms are summed as integers over their common denominator, and one
+    rational per group is made at the end.
+    """
+    top_d = max(d for d, _ in counts)
+    top_s = max(s for _, s in counts)
+    us = [u.numerator**d * u.denominator ** (top_d - d) for d in range(top_d + 1)]
+    vs = [v.numerator**s * v.denominator ** (top_s - s) for s in range(top_s + 1)]
+    sums: dict[int, int] = {}
+    for (d, s), c in counts.items():
+        k = key(d, s)
+        sums[k] = sums.get(k, 0) + c * us[d] * vs[s]
+    denominator = u.denominator**top_d * v.denominator**top_s
+    return {k: Fraction(n, denominator) for k, n in sums.items()}
+
+
+def _restrict_x1(counts: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """T(1, y) as a polynomial in y: only deficit-zero subsets survive."""
+    spanning = {key: c for key, c in counts.items() if key[0] == 0}
+    return LaurentPoly({j: c for (_, j), c in _expand(spanning).items()})
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
-    """Exact Tutte polynomial by subset enumeration."""
-    profile, _ = _profile(source, max_elements)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for (d, s), count in profile.items():
-        for i in range(d + 1):
-            ci = count * comb(d, i) * (-1) ** (d - i)
-            for j in range(s + 1):
-                c = ci * comb(s, j) * (-1) ** (s - j)
-                key = (i, j)
-                terms[key] = terms.get(key, Fraction(0)) + c
-    return BivariatePoly(terms)
+    """Exact Tutte polynomial from the subset profile."""
+    return BivariatePoly(_expand(_profile(source, max_elements).counts))
 
 
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
     """Exact T(a, b) straight from the subset profile."""
     a, b = rational(a), rational(b)
-    profile, _ = _profile(source, max_elements)
-    total = Fraction(0)
-    for (d, s), count in profile.items():
-        total += count * (a - 1) ** d * (b - 1) ** s
-    return total
+    return _collect(_profile(source, max_elements).counts, lambda d, s: 0, a - 1, b - 1)[0]
 
 
 def tutte_restrict(
@@ -123,34 +177,16 @@ def tutte_restrict(
     y = 1 only surplus-zero (feasible) subsets survive and the result is a
     polynomial in x; on y = c the result is a polynomial in z = x - 1.
     """
-    profile, _ = _profile(source, max_elements)
-    terms: dict[int, Fraction] = {}
+    counts = _profile(source, max_elements).counts
     if isinstance(curve, HAlpha):
-        for (d, s), count in profile.items():
-            e = s - d
-            terms[e] = terms.get(e, Fraction(0)) + count * curve.alpha**d
-        return LaurentPoly(terms)
+        return LaurentPoly(_collect(counts, lambda d, s: s - d, curve.alpha, Fraction(1)))
     if isinstance(curve, H0X):
-        for (d, s), count in profile.items():
-            if d:
-                continue
-            for j in range(s + 1):
-                c = count * comb(s, j) * (-1) ** (s - j)
-                terms[j] = terms.get(j, Fraction(0)) + c
-        return LaurentPoly(terms)
+        return _restrict_x1(counts)
     if isinstance(curve, H0Y):
-        for (d, s), count in profile.items():
-            if s:
-                continue
-            for i in range(d + 1):
-                c = count * comb(d, i) * (-1) ** (d - i)
-                terms[i] = terms.get(i, Fraction(0)) + c
-        return LaurentPoly(terms)
+        feasible = {key: c for key, c in counts.items() if key[1] == 0}
+        return LaurentPoly({i: c for (i, _), c in _expand(feasible).items()})
     if isinstance(curve, LineY):
-        for (d, s), count in profile.items():
-            c = count * (curve.c - 1) ** s
-            terms[d] = terms.get(d, Fraction(0)) + c
-        return LaurentPoly(terms)
+        return LaurentPoly(_collect(counts, lambda d, s: d, Fraction(1), curve.c - 1))
     raise TypeError(f"unknown curve {curve!r}")
 
 
@@ -171,14 +207,11 @@ def characteristic_polynomial(
     source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> LaurentPoly:
     """(-1)^rank T(1 - z, 0) as a polynomial in z."""
-    profile, rank = _profile(source, max_elements)
-    terms: dict[int, Fraction] = {}
-    sign = (-1) ** rank
-    for (d, s), count in profile.items():
-        # (x-1)^d at x = 1-z is (-z)^d; (y-1)^s at y = 0 is (-1)^s.
-        c = sign * count * (-1) ** (s + d)
-        terms[d] = terms.get(d, Fraction(0)) + c
-    return LaurentPoly(terms)
+    profile = _profile(source, max_elements)
+    sign = (-1) ** profile.rank
+    # (x-1)^d at x = 1-z is (-z)^d; (y-1)^s at y = 0 is (-1)^s.
+    terms = _collect(profile.counts, lambda d, s: d, Fraction(-1), Fraction(-1))
+    return LaurentPoly({d: sign * c for d, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +327,7 @@ def unrooted_tutte_polynomial(
     graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> BivariatePoly:
     """Classical Tutte polynomial of an unrooted graph (debug evaluator)."""
-    profile = _whitney_profile(graph, max_elements)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for (d, s), count in profile.items():
-        for i in range(d + 1):
-            ci = count * comb(d, i) * (-1) ** (d - i)
-            for j in range(s + 1):
-                c = ci * comb(s, j) * (-1) ** (s - j)
-                terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-    return BivariatePoly(terms)
+    return BivariatePoly(_expand(_whitney_profile(graph, max_elements)))
 
 
 def unrooted_tutte_x1(
@@ -315,12 +340,4 @@ def unrooted_tutte_x1(
     """
     if not graph_is_connected(graph):
         raise NotConnectedError("comparison evaluator needs a connected graph")
-    profile = _whitney_profile(graph, max_elements)
-    terms: dict[int, Fraction] = {}
-    for (d, s), count in profile.items():
-        if d:
-            continue
-        for j in range(s + 1):
-            c = count * comb(s, j) * (-1) ** (s - j)
-            terms[j] = terms.get(j, Fraction(0)) + c
-    return LaurentPoly(terms)
+    return _restrict_x1(_whitney_profile(graph, max_elements))

@@ -22,7 +22,14 @@ from greedoid_tutte.basis_counting import (
     template_counts_by_bidirected,
     template_is_feasible,
 )
-from greedoid_tutte.errors import NotABasisError, NotSimpleError, OddVertexCountError, PreconditionError
+from greedoid_tutte import basis_counting
+from greedoid_tutte.errors import (
+    GroundSetTooLargeError,
+    NotABasisError,
+    NotSimpleError,
+    OddVertexCountError,
+    PreconditionError,
+)
 
 K2 = SimpleGraph(2, ((0, 1),))
 PATH3 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -348,3 +355,19 @@ def test_recover_perfect_matchings_k2():
 def test_recover_requires_even_vertices():
     with pytest.raises(OddVertexCountError):
         recover_perfect_matchings(C3, GF2)
+
+
+def test_template_search_is_bounded(monkeypatch):
+    """8^7 templates exceed the default bound: raise before checking any."""
+    seven = SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
+
+    def never(*args):
+        raise AssertionError("template checked before the bound")
+
+    monkeypatch.setattr(basis_counting, "template_is_feasible", never)
+    with pytest.raises(GroundSetTooLargeError):
+        enumerate_feasible_templates(seven, True)
+    with pytest.raises(GroundSetTooLargeError):
+        recover_perfect_matchings(seven, GF2)
+    with pytest.raises(GroundSetTooLargeError):
+        enumerate_feasible_templates(C4, False, max_elements=11)

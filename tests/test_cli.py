@@ -4,7 +4,8 @@ import pytest
 
 from greedoid_tutte.cli import main
 from greedoid_tutte.carriers import format_carrier, parse_carrier_text
-from greedoid_tutte import RootedDigraph, demo_binary_matrix, path_graph
+from greedoid_tutte import RootedDigraph, demo_binary_matrix, path_graph, thicken, tutte_polynomial
+from greedoid_tutte import tutte as tutte_module
 
 
 @pytest.fixture
@@ -138,3 +139,36 @@ def test_bound_exit_code(tmp_path, capsys):
     assert main(["tutte", str(big)]) == 4
     assert main(["eval", str(big), "--x", "1", "--y", "1", "--max-elements", "21"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_tutte_of_thickened_file(tmp_path, capsys, monkeypatch):
+    """The parsed carrier itself is evaluated, so repeated edges are merged."""
+    carrier = thicken(path_graph(3), 3)
+    path = tmp_path / "thick.graph"
+    path.write_text(format_carrier(carrier))
+    sizes = []
+    original = tutte_module.rank_size_profile
+
+    def counted(greedoid, *rest):
+        sizes.append(greedoid.size)
+        return original(greedoid, *rest)
+
+    monkeypatch.setattr(tutte_module, "rank_size_profile", counted)
+    tutte_module._carrier_profile.cache_clear()
+    assert main(["tutte", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == tutte_polynomial(carrier).to_json_obj()
+    assert sizes == [3]
+
+
+def test_unrooted_file_exit_code(files, capsys):
+    assert main(["tutte", str(files["c4"])]) == 3
+    assert main(["eval", str(files["c4"]), "--x", "1", "--y", "1"]) == 3
+    assert main(["restrict", str(files["c4"]), "--curve", "h0x"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_vertigan_template_bound_exit_code(tmp_path, capsys):
+    seven = tmp_path / "seven.graph"
+    seven.write_text("edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 0 5\nedge 0 3\n")
+    assert main(["vertigan", str(seven), "--field", "gf2"]) == 4
+    assert "21 elements" in capsys.readouterr().err
