@@ -39,7 +39,8 @@ from .errors import (
     PreconditionError,
 )
 from .exact import ExactMatrix, bareiss_solve
-from .greedoid import DEFAULT_MAX_ELEMENTS
+from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
+from .primitives import find, gf2_pack, gf2_rank, reach
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -179,17 +180,7 @@ def matrix_rank(columns, field: Field) -> int:
     if not cols:
         return 0
     if field.char == 2:
-        basis: dict[int, int] = {}
-        for col in cols:
-            vec = sum((bit & 1) << r for r, bit in enumerate(col))
-            while vec:
-                high = vec.bit_length() - 1
-                if high in basis:
-                    vec ^= basis[high]
-                else:
-                    basis[high] = vec
-                    break
-        return len(basis)
+        return gf2_rank(cols)
     pivots: list[tuple[int, list[Fraction]]] = []
     p = field.char
     for col in cols:
@@ -293,8 +284,7 @@ def count_bases(
     if need == 0:
         return 1
     if field.char == 2:
-        packed = [sum((bit & 1) << r for r, bit in enumerate(col)) for col in cols]
-        return _count_gf2([c for c in packed if c], need)
+        return _count_gf2([c for c in gf2_pack(cols) if c], need)
     if field.char:
         p = field.char
         arr = _column_array([[v % p for v in col] for col in cols], p * p)
@@ -382,18 +372,11 @@ def _orientable_indegree_one(graph: SimpleGraph, states) -> bool:
 
 def _undirected_subgraph_acyclic(graph: SimpleGraph, states) -> bool:
     parent = list(range(graph.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e, state in enumerate(states):
         if state is None or state.kind != "undirected":
             continue
         u, v = graph.edges[e]
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv
@@ -414,21 +397,7 @@ def _undirected_circuits_have_odd_wz(graph: SimpleGraph, states) -> bool:
         if any(d != 2 for d in degree.values()):
             continue
         # connected 2-regular = a single circuit
-        verts = sorted(degree)
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for e in chosen:
-            u, v = graph.edges[e]
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            x = stack.pop()
-            for yv in adj[x]:
-                if yv not in seen:
-                    seen.add(yv)
-                    stack.append(yv)
-        if len(seen) != len(verts):
+        if len(reach(min(degree), [graph.edges[e] for e in chosen], False)) != len(degree):
             continue
         wz = sum(1 for e in chosen if states[e].label == "wz")
         if wz % 2 == 0:
@@ -455,8 +424,7 @@ def enumerate_feasible_templates(
     Each edge has 8 = 2^3 states, so the search covers 2^(3|E|) templates
     and is bounded like a ground set of 3|E| elements.
     """
-    if 3 * graph.edge_count > max_elements:
-        raise GroundSetTooLargeError(3 * graph.edge_count, max_elements)
+    _check_bound(3 * graph.edge_count, max_elements)
     options = [_edge_options(a, b) for a, b in graph.edges]
     out = []
     for combo in itertools.product(*options):

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, enumerate_feasible_sets
+from .primitives import find, gf2_insert, gf2_pack, gf2_rank, reach
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,7 @@ class BinaryMatrix:
 
     def column_bits(self) -> tuple[int, ...]:
         """Column c as an int whose bit r is the entry in row r."""
-        return tuple(
-            sum(self.bits[r][c] << r for r in range(self.row_count))
-            for c in range(self.col_count)
-        )
+        return tuple(gf2_pack(zip(*self.bits)))
 
 
 Carrier = Union[RootedGraph, RootedDigraph, BinaryMatrix]
@@ -141,28 +139,21 @@ def branching_feasibility(graph: RootedGraph) -> Callable[[int], bool]:
         if mask == 0:
             return True
         parent = list(range(nv))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
         chosen = []
         m = mask
         e = 0
         while m:
             if m & 1:
                 u, v = edges[e]
-                ru, rv = find(u), find(v)
+                ru, rv = find(parent, u), find(parent, v)
                 if ru == rv:
                     return False
                 parent[ru] = rv
                 chosen.append(u)
             m >>= 1
             e += 1
-        target = find(root)
-        return all(find(u) == target for u in chosen)
+        target = find(parent, root)
+        return all(find(parent, u) == target for u in chosen)
 
     return oracle
 
@@ -170,7 +161,7 @@ def branching_feasibility(graph: RootedGraph) -> Callable[[int], bool]:
 def directed_branching_feasibility(digraph: RootedDigraph) -> Callable[[int], bool]:
     """Oracle: chosen arcs form an arborescence rooted at the root.
 
-    Breadth-first search from the root over the chosen arcs must reach the
+    A search from the root over the chosen arcs must reach the
     tail of every chosen arc, and the chosen arcs must count one less than
     the reached vertices (tree condition on the underlying graph).
     """
@@ -188,17 +179,7 @@ def directed_branching_feasibility(digraph: RootedDigraph) -> Callable[[int], bo
                 chosen.append(arcs[e])
             m >>= 1
             e += 1
-        out: dict[int, list[int]] = {}
-        for u, v in chosen:
-            out.setdefault(u, []).append(v)
-        reached = {root}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in out.get(u, ()):
-                if v not in reached:
-                    reached.add(v)
-                    stack.append(v)
+        reached = reach(root, chosen, True)
         if any(u not in reached for u, _ in chosen):
             return False
         return len(chosen) == len(reached) - 1
@@ -226,17 +207,8 @@ def binary_feasibility(matrix: BinaryMatrix) -> Callable[[int], bool]:
         m = mask
         c = 0
         while m:
-            if m & 1:
-                vec = col_bits[c] & window
-                while vec:
-                    high = vec.bit_length() - 1
-                    if high in basis:
-                        vec ^= basis[high]
-                    else:
-                        basis[high] = vec
-                        break
-                if vec == 0:
-                    return False
+            if m & 1 and not gf2_insert(basis, col_bits[c] & window):
+                return False
             m >>= 1
             c += 1
         return True
@@ -268,6 +240,34 @@ def to_greedoid(carrier: Carrier | Greedoid) -> Greedoid:
     raise TypeError(f"not a carrier: {carrier!r}")
 
 
+def carrier_elements(carrier: Carrier) -> tuple:
+    """The elements of a carrier in id order: its edges, its arcs or its columns."""
+    if isinstance(carrier, RootedGraph):
+        return carrier.edges
+    if isinstance(carrier, RootedDigraph):
+        return carrier.arcs
+    if isinstance(carrier, BinaryMatrix):
+        return tuple(zip(*carrier.bits))
+    raise TypeError(f"not a carrier: {carrier!r}")
+
+
+def with_elements(
+    carrier: Carrier, elements, vertex_count: int | None = None, root: int | None = None
+) -> Carrier:
+    """A carrier of the same kind holding ``elements``, read as :func:`carrier_elements` gives them.
+
+    A graph or digraph keeps its vertex count and root unless new ones are
+    given; a matrix keeps its row count, also when it is left with no column.
+    """
+    if isinstance(carrier, BinaryMatrix):
+        return BinaryMatrix(tuple(tuple(col[r] for col in elements) for r in range(carrier.row_count)))
+    return type(carrier)(
+        carrier.vertex_count if vertex_count is None else vertex_count,
+        tuple(elements),
+        carrier.root if root is None else root,
+    )
+
+
 def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]]:
     """The core carrier with one element per class of identical elements, and the class sizes.
 
@@ -278,15 +278,9 @@ def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]
     is the first element of the i-th class in carrier order; a carrier
     without repeated elements is its own core.
     """
+    items = keys = carrier_elements(carrier)
     if isinstance(carrier, RootedGraph):
-        items = carrier.edges
         keys = [(min(u, v), max(u, v)) for u, v in items]
-    elif isinstance(carrier, RootedDigraph):
-        items = keys = carrier.arcs
-    elif isinstance(carrier, BinaryMatrix):
-        items = keys = tuple(zip(*carrier.bits))
-    else:
-        raise TypeError(f"not a carrier: {carrier!r}")
     sizes: dict = {}
     firsts = []
     for key, item in zip(keys, items):
@@ -296,13 +290,7 @@ def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]
         sizes[key] += 1
     if len(firsts) == len(items):
         return carrier, (1,) * len(items)
-    if isinstance(carrier, RootedGraph):
-        core = RootedGraph(carrier.vertex_count, tuple(firsts), carrier.root)
-    elif isinstance(carrier, RootedDigraph):
-        core = RootedDigraph(carrier.vertex_count, tuple(firsts), carrier.root)
-    else:
-        core = BinaryMatrix(tuple(zip(*firsts)))
-    return core, tuple(sizes.values())
+    return with_elements(carrier, firsts), tuple(sizes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +298,18 @@ def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]
 
 
 def root_component_vertices(graph: RootedGraph) -> frozenset[int]:
-    adj: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    reached = {graph.root}
-    stack = [graph.root]
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in reached:
-                reached.add(v)
-                stack.append(v)
-    return frozenset(reached)
+    return frozenset(reach(graph.root, graph.edges, False))
 
 
 def graph_is_connected(graph: RootedGraph | UnrootedGraph) -> bool:
-    if isinstance(graph, UnrootedGraph):
-        if graph.vertex_count == 0:
-            return True
-        graph = RootedGraph(graph.vertex_count, graph.edges, 0)
-    return len(root_component_vertices(graph)) == graph.vertex_count
+    if graph.vertex_count == 0:
+        return True
+    root = graph.root if isinstance(graph, RootedGraph) else 0
+    return len(reach(root, graph.edges, False)) == graph.vertex_count
 
 
 def reachable_from_root(digraph: RootedDigraph) -> frozenset[int]:
-    out: dict[int, list[int]] = {}
-    for u, v in digraph.arcs:
-        out.setdefault(u, []).append(v)
-    reached = {digraph.root}
-    stack = [digraph.root]
-    while stack:
-        u = stack.pop()
-        for v in out.get(u, ()):
-            if v not in reached:
-                reached.add(v)
-                stack.append(v)
-    return frozenset(reached)
+    return frozenset(reach(digraph.root, digraph.arcs, True))
 
 
 def digraph_is_root_connected(digraph: RootedDigraph) -> bool:
@@ -445,17 +409,7 @@ def demo_binary_matrix() -> BinaryMatrix:
 
 
 def gf2_row_rank(matrix: BinaryMatrix) -> int:
-    basis: dict[int, int] = {}
-    for row in matrix.bits:
-        vec = sum(b << i for i, b in enumerate(row))
-        while vec:
-            high = vec.bit_length() - 1
-            if high in basis:
-                vec ^= basis[high]
-            else:
-                basis[high] = vec
-                break
-    return len(basis)
+    return gf2_rank(matrix.bits)
 
 
 def add_row(matrix: BinaryMatrix, i: int, j: int) -> BinaryMatrix:

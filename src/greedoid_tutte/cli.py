@@ -136,6 +136,7 @@ def _cmd_construct(args) -> int:
     carrier = _read_carrier(args.file)
     op = args.operation
     if op == "thicken":
+        _family_of(carrier)
         result = thicken(carrier, args.k)
     elif op == "attach":
         if not args.with_file:
@@ -244,6 +245,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "axioms":
         if carrier is None:
             raise ParseError("the axioms suite needs a carrier file")
+        _family_of(carrier)
         problems = _verify_axioms(carrier, args.max_elements)
         lines = [f"axioms {'pass' if not problems else 'FAIL'}"] + problems
         _emit(args, "\n".join(lines))

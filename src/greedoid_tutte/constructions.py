@@ -30,27 +30,29 @@ from .carriers import (
     RootedGraph,
     UnrootedGraph,
     branching_greedoid,
+    carrier_elements,
     gf2_row_rank,
     require_connected,
     require_root_connected,
-    root_component_vertices,
+    with_elements,
 )
 from .errors import (
     AttachmentInvariantError,
     DenominatorVanishesError,
     DivisionByZeroError,
     FullRowRankError,
-    GroundSetTooLargeError,
     PreconditionError,
 )
 from .greedoid import (
     DEFAULT_MAX_ELEMENTS,
     Greedoid,
+    _check_bound,
     closure,
     enumerate_feasible_sets,
     max_feasible_subset,
 )
 from .polynomials import BivariatePoly, rational
+from .primitives import find, reach
 
 Thickenable = Union[Carrier, Greedoid]
 
@@ -63,22 +65,6 @@ def thicken(source: Thickenable, k: int) -> Thickenable:
     """Replace every element by k parallel copies; copy i of element e gets id e*k+i."""
     if k < 1:
         raise PreconditionError("thickening factor must be at least 1")
-    if isinstance(source, RootedGraph):
-        return RootedGraph(
-            source.vertex_count,
-            tuple(e for e in source.edges for _ in range(k)),
-            source.root,
-        )
-    if isinstance(source, RootedDigraph):
-        return RootedDigraph(
-            source.vertex_count,
-            tuple(a for a in source.arcs for _ in range(k)),
-            source.root,
-        )
-    if isinstance(source, BinaryMatrix):
-        return BinaryMatrix(
-            tuple(tuple(row[c] for c in range(len(row)) for _ in range(k)) for row in source.bits)
-        )
     if isinstance(source, Greedoid):
         base = source
         n = base.size
@@ -96,7 +82,7 @@ def thicken(source: Thickenable, k: int) -> Thickenable:
             return base.feasible_mask(projected)
 
         return Greedoid(n * k, oracle, name=f"{base.name}^{k}" if base.name else f"thickened^{k}")
-    raise TypeError(f"cannot thicken {source!r}")
+    return with_elements(source, [e for e in carrier_elements(source) for _ in range(k)])
 
 
 def predicted_thickening(
@@ -201,12 +187,7 @@ def branching_attachment_function(graph: RootedGraph) -> AttachmentFunction:
     edges = graph.edges
 
     def slots(mask: int) -> frozenset[int]:
-        sub = RootedGraph(
-            graph.vertex_count,
-            tuple(edges[e] for e in range(len(edges)) if mask >> e & 1),
-            graph.root,
-        )
-        reached = root_component_vertices(sub)
+        reached = reach(graph.root, (edges[e] for e in range(len(edges)) if mask >> e & 1), False)
         return frozenset(label[v] for v in reached if v != graph.root)
 
     return AttachmentFunction(branching_greedoid(graph), slots)
@@ -294,26 +275,18 @@ def attach_graphs(base: RootedGraph, patch: RootedGraph) -> RootedGraph:
     block layout of the generic :func:`attach`.
     """
     require_connected(base)
-    non_root = [v for v in range(base.vertex_count) if v != base.root]
-    edges = list(base.edges)
-    next_vertex = base.vertex_count
-    for host in non_root:
-        mapping = {}
-        for v in range(patch.vertex_count):
-            if v == patch.root:
-                mapping[v] = host
-            else:
-                mapping[v] = next_vertex
-                next_vertex += 1
-        edges += [(mapping[u], mapping[v]) for u, v in patch.edges]
-    return RootedGraph(next_vertex, tuple(edges), base.root)
+    return _attach(base, patch)
 
 
 def attach_digraphs(base: RootedDigraph, patch: RootedDigraph) -> RootedDigraph:
     """Digraph form of the attachment; the base must be root-connected."""
     require_root_connected(base)
+    return _attach(base, patch)
+
+
+def _attach(base, patch):
     non_root = [v for v in range(base.vertex_count) if v != base.root]
-    arcs = list(base.arcs)
+    elements = list(carrier_elements(base))
     next_vertex = base.vertex_count
     for host in non_root:
         mapping = {}
@@ -323,8 +296,8 @@ def attach_digraphs(base: RootedDigraph, patch: RootedDigraph) -> RootedDigraph:
             else:
                 mapping[v] = next_vertex
                 next_vertex += 1
-        arcs += [(mapping[u], mapping[v]) for u, v in patch.arcs]
-    return RootedDigraph(next_vertex, tuple(arcs), base.root)
+        elements += [(mapping[u], mapping[v]) for u, v in carrier_elements(patch)]
+    return with_elements(base, elements, next_vertex)
 
 
 def attach_carrier(base, patch):
@@ -437,20 +410,13 @@ def stretch_unrooted(graph: UnrootedGraph, k: int) -> UnrootedGraph:
 def _edge_subset_tree(edges, mask, nv):
     """Vertex set of the subtree formed by the edge subset, or None."""
     parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     vertices = set()
     m = mask
     e = 0
     while m:
         if m & 1:
             u, v = edges[e]
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 return None
             parent[ru] = rv
@@ -458,7 +424,7 @@ def _edge_subset_tree(edges, mask, nv):
             vertices.add(v)
         m >>= 1
         e += 1
-    roots = {find(v) for v in vertices}
+    roots = {find(parent, v) for v in vertices}
     if len(roots) != 1:
         return None
     return vertices
@@ -467,8 +433,7 @@ def _edge_subset_tree(edges, mask, nv):
 def count_subtrees(graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS) -> int:
     """Subtrees of an unrooted graph: single vertices plus tree edge sets."""
     m = graph.edge_count
-    if m > max_elements:
-        raise GroundSetTooLargeError(m, max_elements)
+    _check_bound(m, max_elements)
     total = graph.vertex_count
     for mask in range(1, 1 << m):
         if _edge_subset_tree(graph.edges, mask, graph.vertex_count) is not None:
@@ -485,8 +450,7 @@ def count_subtrees_typed(
     exactly one endpoint and j external edges with both endpoints inside.
     """
     m = graph.edge_count
-    if m > max_elements:
-        raise GroundSetTooLargeError(m, max_elements)
+    _check_bound(m, max_elements)
     table: dict[tuple[int, int], int] = {}
 
     def record(vertices: set[int], edge_mask: int) -> None:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError
+from .primitives import find
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -266,19 +267,7 @@ def rank_size_profile(
     if len(sizes) != greedoid.size or any(c < 1 for c in sizes):
         raise ValueError("need one positive class size per core element")
     _check_bound(sum(sizes), max_elements)
-    ranks = subset_ranks(greedoid, max_elements)
-    if any(c > 1 for c in sizes):
-        return _class_profile(ranks, sizes)
-    n = greedoid.size
-    pc = _popcounts(n)
-    top = int(ranks[-1])
-    deficit = (top - ranks).astype(np.int64)
-    surplus = (pc - ranks).astype(np.int64)
-    counts = np.bincount(deficit * (n + 1) + surplus)
-    profile: dict[tuple[int, int], int] = {}
-    for key in np.nonzero(counts)[0]:
-        profile[(int(key) // (n + 1), int(key) % (n + 1))] = int(counts[key])
-    return profile
+    return _class_profile(subset_ranks(greedoid, max_elements), sizes)
 
 
 def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int, int], int]:
@@ -289,20 +278,29 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     ((1+z)^|c| - 1).  Core subsets are first counted by (deficit, number of
     singleton classes met, set of larger classes met); each such group is
     then expanded by its size polynomial in Python ints, since the counts
-    reach 2^(ground size).
+    reach 2^(ground size).  With every class of size 1 this is the plain
+    count of core subsets by (deficit, surplus).
     """
     core = len(sizes)
     multi = [e for e, c in enumerate(sizes) if c > 1]
     t = len(multi)
-    singletons = sum(1 << e for e, c in enumerate(sizes) if c == 1)
-    masks = np.arange(1 << core, dtype=np.int64)
-    met = np.zeros(1 << core, dtype=np.int64)
-    for j, e in enumerate(multi):
-        met |= ((masks >> e) & 1) << j
-    singles = _popcounts(core)[masks & singletons].astype(np.int64)
     top = int(ranks[-1])
     width = core - t + 1
-    counts = np.bincount((((top - ranks.astype(np.int64)) * width + singles) << t) | met)
+    # keys: ((deficit * width + singleton classes met) << t) | larger classes met
+    keys = ranks.astype(np.int64)
+    np.subtract(top, keys, out=keys)
+    keys *= width
+    keys += _popcounts(core)
+    if multi:
+        masks = np.arange(1 << core, dtype=np.int64)
+        met = np.zeros_like(masks)
+        for j, e in enumerate(multi):
+            bit = (masks >> e) & 1
+            keys -= bit
+            met |= bit << j
+        keys <<= t
+        keys |= met
+    counts = np.bincount(keys)
 
     # by_size[m]: counts by size of the subsets meeting exactly the larger classes in m
     by_size = [[1]]
@@ -349,24 +347,17 @@ def parallel_classes(
     ranks = subset_ranks(greedoid, max_elements)
     masks = np.arange(1 << n, dtype=np.int64)
     parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for e in range(n):
         for f in range(e + 1, n):
             be, bf = 1 << e, 1 << f
             re = ranks[masks | be]
             rf = ranks[masks | bf]
             if np.array_equal(re, rf) and np.array_equal(re, ranks[masks | be | bf]):
-                parent[find(e)] = find(f)
+                parent[find(parent, e)] = find(parent, f)
 
     groups: dict[int, list[int]] = {}
     for e in range(n):
-        groups.setdefault(find(e), []).append(e)
+        groups.setdefault(find(parent, e), []).append(e)
     classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
     loops = loops_of(greedoid, max_elements)
     loop_class = loops if loops else None

@@ -1,0 +1,61 @@
+"""Union-find, root reachability and GF(2) elimination, shared by every module.
+
+This module imports nothing from the package, so any module may import it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+
+def find(parent: list[int], v: int) -> int:
+    """Representative of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def reach(root: int, pairs: Iterable[tuple[int, int]], directed: bool) -> set[int]:
+    """Vertices reachable from ``root`` along the pairs, read as arcs u -> v
+    when ``directed`` and as undirected edges otherwise."""
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        if not directed:
+            adj.setdefault(v, []).append(u)
+    reached = {root}
+    stack = [root]
+    while stack:
+        for v in adj.get(stack.pop(), ()):
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return reached
+
+
+def gf2_pack(vectors: Iterable[Iterable[int]]) -> list[int]:
+    """Each integer vector reduced mod 2, as an int whose bit i is entry i."""
+    return [sum((b & 1) << i for i, b in enumerate(vec)) for vec in vectors]
+
+
+def gf2_insert(basis: dict[int, int], vec: int) -> bool:
+    """Reduce a packed vector against a GF(2) basis keyed by leading bit.
+
+    What is left joins the basis and True is returned; a vector in the span
+    of the basis reduces to zero and gives False.
+    """
+    while vec:
+        high = vec.bit_length() - 1
+        if high in basis:
+            vec ^= basis[high]
+        else:
+            basis[high] = vec
+            return True
+    return False
+
+
+def gf2_rank(vectors: Iterable[Iterable[int]]) -> int:
+    """Rank over GF(2) of integer vectors, read mod 2."""
+    basis: dict[int, int] = {}
+    return sum(gf2_insert(basis, vec) for vec in gf2_pack(vectors))

@@ -25,17 +25,17 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
+    carrier_elements,
     directed_path,
     directed_star,
     gf2_row_rank,
     graph_is_connected,
     identity_matrix,
     path_graph,
-    reachable_from_root,
     require_root_connected,
-    root_component_vertices,
     star_graph,
     to_greedoid,
+    with_elements,
 )
 from .constructions import attach_carrier, block_diag, digon_stretch, thicken
 from .errors import (
@@ -48,6 +48,7 @@ from .errors import (
 from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, loops_of
 from .polynomials import LaurentPoly, rational
+from .primitives import reach
 from .tutte import H0Y, tutte_eval, tutte_restrict
 
 FAMILIES = ("graph", "digraph", "binary")
@@ -191,23 +192,14 @@ def interpolate_line_y_minus1(
 
 def _restrict_to_root_component(carrier: Carrier) -> Carrier:
     """Relabel the root component; only valid when no edge sits outside it."""
-    if isinstance(carrier, RootedGraph):
-        keep = sorted(root_component_vertices(carrier))
-        index = {v: i for i, v in enumerate(keep)}
-        return RootedGraph(
-            len(keep),
-            tuple((index[u], index[v]) for u, v in carrier.edges),
-            index[carrier.root],
-        )
-    if isinstance(carrier, RootedDigraph):
-        keep = sorted(reachable_from_root(carrier))
-        index = {v: i for i, v in enumerate(keep)}
-        return RootedDigraph(
-            len(keep),
-            tuple((index[u], index[v]) for u, v in carrier.arcs),
-            index[carrier.root],
-        )
-    return carrier
+    if isinstance(carrier, BinaryMatrix):
+        return carrier
+    elements = carrier_elements(carrier)
+    keep = sorted(reach(carrier.root, elements, isinstance(carrier, RootedDigraph)))
+    index = {v: i for i, v in enumerate(keep)}
+    return with_elements(
+        carrier, [(index[u], index[v]) for u, v in elements], len(keep), index[carrier.root]
+    )
 
 
 def recover_point_1_0(

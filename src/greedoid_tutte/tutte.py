@@ -33,15 +33,14 @@ from .carriers import (
     graph_is_connected,
     merge_identical_elements,
     require_root_connected,
-    root_component_vertices,
-    reachable_from_root,
     sink_count,
     to_greedoid,
 )
-from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
+from .errors import NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
-from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, rank_size_profile
+from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
+from .primitives import find, reach
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
     """
     if isinstance(source, Greedoid):
         return source.profile(max_elements)
-    if source.edge_count > max_elements:
-        raise GroundSetTooLargeError(source.edge_count, max_elements)
+    _check_bound(source.edge_count, max_elements)
     return _carrier_profile(source)
 
 
@@ -220,25 +218,7 @@ def characteristic_polynomial(
 
 def spanning_tree_count(graph: RootedGraph) -> int:
     """Spanning trees of the root component, by the reduced Laplacian."""
-    component = sorted(root_component_vertices(graph))
-    index = {v: i for i, v in enumerate(component)}
-    nv = len(component)
-    if nv == 1:
-        return 1
-    lap = [[0] * nv for _ in range(nv)]
-    for u, v in graph.edges:
-        if u in index and v in index and u != v:
-            iu, iv = index[u], index[v]
-            lap[iu][iu] += 1
-            lap[iv][iv] += 1
-            lap[iu][iv] -= 1
-            lap[iv][iu] -= 1
-    skip = index[graph.root]
-    reduced = [
-        [lap[i][j] for j in range(nv) if j != skip] for i in range(nv) if i != skip
-    ]
-    value = det_exact(ExactMatrix(reduced))
-    return int(value)
+    return _matrix_tree(graph.root, graph.edges, False)
 
 
 def arborescence_count(digraph: RootedDigraph) -> int:
@@ -247,23 +227,32 @@ def arborescence_count(digraph: RootedDigraph) -> int:
     Directed matrix-tree count: determinant of the in-degree Laplacian of the
     root component with the root's row and column deleted.
     """
-    component = sorted(reachable_from_root(digraph))
+    return _matrix_tree(digraph.root, digraph.arcs, True)
+
+
+def _matrix_tree(root: int, pairs, directed: bool) -> int:
+    """Determinant of the Laplacian of the root's component, read as arcs
+    u -> v when ``directed`` (in-degree Laplacian), without the root's row
+    and column."""
+    component = sorted(reach(root, pairs, directed))
     index = {v: i for i, v in enumerate(component)}
     nv = len(component)
     if nv == 1:
         return 1
     lap = [[0] * nv for _ in range(nv)]
-    for u, v in digraph.arcs:
+    for u, v in pairs:
         if u in index and v in index and u != v:
             iu, iv = index[u], index[v]
             lap[iv][iv] += 1
             lap[iu][iv] -= 1
-    skip = index[digraph.root]
+            if not directed:
+                lap[iu][iu] += 1
+                lap[iv][iu] -= 1
+    skip = index[root]
     reduced = [
         [lap[i][j] for j in range(nv) if j != skip] for i in range(nv) if i != skip
     ]
-    value = det_exact(ExactMatrix(reduced))
-    return int(value)
+    return int(det_exact(ExactMatrix(reduced)))
 
 
 def digraph_sinks_fastpath(digraph: RootedDigraph, a) -> Fraction:
@@ -283,51 +272,38 @@ def digraph_sinks_fastpath(digraph: RootedDigraph, a) -> Fraction:
 # classical (unrooted) comparison evaluator
 
 
-def _whitney_profile(graph: UnrootedGraph, max_elements: int) -> dict[tuple[int, int], int]:
-    """Counts of edge subsets by (corank, nullity) for the classical rank."""
-    m = graph.edge_count
-    if m > max_elements:
-        raise GroundSetTooLargeError(m, max_elements)
-    nv = graph.vertex_count
+def _forest_greedoid(graph: UnrootedGraph) -> Greedoid:
+    """The greedoid whose feasible sets are the forests of the graph.
+
+    The forests are the independent sets of the graphic matroid, so subset
+    ranks in this greedoid are the classical ranks n - c(A).
+    """
     edges = graph.edges
-    full_rank = None
-    profile: dict[tuple[int, int], int] = {}
-    ranks = []
-    for mask in range(1 << m):
+    nv = graph.vertex_count
+
+    def oracle(mask: int) -> bool:
         parent = list(range(nv))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        components = nv
-        size = 0
-        mm = mask
+        m = mask
         e = 0
-        while mm:
-            if mm & 1:
-                size += 1
-                ru, rv = find(edges[e][0]), find(edges[e][1])
-                if ru != rv:
-                    parent[ru] = rv
-                    components -= 1
-            mm >>= 1
+        while m:
+            if m & 1:
+                u, v = edges[e]
+                ru, rv = find(parent, u), find(parent, v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
+            m >>= 1
             e += 1
-        ranks.append((nv - components, size))
-    full_rank = max(r for r, _ in ranks)
-    for r, size in ranks:
-        key = (full_rank - r, size - r)
-        profile[key] = profile.get(key, 0) + 1
-    return profile
+        return True
+
+    return Greedoid(graph.edge_count, oracle, name="forest")
 
 
 def unrooted_tutte_polynomial(
     graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> BivariatePoly:
     """Classical Tutte polynomial of an unrooted graph (debug evaluator)."""
-    return BivariatePoly(_expand(_whitney_profile(graph, max_elements)))
+    return BivariatePoly(_expand(rank_size_profile(_forest_greedoid(graph), max_elements)))
 
 
 def unrooted_tutte_x1(
@@ -340,4 +316,4 @@ def unrooted_tutte_x1(
     """
     if not graph_is_connected(graph):
         raise NotConnectedError("comparison evaluator needs a connected graph")
-    return _restrict_x1(_whitney_profile(graph, max_elements))
+    return _restrict_x1(rank_size_profile(_forest_greedoid(graph), max_elements))

@@ -1,7 +1,8 @@
 """Built-in identity suites for the ``verify`` CLI subcommand.
 
 Each suite runs one construction identity over a small built-in catalogue
-(optionally extended with a user-supplied carrier) and reports one
+(optionally extended with a user-supplied carrier of a kind the suite
+takes, see :func:`run_suite`) and reports one
 (name, ok, detail) row per instance.  Failures carry the witnessing
 instance and point in the detail string.
 """
@@ -38,7 +39,7 @@ from .constructions import (
     stretch_unrooted,
     thicken,
 )
-from .errors import DenominatorVanishesError
+from .errors import DenominatorVanishesError, PreconditionError
 from .greedoid import DEFAULT_MAX_ELEMENTS
 from .polynomials import LaurentPoly
 from .tutte import H0X, H0Y, tutte_polynomial, tutte_restrict
@@ -94,7 +95,7 @@ def suite_thickening(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> li
 def suite_attachment(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
     rows: list[Row] = []
     bases = [("path-1", path_graph(1)), ("path-2", path_graph(2)), ("star-2", star_graph(2))]
-    if isinstance(extra, RootedGraph):
+    if extra is not None:
         bases.append(("user", extra))
     patches = [("star-1", star_graph(1)), ("path-2", path_graph(2))]
     for bname, base in bases:
@@ -124,7 +125,7 @@ def suite_attachment(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> li
 def suite_fullrank(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
     rows: list[Row] = []
     mats = [("identity-1", identity_matrix(1)), ("identity-2", identity_matrix(2)), ("demo", demo_binary_matrix())]
-    if isinstance(extra, BinaryMatrix):
+    if extra is not None:
         mats.append(("user", extra))
     for name1, m1 in mats:
         for name2, m2 in mats:
@@ -147,7 +148,7 @@ def suite_stretch(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[
         ("path-2", UnrootedGraph(3, ((0, 1), (1, 2)))),
         ("triangle", UnrootedGraph(3, ((0, 1), (0, 2), (1, 2)))),
     ]
-    if isinstance(extra, UnrootedGraph):
+    if extra is not None:
         graphs.append(("user", extra))
     for name, graph in graphs:
         typed = count_subtrees_typed(graph, max_elements)
@@ -169,7 +170,7 @@ def suite_digon(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Ro
         ("directed-cycle-2", RootedDigraph(2, ((0, 1), (1, 0)), 0)),
         ("directed-star-2", directed_star(2)),
     ]
-    if isinstance(extra, RootedDigraph):
+    if extra is not None:
         digraphs.append(("user", extra))
     for name, digraph in digraphs:
         g = to_greedoid(digraph)
@@ -204,7 +205,7 @@ def suite_bidirect(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list
         ("triangle", RootedGraph(3, ((0, 1), (0, 2), (1, 2)), 0)),
         ("two-parallel", RootedGraph(2, ((0, 1), (0, 1)), 0)),
     ]
-    if isinstance(extra, RootedGraph):
+    if extra is not None:
         graphs.append(("user", extra))
     for name, graph in graphs:
         lhs = tutte_restrict(to_greedoid(bidirect(graph)), H0Y(), max_elements)
@@ -213,20 +214,27 @@ def suite_bidirect(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list
     return rows
 
 
+# Each suite with the carrier kinds it can take as its extra instance.
 _SUITES = {
-    "thickening": suite_thickening,
-    "attachment": suite_attachment,
-    "fullrank": suite_fullrank,
-    "stretch": suite_stretch,
-    "digon": suite_digon,
-    "bidirect": suite_bidirect,
+    "thickening": (suite_thickening, (RootedGraph, RootedDigraph, BinaryMatrix)),
+    "attachment": (suite_attachment, (RootedGraph,)),
+    "fullrank": (suite_fullrank, (BinaryMatrix,)),
+    "stretch": (suite_stretch, (UnrootedGraph,)),
+    "digon": (suite_digon, (RootedDigraph,)),
+    "bidirect": (suite_bidirect, (RootedGraph,)),
 }
 
 
 def run_suite(name: str, extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    if name == "all":
-        rows: list[Row] = []
-        for suite in _SUITES.values():
-            rows += suite(None, max_elements)
-        return rows
-    return _SUITES[name](extra, max_elements)
+    """Rows of one suite, or of every suite for ``"all"``.
+
+    The extra carrier goes to each selected suite that takes its kind; when
+    none does, :class:`PreconditionError` is raised rather than ignoring it.
+    """
+    chosen = [_SUITES[name]] if name != "all" else list(_SUITES.values())
+    if extra is not None and not any(isinstance(extra, kinds) for _, kinds in chosen):
+        raise PreconditionError(f"suite {name!r} takes no {type(extra).__name__}")
+    rows: list[Row] = []
+    for suite, kinds in chosen:
+        rows += suite(extra if isinstance(extra, kinds) else None, max_elements)
+    return rows

@@ -164,7 +164,20 @@ def test_unrooted_file_exit_code(files, capsys):
     assert main(["tutte", str(files["c4"])]) == 3
     assert main(["eval", str(files["c4"]), "--x", "1", "--y", "1"]) == 3
     assert main(["restrict", str(files["c4"]), "--curve", "h0x"]) == 3
+    assert main(["construct", "thicken", str(files["c4"])]) == 3
+    assert main(["verify", "thickening", "--file", str(files["c4"])]) == 3
+    assert main(["verify", "axioms", "--file", str(files["c4"])]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_uses_extra_file(files, capsys):
+    """The extra carrier reaches every selected suite that takes its kind."""
+    assert main(["verify", "all", "--file", str(files["p2"])]) == 0
+    out = capsys.readouterr().out
+    for row in ("thickening user", "attachment user~star-1", "bidirect user"):
+        assert f"{row}: pass" in out
+    assert main(["verify", "attachment", "--file", str(files["demo"])]) == 3
+    assert "takes no BinaryMatrix" in capsys.readouterr().err
 
 
 def test_vertigan_template_bound_exit_code(tmp_path, capsys):
