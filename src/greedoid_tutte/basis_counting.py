@@ -27,9 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-
-import numpy as np
+from math import comb, gcd, prod
 
 from .errors import (
     GroundSetTooLargeError,
@@ -40,7 +38,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, bareiss_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
-from .primitives import find, gf2_pack, gf2_rank, reach
+from .primitives import find, reach
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -176,94 +174,108 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 
 def matrix_rank(columns, field: Field) -> int:
     """Rank of the given column vectors over the field."""
-    cols = [tuple(int(v) for v in col) for col in columns]
-    if not cols:
-        return 0
-    if field.char == 2:
-        return gf2_rank(cols)
-    pivots: list[tuple[int, list[Fraction]]] = []
-    p = field.char
-    for col in cols:
-        if p:
-            vec = [v % p for v in col]
-        else:
-            vec = [Fraction(v) for v in col]
-        for pr, pv in pivots:
-            if vec[pr]:
-                if p:
-                    factor = vec[pr] * pow(pv[pr], -1, p) % p
-                    vec = [(a - factor * b) % p for a, b in zip(vec, pv)]
-                else:
-                    factor = vec[pr] / pv[pr]
-                    vec = [a - factor * b for a, b in zip(vec, pv)]
-        nz = [r for r, v in enumerate(vec) if v]
-        if nz:
-            pivots.append((nz[0], vec))
-    return len(pivots)
+    p, rows = field.char, ()
+    for col in columns:
+        rows = _insert(rows, tuple(int(v) % p if p else int(v) for v in col), p) or rows
+    return len(rows)
 
 
-def _count_gf2(cols: list[int], need: int) -> int:
-    total = 0
-    nc = len(cols)
-    for idx in range(nc):
-        if nc - idx < need:
-            break
-        if need == 1:
-            total += nc - idx
-            break
-        c = cols[idx]
-        low = c & -c
-        reduced = []
-        for d in cols[idx + 1 :]:
-            if d & low:
-                d ^= c
-            if d:
-                reduced.append(d)
-        if len(reduced) >= need - 1:
-            total += _count_gf2(reduced, need - 1)
-    return total
+def _eliminate(vec: tuple, row: tuple, lead: int, p: int) -> tuple:
+    """A nonzero multiple of ``vec`` minus one of ``row``, zero at ``lead``."""
+    a, b = row[lead], vec[lead]
+    return tuple((a * x - b * y) % p if p else a * x - b * y for x, y in zip(vec, row))
 
 
-def _count_gfp(cols: np.ndarray, need: int, p: int) -> int:
-    total = 0
-    nc = cols.shape[1]
-    for idx in range(nc):
-        if nc - idx < need:
-            break
-        if need == 1:
-            total += nc - idx
-            break
-        c = cols[:, idx]
-        pr = int(np.nonzero(c)[0][0])
-        rest = cols[:, idx + 1 :]
-        factors = (rest[pr] * pow(int(c[pr]), -1, p)) % p
-        reduced = (rest - np.outer(c, factors)) % p
-        reduced = reduced[:, reduced.any(axis=0)]
-        if reduced.shape[1] >= need - 1:
-            total += _count_gfp(reduced, need - 1, p)
-    return total
+def _normalize(vec: tuple, p: int) -> tuple:
+    """The multiple of a nonzero vector that is monic mod p, or primitive with a positive lead."""
+    lead = next(x for x in vec if x)
+    if p:
+        inv = pow(lead, -1, p)
+        return tuple(x * inv % p for x in vec)
+    g = gcd(*vec) if lead > 0 else -gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
-def _count_exact(cols: np.ndarray, need: int, divisor: int) -> int:
-    # Fraction-free one-step elimination: entries stay minors of the start
-    # matrix, and each step forms a difference of two products of minors.
-    total = 0
-    nc = cols.shape[1]
-    for idx in range(nc):
-        if nc - idx < need:
-            break
-        if need == 1:
-            total += nc - idx
-            break
-        c = cols[:, idx]
-        pr = int(np.nonzero(c)[0][0])
-        piv = int(c[pr])
-        rest = cols[:, idx + 1 :]
-        reduced = (piv * rest - np.outer(c, rest[pr])) // divisor
-        reduced = reduced[:, reduced.any(axis=0)]
-        if reduced.shape[1] >= need - 1:
-            total += _count_exact(reduced, need - 1, piv)
-    return total
+def _lead(vec: tuple) -> int:
+    return next(t for t, x in enumerate(vec) if x)
+
+
+def _insert(rows: tuple, vec: tuple, p: int) -> tuple | None:
+    """Canonical rows of span(rows) + <vec>, or None when vec lies in span(rows).
+
+    Canonical rows are normalized, zero at each other's leading index and
+    ordered by it, so equal spans have equal rows.  ``vec`` is reduced mod p.
+    """
+    for row in rows:
+        if vec[_lead(row)]:
+            vec = _eliminate(vec, row, _lead(row), p)
+    if not any(vec):
+        return None
+    new = _normalize(vec, p)
+    lead = _lead(new)
+    out = [_normalize(_eliminate(row, new, lead, p), p) if row[lead] else row for row in rows]
+    return tuple(sorted(out + [new], key=_lead))
+
+
+def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list[tuple], list[int]]:
+    """Coordinates of each column, up to a scale per coordinate, in the basis B
+    of columns picked greedily from the right, and B's indices in order:
+    the columns of the canonical rows of the row space read right to left.
+    Column j has no coordinate on B left of j, so the span U_i of the
+    columns from i on is spanned by the coordinates of B from i on.
+    """
+    n, rows = len(cols), ()
+    for r in range(len(cols[0]) if cols else 0):
+        rows = _insert(rows, tuple(cols[j][r] for j in reversed(range(n))), p) or rows
+    by_pivot = {n - 1 - _lead(row): row for row in rows}
+    pivots = sorted(by_pivot)
+    return [tuple(by_pivot[b][n - 1 - j] for b in pivots) for j in range(n)], pivots
+
+
+def _state_bound(cols: list[tuple], pivots: list[int], need: int, p: int) -> int:
+    """Upper bound on the states of any one layer of the span-state DP.
+
+    After i columns S lies in a space of dimension w = r(first i) + r(rest) - r(all),
+    and d = dim S <= |A| <= d + r(first i) - w and need - |A| <= r(rest) - d.
+    Over GF(q) there are [w choose d]_q spaces S; over any field, distinct
+    states come from distinct subsets of the first i columns.
+    """
+    left = [len(cols) - 1 - j for j in _suffix_coordinates(cols[::-1], p)[1]]  # greedy from the left
+    worst = 0
+    for i in range(len(cols) + 1):
+        rx, rr = sum(j < i for j in left), sum(b >= i for b in pivots)
+        w = rx + rr - len(pivots)
+        bound = sum(comb(i, a) for a in range(max(0, need - rr), min(need, rx) + 1))
+        if p:  # Gaussian binomial [w choose d]_p times the sizes allowed with d
+            spans = (
+                prod(p ** (w - j) - 1 for j in range(d)) // prod(p ** (j + 1) - 1 for j in range(d))
+                * max(0, min(need, d + rx - w) - max(d, need - rr + d) + 1)
+                for d in range(w + 1)
+            )
+            bound = min(bound, sum(spans))
+        worst = max(worst, bound)
+    return worst
+
+
+def _step(layer: dict, col: tuple, drop: int | None, need: int, rest: int, p: int) -> dict:
+    """One column of the DP: ``layer`` maps S = span(A) ∩ U_i, as canonical
+    rows, to the number of independent A by size.  ``col`` may join A iff
+    it lies outside S; skipping it leaves S ∩ U_(i+1), taking it gives
+    (S + <col>) ∩ U_(i+1).  If ``col`` is in B with coordinate ``drop``, the
+    intersection removes the row led there, which can only be the first row
+    since S has no entry before ``drop``.  A size that can no longer reach
+    ``need`` with ``rest`` = dim U_(i+1) is dropped.
+    """
+    out: dict = {}
+    for rows, by_size in layer.items():
+        for shift, new in ((0, rows), (1, _insert(rows, col, p))):
+            if new and drop is not None and new[0][drop]:
+                new = new[1:]
+            for a, count in by_size.items():
+                if new is not None and need - rest + len(new) <= a + shift <= need:
+                    bucket = out.setdefault(new, {})
+                    bucket[a + shift] = bucket.get(a + shift, 0) + count
+    return out
 
 
 def count_bases(
@@ -271,40 +283,27 @@ def count_bases(
 ) -> int:
     """Number of independent column subsets of the given size (default: rank).
 
-    Enumerates by depth-first search over echelon-reduced columns, dropping
-    columns that become dependent and abandoning branches whose remaining
-    columns cannot reach the required size.  The subset space C(columns, size)
-    is capped by ``max_subsets`` because even the pruned search degrades with
-    it.
+    A dynamic programme over the columns after Hliněný (Combin. Probab.
+    Comput. 15, 2006): after i columns the state of A is |A| and
+    S = span(A) ∩ U_i, U_i the span of the columns not yet seen (see
+    :func:`_step`).  S is a canonical echelon basis, monic mod p or primitive
+    integer rows over the rationals, so counts are exact Python ints without
+    numpy.  ``max_subsets`` bounds the proven upper bound :func:`_state_bound`
+    on the states of one layer, checked before the first step.
     """
-    cols = [tuple(int(v) for v in col) for col in columns]
-    need = matrix_rank(cols, field) if size is None else size
-    if comb(len(cols), need) > max_subsets:
+    if size is not None and size < 0:
+        raise PreconditionError(f"cannot count subsets of negative size {size}")
+    p = field.char
+    cols = [tuple(int(v) % p if p else int(v) for v in col) for col in columns]
+    coords, pivots = _suffix_coordinates(cols, p)
+    need = len(pivots) if size is None else size
+    if _state_bound(cols, pivots, need, p) > max_subsets:
         raise GroundSetTooLargeError(len(cols), max_subsets)
-    if need == 0:
-        return 1
-    if field.char == 2:
-        return _count_gf2([c for c in gf2_pack(cols) if c], need)
-    if field.char:
-        p = field.char
-        arr = _column_array([[v % p for v in col] for col in cols], p * p)
-        return _count_gfp(arr, need, p)
-    # Hadamard: every minor of at most `need` columns is at most the product
-    # of the `need` largest column norms, and a step's products are two minors
-    norms_sq = sorted((sum(v * v for v in col) for col in cols if any(col)), reverse=True)
-    arr = _column_array(cols, prod(norms_sq[:need]))
-    return _count_exact(arr, need, 1)
-
-
-def _column_array(cols, product_bound: int) -> np.ndarray:
-    """Columns as an array without zero columns, in a dtype that keeps the search exact.
-
-    ``product_bound`` bounds every product of two values the search forms.
-    A step takes the difference of two such products, so int64 is used only
-    while twice the bound fits in it, and Python ints otherwise.
-    """
-    arr = np.array(cols, dtype=np.int64 if product_bound < 1 << 62 else object).T
-    return arr[:, arr.any(axis=0)]
+    layer: dict = {(): {0: 1}}
+    for i, col in enumerate(coords):
+        drop = pivots.index(i) if i in pivots else None
+        layer = _step(layer, col, drop, need, sum(b > i for b in pivots), p)
+    return layer.get((), {}).get(need, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +343,22 @@ def _edge_options(a: int, b: int) -> list[EdgeState | None]:
     ]
 
 
+def _heads(state: EdgeState | None, a: int, b: int) -> tuple[int, ...]:
+    """The vertices an edge state points into: both ends if bidirected, its head if directed."""
+    kind = state and state.kind
+    return (a, b) if kind == "bidirected" else (state.head,) if kind == "directed" else ()
+
+
 def _orientable_indegree_one(graph: SimpleGraph, states) -> bool:
     """Can the undirected edges be directed so every vertex has indegree 1?"""
-    base = [0] * graph.vertex_count
-    undirected = []
-    for e, state in enumerate(states):
-        if state is None:
-            continue
-        u, v = graph.edges[e]
-        if state.kind == "bidirected":
-            base[u] += 1
-            base[v] += 1
-        elif state.kind == "directed":
-            base[state.head] += 1
-        else:
-            undirected.append((u, v))
-    if any(d > 1 for d in base):
+    heads = [h for (a, b), state in zip(graph.edges, states) for h in _heads(state, a, b)]
+    undirected = [pair for pair, state in zip(graph.edges, states) if state and state.kind == "undirected"]
+    if len(set(heads)) < len(heads):
         return False
     for choice in itertools.product((0, 1), repeat=len(undirected)):
-        degrees = list(base)
-        for (u, v), pick in zip(undirected, choice):
-            degrees[v if pick else u] += 1
+        degrees = [0] * graph.vertex_count
+        for h in heads + [pair[pick] for pair, pick in zip(undirected, choice)]:
+            degrees[h] += 1
         if all(d == 1 for d in degrees):
             return True
     return False
@@ -416,22 +410,36 @@ def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool)
     return _orientable_indegree_one(graph, states)
 
 
+_WEIGHT = {None: 0, "bidirected": 2, "directed": 1, "undirected": 1}
+
+
 def enumerate_feasible_templates(
     graph: SimpleGraph, char_two: bool, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[Template]:
-    """All feasible templates, by brute force over per-edge states.
+    """All feasible templates, in the order of a brute force over per-edge states.
 
-    Each edge has 8 = 2^3 states, so the search covers 2^(3|E|) templates
-    and is bounded like a ground set of 3|E| elements.
+    Each edge has 8 = 2^3 states, so the search is bounded like a ground set
+    of 3|E| elements.  A depth-first search over the edges cuts a prefix in
+    which a vertex is the head of two bidirected or directed edges, or whose
+    weight (2 per bidirected, 1 per other present edge) can no longer total
+    n; :func:`template_is_feasible` decides every complete template.
     """
     _check_bound(3 * graph.edge_count, max_elements)
-    options = [_edge_options(a, b) for a, b in graph.edges]
-    out = []
-    for combo in itertools.product(*options):
-        template = Template(tuple(combo))
-        if template_is_feasible(graph, template, char_two):
-            out.append(template)
-    return out
+    n, m = graph.vertex_count, graph.edge_count
+
+    def extend(prefix: tuple, heads: frozenset, weight: int):
+        if weight > n or weight + 2 * (m - len(prefix)) < n:
+            return
+        if len(prefix) == m:
+            yield Template(prefix)
+            return
+        a, b = graph.edges[len(prefix)]
+        for state in _edge_options(a, b):
+            new = _heads(state, a, b)
+            if heads.isdisjoint(new):
+                yield from extend(prefix + (state,), heads.union(new), weight + _WEIGHT[state and state.kind])
+
+    return [t for t in extend((), frozenset(), 0) if template_is_feasible(graph, t, char_two)]
 
 
 def template_counts_by_bidirected(templates) -> dict[int, int]:
@@ -513,25 +521,14 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
 
 def count_perfect_matchings(graph: SimpleGraph) -> int:
     """Brute-force perfect matching count."""
-    n = graph.vertex_count
-    if n % 2:
-        return 0
-    adjacency = {v: set() for v in range(n)}
-    for u, v in graph.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
 
     def recurse(uncovered: frozenset[int]) -> int:
         if not uncovered:
             return 1
         v = min(uncovered)
-        total = 0
-        for w in adjacency[v]:
-            if w in uncovered and w != v:
-                total += recurse(uncovered - {v, w})
-        return total
+        return sum(recurse(uncovered - {a, b}) for a, b in graph.edges if v in (a, b) and {a, b} <= uncovered)
 
-    return recurse(frozenset(range(n)))
+    return recurse(frozenset(range(graph.vertex_count)))
 
 
 @dataclass(frozen=True)

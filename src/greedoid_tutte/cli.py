@@ -90,6 +90,14 @@ def _read_rooted(path: str):
     return carrier
 
 
+def _read_unrooted(path: str) -> UnrootedGraph:
+    """A graph read from a file; the root of a rooted graph file is dropped."""
+    carrier = _read_carrier(path)
+    if not isinstance(carrier, (RootedGraph, UnrootedGraph)):
+        raise PreconditionError("this command needs a graph file, rooted or not")
+    return UnrootedGraph(carrier.vertex_count, carrier.edges)
+
+
 def _family_of(carrier) -> str:
     if isinstance(carrier, RootedGraph):
         return "graph"
@@ -133,8 +141,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    carrier = _read_carrier(args.file)
     op = args.operation
+    carrier = _read_unrooted(args.file) if op == "stretch" else _read_carrier(args.file)
     if op == "thicken":
         _family_of(carrier)
         result = thicken(carrier, args.k)
@@ -150,10 +158,6 @@ def _cmd_construct(args) -> int:
             raise PreconditionError("fullrank operates on two binary matrices")
         result = block_diag(carrier, other)
     elif op == "stretch":
-        if isinstance(carrier, RootedGraph):
-            carrier = UnrootedGraph(carrier.vertex_count, carrier.edges)
-        if not isinstance(carrier, UnrootedGraph):
-            raise PreconditionError("stretch operates on an (un)rooted graph")
         result = stretch_unrooted(carrier, args.k)
     elif op == "digon":
         if not isinstance(carrier, RootedDigraph):
@@ -203,11 +207,7 @@ _FIELDS = {"gf2": GF2, "gf3": GF3, "rationals": RATIONALS}
 
 
 def _cmd_vertigan(args) -> int:
-    carrier = _read_carrier(args.file)
-    if isinstance(carrier, RootedGraph):
-        carrier = UnrootedGraph(carrier.vertex_count, carrier.edges)
-    if not isinstance(carrier, UnrootedGraph):
-        raise PreconditionError("the basis-counting reduction takes a simple graph file")
+    carrier = _read_unrooted(args.file)
     graph = SimpleGraph(carrier.vertex_count, carrier.edges)
     field = _FIELDS[args.field]
     report = recover_perfect_matchings(graph, field, args.direct_limit, args.max_elements)
@@ -241,7 +241,8 @@ def _verify_axioms(carrier, max_elements: int) -> list[str]:
 def _cmd_verify(args) -> int:
     from . import verify as suites
 
-    carrier = _read_carrier(args.file) if args.file else None
+    read = _read_unrooted if args.suite == "stretch" else _read_carrier
+    carrier = read(args.file) if args.file else None
     if args.suite == "axioms":
         if carrier is None:
             raise ParseError("the axioms suite needs a carrier file")

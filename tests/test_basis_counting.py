@@ -1,6 +1,9 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     GF2,
@@ -19,6 +22,7 @@ from greedoid_tutte import (
 )
 from greedoid_tutte.basis_counting import (
     Template,
+    _edge_options,
     template_counts_by_bidirected,
     template_is_feasible,
 )
@@ -371,3 +375,124 @@ def test_template_search_is_bounded(monkeypatch):
         recover_perfect_matchings(seven, GF2)
     with pytest.raises(GroundSetTooLargeError):
         enumerate_feasible_templates(C4, False, max_elements=11)
+
+
+def test_count_bases_negative_size():
+    with pytest.raises(PreconditionError):
+        count_bases([(1, 0), (0, 1)], GF2, -1)
+    with pytest.raises(PreconditionError):
+        count_bases([], RATIONALS, -3)
+
+
+def _reference_rank(vectors, p: int) -> int:
+    """Rank by Gauss-Jordan elimination with each vector as a row, mod p or over Fraction (p = 0)."""
+    rows = [[v % p if p else Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * pow(rows[rank][c], -1, p) if p else rows[r][c] / rows[rank][c]
+                rows[r] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_columns(draw):
+    """Up to 8 columns of at most 4 rows; zero columns, repeats and entries >= 2^32 are common."""
+    rows = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda v: v * 2**32 + 1), st.just(2**40))
+    column = st.tuples(*[entry] * rows)
+    columns = draw(st.lists(column, max_size=6))
+    if columns and draw(st.booleans()):
+        columns.append(draw(st.sampled_from(columns)))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), (0,) * rows)
+    return columns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(integer_columns())
+def test_count_bases_matches_combinations(columns):
+    """The span-state DP against a plain count of full-rank column subsets."""
+    for field in (GF2, GF3, Field(4294967311), RATIONALS):
+        rank = _reference_rank(columns, field.char)
+        assert matrix_rank(columns, field) == rank
+        for size in range(rank + 2):
+            direct = sum(
+                1 for combo in itertools.combinations(columns, size) if _reference_rank(combo, field.char) == size
+            )
+            assert count_bases(columns, field, size) == direct, (str(field), size)
+        assert count_bases(columns, field) == count_bases(columns, field, rank)
+
+
+def test_count_bases_beyond_subset_enumeration():
+    """C4 at k = 2 (32 columns) and path-3 at k = 3 (36 columns) equal the per-template closed form."""
+    for graph, k in [(C4, 2), (PATH3, 3)]:
+        gm = build_gadget_matrix(graph, k)
+        for field in (GF2, GF3):
+            counts = template_counts_by_bidirected(enumerate_feasible_templates(graph, field.is_char_two))
+            predicted = sum(
+                predicted_bases_per_template(graph.vertex_count, graph.edge_count, k, b, field.is_char_two) * c
+                for b, c in counts.items()
+            )
+            assert count_bases(gm.ground_columns(), field, gm.target_rank) == predicted, (k, str(field))
+
+
+def test_count_bases_state_bound_raises_first(monkeypatch):
+    """An over-budget count raises before the first DP step."""
+
+    def never(*args):
+        raise AssertionError("DP step taken before the bound")
+
+    monkeypatch.setattr(basis_counting, "_step", never)
+    columns = build_gadget_matrix(C4, 2).ground_columns()
+    with pytest.raises(GroundSetTooLargeError):
+        count_bases(columns, RATIONALS)
+    with pytest.raises(GroundSetTooLargeError):
+        count_bases(columns, GF2, max_subsets=10)
+    assert count_bases([], GF3) == 1
+
+
+def _product_filter(graph, char_two):
+    options = [_edge_options(a, b) for a, b in graph.edges]
+    candidates = (Template(tuple(combo)) for combo in itertools.product(*options))
+    return [t for t in candidates if template_is_feasible(graph, t, char_two)]
+
+
+def test_pruned_template_search_matches_product_filter():
+    rng = random.Random(20)
+    graphs = [K2, SimpleGraph(3, ((0, 1), (1, 2))), PATH3, C4]
+    while len(graphs) < 24:
+        edges = rng.sample(list(itertools.combinations(range(6), 2)), 4)
+        if len({v for e in edges for v in e}) == 6:
+            graphs.append(SimpleGraph(6, tuple(edges)))
+    for graph in graphs:
+        for char_two in (True, False):
+            assert enumerate_feasible_templates(graph, char_two) == _product_filter(graph, char_two), graph
+
+
+def test_state_bound_covers_every_layer(monkeypatch):
+    """The bound checked against max_subsets is at least the largest DP layer."""
+    layers = []
+    step = basis_counting._step
+
+    def counting_step(layer, *args):
+        layers.append(sum(len(by_size) for by_size in layer.values()))
+        return step(layer, *args)
+
+    monkeypatch.setattr(basis_counting, "_step", counting_step)
+    rng = random.Random(7)
+    cases = [build_gadget_matrix(graph, k).ground_columns() for graph, k in [(K2, 2), (PATH3, 2), (C4, 1)]]
+    cases += [[tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(9)] for _ in range(20)]
+    for columns in cases:
+        for field in (GF2, GF3, Field(4294967311), RATIONALS):
+            for size in (None, 2):
+                layers.clear()
+                count_bases(columns, field, size)
+                with pytest.raises(GroundSetTooLargeError):
+                    count_bases(columns, field, size, max_subsets=max(layers) - 1)

@@ -185,3 +185,23 @@ def test_vertigan_template_bound_exit_code(tmp_path, capsys):
     seven.write_text("edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 0 5\nedge 0 3\n")
     assert main(["vertigan", str(seven), "--field", "gf2"]) == 4
     assert "21 elements" in capsys.readouterr().err
+
+
+def test_rooted_file_to_unrooted_commands(tmp_path, capsys):
+    """A rooted graph file given to an unrooted command is read as its underlying graph."""
+    rooted, unrooted = tmp_path / "rooted.graph", tmp_path / "unrooted.graph"
+    rooted.write_text("root 0\nedge 0 1\nedge 1 2\n")
+    unrooted.write_text("edge 0 1\nedge 1 2\n")
+    commands = [
+        (["construct", "stretch", "{}", "--k", "2"], 0, "edge 4 2"),
+        (["verify", "stretch", "--file", "{}"], 0, "stretch user: pass"),
+        # three vertices: the graph is read, then recovery needs an even vertex count
+        (["vertigan", "{}", "--field", "gf2"], 3, "OddVertexCountError"),
+    ]
+    for argv, code, expected in commands:
+        outputs = []
+        for path in (rooted, unrooted):
+            assert main([str(path) if a == "{}" else a for a in argv]) == code, argv
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1], argv
+        assert expected in outputs[0].out + outputs[0].err, argv
