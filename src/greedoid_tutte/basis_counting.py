@@ -297,8 +297,15 @@ def count_bases(
     cols = [tuple(int(v) % p if p else int(v) for v in col) for col in columns]
     coords, pivots = _suffix_coordinates(cols, p)
     need = len(pivots) if size is None else size
-    if _state_bound(cols, pivots, need, p) > max_subsets:
-        raise GroundSetTooLargeError(len(cols), max_subsets)
+    states = _state_bound(cols, pivots, need, p)
+    if states > max_subsets:
+        raise GroundSetTooLargeError(
+            len(cols),
+            max_subsets,
+            f"counting bases of {len(cols)} columns may need up to {states} DP states "
+            f"in one layer but the bound is {max_subsets}; pass a larger max_subsets "
+            "to override",
+        )
     layer: dict = {(): {0: 1}}
     for i, col in enumerate(coords):
         drop = pivots.index(i) if i in pivots else None

@@ -228,7 +228,6 @@ def attach(
     g1: Greedoid,
     func: AttachmentFunction,
     g2: Greedoid,
-    validate: bool = True,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Greedoid:
     """Generic attachment: glue rank(g1) copies of g2 onto g1, guided by func.
@@ -240,10 +239,9 @@ def attach(
     """
     if func.greedoid.size != g1.size:
         raise AttachmentInvariantError("attachment function belongs to a different greedoid")
-    if validate:
-        problems = attachment_violations(func, max_elements)
-        if problems:
-            raise AttachmentInvariantError("; ".join(problems[:3]))
+    problems = attachment_violations(func, max_elements)
+    if problems:
+        raise AttachmentInvariantError("; ".join(problems[:3]))
     rho = g1.rank
     n1, n2 = g1.size, g2.size
     full1 = (1 << n1) - 1

@@ -19,11 +19,17 @@ class PreconditionError(GreedoidTutteError):
 
 
 class GroundSetTooLargeError(GreedoidTutteError):
-    """An exponential enumeration was requested above the element bound."""
+    """An exponential enumeration was requested above its bound.
 
-    def __init__(self, size: int, bound: int):
+    ``size`` is the number of elements and ``bound`` the bound that was
+    exceeded; ``message`` replaces the default text, which speaks of the
+    element bound ``max_elements``, where another quantity is bounded.
+    """
+
+    def __init__(self, size: int, bound: int, message: str | None = None):
         super().__init__(
-            f"ground set has {size} elements but the enumeration bound is "
+            message
+            or f"ground set has {size} elements but the enumeration bound is "
             f"{bound}; pass a larger max_elements to override"
         )
         self.size = size

@@ -14,14 +14,13 @@ a million subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError
-from .primitives import find
+from .primitives import binomial_shift, find
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -305,13 +304,13 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     # by_size[m]: counts by size of the subsets meeting exactly the larger classes in m
     by_size = [[1]]
     for e in multi:
-        c = sizes[e]
+        step = binomial_shift({sizes[e]: 1, 0: -1}, 1)  # (1+z)^c - 1
         grown = []
         for w in by_size:
-            out = [0] * (len(w) + c)
+            out = [0] * (len(w) + len(step) - 1)
             for i, wi in enumerate(w):
-                for k in range(1, c + 1):
-                    out[i + k] += wi * comb(c, k)
+                for k, sk in enumerate(step):
+                    out[i + k] += wi * sk
             grown.append(out)
         by_size += grown
     profile: dict[tuple[int, int], int] = {}

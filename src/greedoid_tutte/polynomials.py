@@ -10,10 +10,12 @@ of polynomials.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DivisionByZeroError, ParseError
+from .primitives import binomial_shift
 
 Rational = Fraction
 
@@ -40,7 +42,112 @@ def _clean(terms: Mapping) -> dict:
     return {key: Fraction(c) for key, c in terms.items() if c != 0}
 
 
-class BivariatePoly:
+class _Poly:
+    """Arithmetic shared by both polynomial shapes.
+
+    A subclass fixes its key shape with two class-level facts: ``_ONE``, the
+    key of the constant term, and ``_add_keys``, the key of the product of two
+    monomials; ``_monomial_text`` names its variables for printing.  Only
+    polynomials of the same class combine or compare equal; an ``int`` or
+    ``Fraction`` stands for a constant polynomial.
+    """
+
+    __slots__ = ("terms",)
+    _ONE: object  # key of the constant term
+    _add_keys: Callable  # key of the product of two monomials
+    _monomial_text: Callable  # a monomial's key written out, "" for the constant
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = _clean(terms or {})
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def constant(cls, c):
+        return cls({cls._ONE: rational(c)})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        # A constant polynomial equals its value, so it must hash like it.
+        if self.terms.keys() <= {self._ONE}:
+            return hash(self.terms.get(self._ONE, 0))
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        add_keys = self._add_keys
+        out: dict = {}
+        for a, ac in self.terms.items():
+            for b, bc in other.terms.items():
+                key = add_keys(a, b)
+                out[key] = out.get(key, Fraction(0)) + ac * bc
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers of a polynomial are not defined")
+        result = self.constant(1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def _coerce(self, value):
+        if isinstance(value, type(self)):
+            return value
+        return self.constant(rational(value))
+
+    def __repr__(self) -> str:
+        parts = []
+        for key, c in sorted(self.terms.items(), reverse=True):
+            mono = self._monomial_text(key)
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class BivariatePoly(_Poly):
     """Polynomial in x and y with exact rational coefficients.
 
     Terms are stored as a map from (x-exponent, y-exponent) to a nonzero
@@ -48,18 +155,12 @@ class BivariatePoly:
     exponent pair, which keeps all outputs deterministic.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _ONE = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
-        self.terms = _clean(terms or {})
-
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "BivariatePoly":
-        return cls({(0, 0): rational(c)})
+    @staticmethod
+    def _add_keys(a, b):
+        return (a[0] + b[0], a[1] + b[1])
 
     @classmethod
     def monomial(cls, xexp: int, yexp: int, c=1) -> "BivariatePoly":
@@ -75,67 +176,6 @@ class BivariatePoly:
     def y(cls) -> "BivariatePoly":
         return cls.monomial(0, 1)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BivariatePoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == BivariatePoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "BivariatePoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariatePoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "BivariatePoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "BivariatePoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "BivariatePoly":
-        other = self._coerce(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ax, ay), ac in self.terms.items():
-            for (bx, by), bc in other.terms.items():
-                key = (ax + bx, ay + by)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
-        return BivariatePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "BivariatePoly":
-        if exponent < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = BivariatePoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    @staticmethod
-    def _coerce(value) -> "BivariatePoly":
-        if isinstance(value, BivariatePoly):
-            return value
-        return BivariatePoly.constant(rational(value))
-
     def evaluate(self, a, b) -> Fraction:
         a, b = rational(a), rational(b)
         total = Fraction(0)
@@ -145,20 +185,18 @@ class BivariatePoly:
 
     def at_x(self, value) -> "BivariatePoly":
         """Substitute a rational for x, leaving a polynomial in y."""
-        value = rational(value)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (xe, ye), c in self.terms.items():
-            key = (0, ye)
-            out[key] = out.get(key, Fraction(0)) + c * value**xe
-        return BivariatePoly(out)
+        return self._at(0, value)
 
     def at_y(self, value) -> "BivariatePoly":
         """Substitute a rational for y, leaving a polynomial in x."""
+        return self._at(1, value)
+
+    def _at(self, axis: int, value) -> "BivariatePoly":
         value = rational(value)
         out: dict[tuple[int, int], Fraction] = {}
-        for (xe, ye), c in self.terms.items():
-            key = (xe, 0)
-            out[key] = out.get(key, Fraction(0)) + c * value**ye
+        for key, c in self.terms.items():
+            rest = key[:axis] + (0,) + key[axis + 1 :]
+            out[rest] = out.get(rest, Fraction(0)) + c * value ** key[axis]
         return BivariatePoly(out)
 
     def degree_x(self) -> int:
@@ -181,26 +219,9 @@ class BivariatePoly:
             terms[key] = Fraction(int(item["num"]), int(item["den"]))
         return cls(terms)
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xe, ye), c in sorted(self.terms.items(), reverse=True):
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in (("x", xe), ("y", ye))
-                if e
-            )
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+    @staticmethod
+    def _monomial_text(key: tuple[int, int]) -> str:
+        return "".join(f"{v}^{e}" if e > 1 else v for v, e in zip("xy", key) if e)
 
 
 def hyperbola_restriction(poly: "BivariatePoly", alpha) -> "LaurentPoly":
@@ -209,112 +230,33 @@ def hyperbola_restriction(poly: "BivariatePoly", alpha) -> "LaurentPoly":
     Pure polynomial algebra (binomial expansion), independent of any subset
     enumeration; the result is a Laurent polynomial in z.
     """
-    from math import comb
-
     alpha = rational(alpha)
     if alpha == 0:
         raise DivisionByZeroError("hyperbola parameter must be nonzero")
-    out: dict[int, Fraction] = {}
-    for (xe, ye), c in poly.terms.items():
-        for s in range(xe + 1):
-            left = c * comb(xe, s) * alpha**s
-            for t in range(ye + 1):
-                e = t - s
-                out[e] = out.get(e, Fraction(0)) + left * comb(ye, t)
-    return LaurentPoly(out)
+    out = LaurentPoly()
+    for (i, j), c in poly.terms.items():
+        # (1 + alpha/z)^i (1 + z)^j = z^-i (z + alpha)^i (z + 1)^j
+        xs = LaurentPoly.monomial(i).compose_shift(alpha).shift(-i)
+        out += xs * LaurentPoly.monomial(j, c).compose_shift(1)
+    return out
 
 
 def line_y_restriction(poly: "BivariatePoly", c) -> "LaurentPoly":
     """Substitute y = c and x = 1 + z; the result is a polynomial in z."""
-    from math import comb
-
-    restricted = poly.at_y(c)
-    out: dict[int, Fraction] = {}
-    for (xe, _), coeff in restricted.terms.items():
-        for s in range(xe + 1):
-            out[s] = out.get(s, Fraction(0)) + coeff * comb(xe, s)
-    return LaurentPoly(out)
+    in_x = {xe: coeff for (xe, _), coeff in poly.at_y(c).terms.items()}
+    return LaurentPoly(in_x).compose_shift(1)
 
 
-class LaurentPoly:
+class LaurentPoly(_Poly):
     """Univariate polynomial with integer (possibly negative) exponents."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        self.terms = _clean(terms or {})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "LaurentPoly":
-        return cls({0: rational(c)})
+    __slots__ = ()
+    _ONE = 0
+    _add_keys = operator.add
 
     @classmethod
     def monomial(cls, exp: int, c=1) -> "LaurentPoly":
         return cls({exp: rational(c)})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        out: dict[int, Fraction] = {}
-        for ae, ac in self.terms.items():
-            for be, bc in other.terms.items():
-                out[ae + be] = out.get(ae + be, Fraction(0)) + ac * bc
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LaurentPoly":
-        if exponent < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
-        result = LaurentPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    @staticmethod
-    def _coerce(value) -> "LaurentPoly":
-        if isinstance(value, LaurentPoly):
-            return value
-        return LaurentPoly.constant(rational(value))
 
     def shift(self, offset: int) -> "LaurentPoly":
         """Multiply by z**offset."""
@@ -333,12 +275,7 @@ class LaurentPoly:
         """Substitute z -> z + offset; requires non-negative exponents."""
         if self.min_exponent() < 0:
             raise ValueError("shift substitution needs non-negative exponents")
-        offset = rational(offset)
-        base = LaurentPoly({1: Fraction(1), 0: offset})
-        out = LaurentPoly.zero()
-        for e, c in self.terms.items():
-            out = out + c * base**e
-        return out
+        return LaurentPoly(dict(enumerate(binomial_shift(self.terms, rational(offset)))))
 
     def min_exponent(self) -> int:
         return min(self.terms, default=0)
@@ -356,19 +293,6 @@ class LaurentPoly:
     def from_json_obj(cls, obj: Iterable[dict]) -> "LaurentPoly":
         return cls({int(item["exp"]): Fraction(int(item["num"]), int(item["den"])) for item in obj})
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "z" if e == 1 else f"z^{e}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _monomial_text(e: int) -> str:
+        return "" if e == 0 else "z" if e == 1 else f"z^{e}"

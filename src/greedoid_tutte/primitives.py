@@ -1,11 +1,12 @@
-"""Union-find, root reachability and GF(2) elimination, shared by every module.
+"""Union-find, root reachability, GF(2) elimination and the binomial shift,
+shared by every module.
 
 This module imports nothing from the package, so any module may import it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 def find(parent: list[int], v: int) -> int:
@@ -59,3 +60,20 @@ def gf2_rank(vectors: Iterable[Iterable[int]]) -> int:
     """Rank over GF(2) of integer vectors, read mod 2."""
     basis: dict[int, int] = {}
     return sum(gf2_insert(basis, vec) for vec in gf2_pack(vectors))
+
+
+def binomial_shift(coeffs: Mapping[int, object], a) -> list:
+    """Coefficients of the sum of coeffs[e] * (t + a)**e, lowest power of t first.
+
+    Exponents must be non-negative; ``binomial_shift({k: 1}, a)`` is the row
+    of (t + a)**k.  The arithmetic is that of the inputs, so ints give ints
+    and Fractions give Fractions.
+    """
+    out = [0] * (max(coeffs, default=-1) + 1)
+    for e, c in coeffs.items():
+        binom, power = 1, 1  # C(e, i) and a**(e - i), from i = e down
+        for i in range(e, -1, -1):
+            out[i] += c * binom * power
+            binom = binom * i // (e - i + 1)
+            power *= a
+    return out

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Mapping, Union
 
 from .carriers import (
@@ -40,7 +39,7 @@ from .errors import NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import find, reach
+from .primitives import binomial_shift, find, reach
 
 
 @dataclass(frozen=True)
@@ -112,19 +111,17 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s.
 
+    One binomial shift in y per deficit, then one in x per power of y.
     Integer arithmetic throughout; callers turn the result into rationals.
     """
-    exponents = {e for key in counts for e in key}
-    # rows[k][i] is the coefficient of t^i in (t-1)^k
-    rows = {k: [comb(k, i) * (-1) ** (k - i) for i in range(k + 1)] for k in exponents}
-    terms: dict[tuple[int, int], int] = {}
+    by_deficit: dict[int, dict[int, int]] = {}
     for (d, s), count in counts.items():
-        ys = rows[s]
-        for i, ci in enumerate(rows[d]):
-            ci *= count
-            for j, cj in enumerate(ys):
-                terms[i, j] = terms.get((i, j), 0) + ci * cj
-    return terms
+        by_deficit.setdefault(d, {})[s] = count
+    by_y: dict[int, dict[int, int]] = {}
+    for d, row in by_deficit.items():
+        for j, c in enumerate(binomial_shift(row, -1)):
+            by_y.setdefault(j, {})[d] = c
+    return {(i, j): c for j, col in by_y.items() for i, c in enumerate(binomial_shift(col, -1))}
 
 
 def _collect(

@@ -458,6 +458,15 @@ def test_count_bases_state_bound_raises_first(monkeypatch):
     assert count_bases([], GF3) == 1
 
 
+def test_state_bound_error_names_states_and_max_subsets():
+    with pytest.raises(GroundSetTooLargeError) as info:
+        count_bases(build_gadget_matrix(C4, 2).ground_columns(), RATIONALS)
+    message = str(info.value)
+    assert "DP states in one layer" in message and "max_subsets" in message
+    assert "max_elements" not in message
+    assert (info.value.size, info.value.bound) == (32, 10_000_000)
+
+
 def _product_filter(graph, char_two):
     options = [_edge_options(a, b) for a, b in graph.edges]
     candidates = (Template(tuple(combo)) for combo in itertools.product(*options))

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     BivariatePoly,
@@ -11,6 +12,7 @@ from greedoid_tutte import (
     rational,
 )
 from greedoid_tutte.errors import DivisionByZeroError, ParseError
+from test_identical_classes import PROPERTY
 
 P2 = BivariatePoly({(2, 1): 1, (1, 1): -2, (1, 0): 1, (0, 1): 1})  # x^2y - 2xy + x + y
 
@@ -98,3 +100,81 @@ def test_laurent_compose_shift():
 
 def test_laurent_shift():
     assert LaurentPoly({0: 1, 1: 1}).shift(-2).terms == {-2: 1, -1: 1}
+
+
+def test_constant_polynomials_hash_like_their_value():
+    for cls in (BivariatePoly, LaurentPoly):
+        for c in (0, 1, -7, Fraction(2, 3)):
+            assert cls.constant(c) == c
+            assert hash(cls.constant(c)) == hash(c)
+        assert len({cls.constant(1), 1, Fraction(1)}) == 1
+    assert BivariatePoly.constant(1) != LaurentPoly.constant(1)
+
+
+FEWER = settings(PROPERTY, max_examples=60)
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# Each shape: its class, a strategy for its keys, the key of the constant
+# term, and points to evaluate at (one coordinate per variable).
+SHAPES = {
+    "bivariate": (
+        BivariatePoly,
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        (0, 0),
+        [(Fraction(2), Fraction(-1, 3)), (Fraction(-3, 2), Fraction(5)), (Fraction(1, 7), 1)],
+    ),
+    "laurent": (
+        LaurentPoly,
+        st.integers(-3, 3),
+        0,
+        [(Fraction(2),), (Fraction(-1, 3),), (Fraction(5, 2),)],
+    ),
+}
+
+
+def _value(terms, point):
+    """A term map evaluated at a point, written out from the definition."""
+    total = Fraction(0)
+    for key, c in terms.items():
+        term = Fraction(c)
+        for v, e in zip(point, key if isinstance(key, tuple) else (key,)):
+            term *= v**e
+        total += term
+    return total
+
+
+@FEWER
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@given(data=st.data())
+def test_arithmetic_core_matches_evaluation(shape, data):
+    cls, keys, one, points = SHAPES[shape]
+    terms = st.dictionaries(keys, RATIONALS, max_size=5)
+    pt, qt = data.draw(terms), data.draw(terms)
+    c = data.draw(st.one_of(st.integers(-3, 3), RATIONALS))
+    k = data.draw(st.integers(0, 3))
+    p, q = cls(pt), cls(qt)
+    for point in points:
+        u, v = _value(pt, point), _value(qt, point)
+        assert _value((p + q).terms, point) == u + v
+        assert _value((p - q).terms, point) == u - v
+        assert _value((-p).terms, point) == -u
+        assert _value((p * q).terms, point) == u * v
+        assert _value((p**k).terms, point) == u**k
+        assert _value((c - p).terms, point) == c - u
+        assert _value((c * p + c).terms, point) == c * u + c
+    for result in (p + q, p - q, -p, p * q, p**k, c - p):
+        assert type(result) is cls and 0 not in result.terms.values()
+    assert (p == c) == ({key: x for key, x in pt.items() if x} == ({one: c} if c else {}))
+    assert p - p == 0 and p + q == q + p
+    assert cls.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
+    other, other_keys, _, _ = SHAPES["laurent" if shape == "bivariate" else "bivariate"]
+    r = other(data.draw(st.dictionaries(other_keys, RATIONALS, max_size=5)))
+    assert p != r and r != p and not p == r
+
+
+@FEWER
+@given(st.dictionaries(st.integers(0, 5), RATIONALS, max_size=4), RATIONALS)
+def test_laurent_compose_shift_at_rational_offsets(terms, offset):
+    poly = LaurentPoly(terms)
+    shifted = poly.compose_shift(offset)
+    for z in (Fraction(0), Fraction(3), Fraction(-2, 5)):
+        assert shifted.evaluate(z) == poly.evaluate(z + offset)

@@ -1,9 +1,12 @@
-"""Union-find, root reachability and GF(2) elimination, pinned against
-references written here from first principles on random small carriers
-with loops, repeated elements and parts the root cannot reach."""
+"""Union-find, root reachability, GF(2) elimination and the binomial shift,
+pinned against references written here from first principles on random small
+carriers with loops, repeated elements and parts the root cannot reach, and
+on random coefficients."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,7 @@ from greedoid_tutte import (
     unrooted_tutte_polynomial,
 )
 from greedoid_tutte.carriers import gf2_row_rank, merge_identical_elements
+from greedoid_tutte.primitives import binomial_shift
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
 
@@ -81,3 +85,36 @@ def test_matrix_without_columns_keeps_its_rows():
     assert thicken(empty, 2).row_count == 3
     core, sizes = merge_identical_elements(empty)
     assert core.row_count == 3 and sizes == ()
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.integers(-4, 4))
+def test_binomial_shift_row_is_the_binomial_row(k, a):
+    row = binomial_shift({k: 1}, a)
+    assert row == [comb(k, i) * a ** (k - i) for i in range(k + 1)]
+    assert all(type(c) is int for c in row)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(0, 7), st.integers(-10**12, 10**12), max_size=5),
+    st.integers(-3, 3),
+)
+def test_binomial_shift_of_ints_stays_in_ints(coeffs, a):
+    shifted = binomial_shift(coeffs, a)
+    assert all(type(c) is int for c in shifted)
+    for t in range(-2, 3):
+        direct = sum(c * (t + a) ** e for e, c in coeffs.items())
+        assert sum(c * t**i for i, c in enumerate(shifted)) == direct
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.dictionaries(st.integers(0, 7), RATIONALS, max_size=5), RATIONALS)
+def test_binomial_shift_at_rational_offsets(coeffs, a):
+    shifted = binomial_shift(coeffs, a)
+    for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
+        direct = sum(c * (t + a) ** e for e, c in coeffs.items())
+        assert sum(c * t**i for i, c in enumerate(shifted)) == direct
