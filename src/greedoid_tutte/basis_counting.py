@@ -24,7 +24,6 @@ matroid actually counted lives on the letter columns only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, bareiss_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
-from .primitives import find, reach
+from .primitives import find
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -356,65 +355,47 @@ def _heads(state: EdgeState | None, a: int, b: int) -> tuple[int, ...]:
     return (a, b) if kind == "bidirected" else (state.head,) if kind == "directed" else ()
 
 
-def _orientable_indegree_one(graph: SimpleGraph, states) -> bool:
-    """Can the undirected edges be directed so every vertex has indegree 1?"""
-    heads = [h for (a, b), state in zip(graph.edges, states) for h in _heads(state, a, b)]
-    undirected = [pair for pair, state in zip(graph.edges, states) if state and state.kind == "undirected"]
-    if len(set(heads)) < len(heads):
-        return False
-    for choice in itertools.product((0, 1), repeat=len(undirected)):
-        degrees = [0] * graph.vertex_count
-        for h in heads + [pair[pick] for pair, pick in zip(undirected, choice)]:
-            degrees[h] += 1
-        if all(d == 1 for d in degrees):
-            return True
-    return False
-
-
-def _undirected_subgraph_acyclic(graph: SimpleGraph, states) -> bool:
-    parent = list(range(graph.vertex_count))
-    for e, state in enumerate(states):
-        if state is None or state.kind != "undirected":
-            continue
-        u, v = graph.edges[e]
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _undirected_circuits_have_odd_wz(graph: SimpleGraph, states) -> bool:
-    """Every circuit among the undirected edges carries an odd number of wz labels."""
-    undirected = [e for e, s in enumerate(states) if s and s.kind == "undirected"]
-    u_count = len(undirected)
-    for mask in range(1, 1 << u_count):
-        chosen = [undirected[t] for t in range(u_count) if mask >> t & 1]
-        degree: dict[int, int] = {}
-        for e in chosen:
-            u, v = graph.edges[e]
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if any(d != 2 for d in degree.values()):
-            continue
-        # connected 2-regular = a single circuit
-        if len(reach(min(degree), [graph.edges[e] for e in chosen], False)) != len(degree):
-            continue
-        wz = sum(1 for e in chosen if states[e].label == "wz")
-        if wz % 2 == 0:
-            return False
-    return True
-
-
 def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool) -> bool:
-    states = template.states
+    """Can the undirected edges be directed so that every vertex has indegree
+    exactly one, with every undirected circuit allowed by the field?
+
+    Let H be the heads (both ends of each bidirected edge, the head of each
+    directed edge) and U the undirected edges.  The template is feasible
+    exactly when (a) the heads are distinct, (b) every connected component C
+    of (V, U), isolated vertices included, has |U(C)| + |H ∩ C| = |C|, and
+    (c) over GF(2) no component lacks a head, over other fields the circuit
+    of every headless component has an odd number of wz edges.
+
+    (b) is necessary: each edge of U(C) points into one vertex of C, and
+    exactly the vertices of C outside H need one.  Since C is connected,
+    |U(C)| >= |C| - 1, so (b) with the heads counted with multiplicity
+    also gives (a), and leaves two cases, both of which can be oriented:
+    a tree with one head, directed away from it, or a unicyclic component
+    without a head, directed around its circuit and then out along the
+    trees.  So (c) speaks of the headless components, and each has one
+    circuit.  Its parity is read from the double cover on 2n vertices,
+    where an xy edge ab joins a-b and a'-b' and a wz edge joins a-b' and
+    a'-b: a vertex v of a headless component is joined to its twin
+    v' = v + n exactly when the circuit has an odd number of wz edges.
+    One union-find over n vertices and one over 2n decide all three.
+    """
+    n, states = graph.vertex_count, template.states
+    heads = [h for (a, b), state in zip(graph.edges, states) for h in _heads(state, a, b)]
+    undirected = [(a, b, s.label) for (a, b), s in zip(graph.edges, states) if s and s.kind == "undirected"]
+    parent, cover = list(range(n)), list(range(2 * n))
+    for a, b, label in undirected:
+        parent[find(parent, a)] = find(parent, b)
+        twist = n if label == "wz" else 0  # a wz edge crosses between the two copies
+        cover[find(cover, a)] = find(cover, b + twist)
+        cover[find(cover, a + n)] = find(cover, b + n - twist)
+    # (a) and (b) as multisets: each component's root once per vertex, and once per undirected edge or head
+    roots = [find(parent, v) for v in range(n)]
+    if sorted(roots) != sorted(roots[v] for v in [a for a, _, _ in undirected] + heads):
+        return False
+    headless = set(roots).difference(roots[h] for h in heads)
     if char_two:
-        if not _undirected_subgraph_acyclic(graph, states):
-            return False
-    else:
-        if not _undirected_circuits_have_odd_wz(graph, states):
-            return False
-    return _orientable_indegree_one(graph, states)
+        return not headless
+    return all(find(cover, r) == find(cover, r + n) for r in headless)
 
 
 _WEIGHT = {None: 0, "bidirected": 2, "directed": 1, "undirected": 1}
@@ -433,6 +414,10 @@ def enumerate_feasible_templates(
     """
     _check_bound(3 * graph.edge_count, max_elements)
     n, m = graph.vertex_count, graph.edge_count
+    options = [
+        [(state, _heads(state, a, b), _WEIGHT[state and state.kind]) for state in _edge_options(a, b)]
+        for a, b in graph.edges
+    ]
 
     def extend(prefix: tuple, heads: frozenset, weight: int):
         if weight > n or weight + 2 * (m - len(prefix)) < n:
@@ -440,11 +425,9 @@ def enumerate_feasible_templates(
         if len(prefix) == m:
             yield Template(prefix)
             return
-        a, b = graph.edges[len(prefix)]
-        for state in _edge_options(a, b):
-            new = _heads(state, a, b)
+        for state, new, step in options[len(prefix)]:
             if heads.isdisjoint(new):
-                yield from extend(prefix + (state,), heads.union(new), weight + _WEIGHT[state and state.kind])
+                yield from extend(prefix + (state,), heads.union(new), weight + step)
 
     return [t for t in extend((), frozenset(), 0) if template_is_feasible(graph, t, char_two)]
 
@@ -505,12 +488,7 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
         label = "".join(sorted(by_copy[doubled[0]], key=LETTERS.index))
         block_cols = [ground_cols[t] for t in block]
         base_rank = matrix_rank(block_cols, field)
-
-        def in_closure(label_col) -> bool:
-            return matrix_rank(block_cols + [gm.column(label_col)], field) == base_rank
-
-        has_a = in_closure(("v", a))
-        has_b = in_closure(("v", b))
+        has_a, has_b = (matrix_rank(block_cols + [gm.column(("v", v))], field) == base_rank for v in (a, b))
         if has_a and has_b:
             raise NotABasisError(f"edge {i} closure captures both endpoints at size k+1")
         if has_a:
@@ -552,16 +530,17 @@ class RecoveryReport:
         return self.recovered == self.direct
 
 
+# b_k is counted directly while the subset space C(4mk, n + mk) is at most this
+_DIRECT_LIMIT = 100_000
+
+
 def recover_perfect_matchings(
-    graph: SimpleGraph,
-    field: Field,
-    direct_limit: int = 100_000,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    graph: SimpleGraph, field: Field, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> RecoveryReport:
     """Recover the perfect matching count from basis counts of the lifts.
 
-    Basis counts b_k for k = 1 .. n/2 + 1 are obtained by direct enumeration
-    while the subset space stays below ``direct_limit`` and from the
+    Basis counts b_k for k = 1 .. n/2 + 1 are counted directly while the
+    subset space stays at most ``_DIRECT_LIMIT`` and taken from the
     per-template closed form otherwise (legitimized by the partition
     property, which the test suite establishes on directly enumerable
     cases).  Solving the linear system in the template counts then yields
@@ -579,7 +558,7 @@ def recover_perfect_matchings(
     b_values: list[int] = []
     sources: list[str] = []
     for k in range(1, top + 2):
-        if comb(4 * m * k, n + m * k) <= direct_limit:
+        if comb(4 * m * k, n + m * k) <= _DIRECT_LIMIT:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
             sources.append("enumerated")

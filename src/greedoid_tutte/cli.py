@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -210,7 +211,7 @@ def _cmd_vertigan(args) -> int:
     carrier = _read_unrooted(args.file)
     graph = SimpleGraph(carrier.vertex_count, carrier.edges)
     field = _FIELDS[args.field]
-    report = recover_perfect_matchings(graph, field, args.direct_limit, args.max_elements)
+    report = recover_perfect_matchings(graph, field, args.max_elements)
     payload = {
         "field": str(field),
         "vertices": graph.vertex_count,
@@ -262,6 +263,9 @@ def _cmd_verify(args) -> int:
     return 0 if overall else 1
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greedoid-tutte",
@@ -271,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # so "--x -1/2" is a value: argparse knows only integer and decimal negatives
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument(
             "--max-elements",
             type=int,
@@ -318,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vertigan", help="basis-counting recovery of perfect matchings")
     p.add_argument("file")
     p.add_argument("--field", required=True, choices=sorted(_FIELDS))
-    p.add_argument(
-        "--direct-limit",
-        type=int,
-        default=100_000,
-        help="largest subset space enumerated directly (default %(default)s)",
-    )
     common(p)
     p.set_defaults(func=_cmd_vertigan)
 

@@ -430,13 +430,7 @@ def _edge_subset_tree(edges, mask, nv):
 
 def count_subtrees(graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS) -> int:
     """Subtrees of an unrooted graph: single vertices plus tree edge sets."""
-    m = graph.edge_count
-    _check_bound(m, max_elements)
-    total = graph.vertex_count
-    for mask in range(1, 1 << m):
-        if _edge_subset_tree(graph.edges, mask, graph.vertex_count) is not None:
-            total += 1
-    return total
+    return sum(count_subtrees_typed(graph, max_elements).values())
 
 
 def count_subtrees_typed(

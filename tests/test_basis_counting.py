@@ -253,7 +253,7 @@ def _edge_state(kind, head, label):
     return EdgeState(kind, head, label)
 
 
-@pytest.mark.parametrize("graph,k", [(K2, 1), (K2, 2)])
+@pytest.mark.parametrize("graph,k", [(K2, 1), (K2, 2), (C3, 1)])
 def test_basis_characterization_sweep(graph, k):
     gm = build_gadget_matrix(graph, k)
     cols = gm.ground_columns()
@@ -505,3 +505,89 @@ def test_state_bound_covers_every_layer(monkeypatch):
                 count_bases(columns, field, size)
                 with pytest.raises(GroundSetTooLargeError):
                     count_bases(columns, field, size, max_subsets=max(layers) - 1)
+
+
+def _feasible_by_definition(graph, template, char_two) -> bool:
+    """An orientation of the undirected edges giving every vertex indegree
+    exactly one, and every circuit of undirected edges allowed by the field:
+    none over GF(2), an odd number of wz labels otherwise."""
+    heads, undirected = [], []
+    for (a, b), state in zip(graph.edges, template.states):
+        if state is None:
+            continue
+        if state.kind == "bidirected":
+            heads += [a, b]
+        elif state.kind == "directed":
+            heads.append(state.head)
+        else:
+            undirected.append((a, b, state.label))
+    for subset in itertools.chain.from_iterable(
+        itertools.combinations(undirected, size) for size in range(1, len(undirected) + 1)
+    ):
+        degree: dict[int, int] = {}
+        for a, b, _ in subset:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        seen, frontier = set(), [min(degree)]
+        while frontier:
+            v = frontier.pop()
+            if v not in seen:
+                seen.add(v)
+                frontier += [b if a == v else a for a, b, _ in subset if v in (a, b)]
+        is_circuit = set(degree.values()) == {2} and len(seen) == len(degree)
+        if is_circuit and (char_two or sum(label == "wz" for *_, label in subset) % 2 == 0):
+            return False
+    return any(
+        sorted(heads + [pair[pick] for pair, pick in zip(undirected, picks)]) == list(range(graph.vertex_count))
+        for picks in itertools.product((0, 1), repeat=len(undirected))
+    )
+
+
+@st.composite
+def simple_graphs(draw):
+    """Simple graphs with 2 to 6 edges on at most 6 vertices, relabelled to cover 0..n-1."""
+    pairs = list(itertools.combinations(range(draw(st.integers(3, 6))), 2))
+    size = draw(st.integers(2, min(6, len(pairs))))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=size, max_size=size, unique=True))
+    label = {v: i for i, v in enumerate(sorted({v for pair in edges for v in pair}))}
+    return SimpleGraph(len(label), tuple((label[a], label[b]) for a, b in edges))
+
+
+def _indegree_one_template(graph, data) -> Template:
+    """A template from one incoming edge picked per vertex: an edge picked by
+    both ends is bidirected, by one end directed into it or undirected, by
+    none absent.  Every vertex then gets indegree one, so only the circuit
+    condition can fail; half the templates make every such edge undirected,
+    so that circuits without a head are common."""
+    picks = [data.draw(st.sampled_from([e for e, pair in enumerate(graph.edges) if v in pair])) for v in range(graph.vertex_count)]
+    kinds = ("undirected",) if data.draw(st.booleans()) else ("directed", "undirected")
+    states = []
+    for e, (a, b) in enumerate(graph.edges):
+        ends = [v for v in (a, b) if picks[v] == e]
+        if len(ends) == 1:
+            single = [s for s in _edge_options(a, b)[2:] if s.kind in kinds and s.head in (ends[0], None)]
+            states.append(data.draw(st.sampled_from(single)))
+        else:
+            states.append(_edge_state("bidirected", None, None) if ends else None)
+    return Template(tuple(states))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(simple_graphs(), st.data())
+def test_feasibility_rule_matches_definition(graph, data):
+    """The union-find rule against the orientation search and circuit parity,
+    on uniform random templates and on templates with indegree one at every
+    vertex; and the feasible templates against count_bases at k = 1."""
+    options = [_edge_options(a, b) for a, b in graph.edges]
+    templates = [Template(tuple(data.draw(st.sampled_from(opts)) for opts in options)) for _ in range(20)]
+    templates += [_indegree_one_template(graph, data) for _ in range(20)]
+    for template in templates:
+        for char_two in (True, False):
+            assert template_is_feasible(graph, template, char_two) == _feasible_by_definition(graph, template, char_two)
+    gm = build_gadget_matrix(graph, 1)
+    n, m = graph.vertex_count, graph.edge_count
+    for field in (GF2, GF3):
+        char_two = field.is_char_two
+        counts = template_counts_by_bidirected(enumerate_feasible_templates(graph, char_two))
+        predicted = sum(predicted_bases_per_template(n, m, 1, b, char_two) * c for b, c in counts.items())
+        assert count_bases(gm.ground_columns(), field, gm.target_rank) == predicted, str(field)

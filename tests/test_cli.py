@@ -205,3 +205,18 @@ def test_rooted_file_to_unrooted_commands(tmp_path, capsys):
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1], argv
         assert expected in outputs[0].out + outputs[0].err, argv
+
+
+def test_negative_fraction_as_separate_argument(files, capsys):
+    """A negative fraction after its option reads as with "=": argparse alone takes "-1/2" for an option."""
+    p2 = str(files["p2"])
+    for argv in (
+        ["eval", p2, "--y", "2", "--x"],
+        ["restrict", p2, "--curve", "liney", "--c"],
+        ["reduce", "curve", p2, "--b", "3", "--a"],
+    ):
+        assert main(argv + ["-1/2"]) == 0, argv
+        split = capsys.readouterr()
+        assert main(argv[:-1] + [argv[-1] + "=-1/2"]) == 0, argv
+        assert capsys.readouterr() == split and split.out, argv
+    assert main(["eval", p2, "--x", "1", "--y", "1", "--max-elements", "-1"]) == 4
