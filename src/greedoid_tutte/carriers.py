@@ -28,7 +28,21 @@ from .errors import (
     PreconditionError,
 )
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, enumerate_feasible_sets
-from .primitives import find, gf2_insert, gf2_pack, gf2_rank, reach
+from .primitives import find, gf2_insert, gf2_pack, gf2_rank, join_edges, reach
+
+
+def _check_vertices(carrier, attr: str, kind: str) -> None:
+    """Store the carrier's pairs as ints and check that the root, if any, and
+    every endpoint lie in its vertex range."""
+    pairs = tuple((int(u), int(v)) for u, v in getattr(carrier, attr))
+    object.__setattr__(carrier, attr, pairs)
+    n = carrier.vertex_count
+    root = getattr(carrier, "root", None)
+    if root is not None and not 0 <= root < n:
+        raise ElementOutOfRangeError(f"root {root} outside vertex range")
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ElementOutOfRangeError(f"{kind} ({u}, {v}) outside vertex range")
 
 
 @dataclass(frozen=True)
@@ -38,12 +52,7 @@ class RootedGraph:
     root: int
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if not 0 <= self.root < self.vertex_count:
-            raise ElementOutOfRangeError(f"root {self.root} outside vertex range")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ElementOutOfRangeError(f"edge ({u}, {v}) outside vertex range")
+        _check_vertices(self, "edges", "edge")
 
     @property
     def edge_count(self) -> int:
@@ -57,12 +66,7 @@ class RootedDigraph:
     root: int
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
-        if not 0 <= self.root < self.vertex_count:
-            raise ElementOutOfRangeError(f"root {self.root} outside vertex range")
-        for u, v in self.arcs:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ElementOutOfRangeError(f"arc ({u}, {v}) outside vertex range")
+        _check_vertices(self, "arcs", "arc")
 
     @property
     def edge_count(self) -> int:
@@ -75,10 +79,7 @@ class UnrootedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ElementOutOfRangeError(f"edge ({u}, {v}) outside vertex range")
+        _check_vertices(self, "edges", "edge")
 
     @property
     def edge_count(self) -> int:
@@ -123,66 +124,47 @@ Carrier = Union[RootedGraph, RootedDigraph, BinaryMatrix]
 # feasibility oracles
 
 
-def branching_feasibility(graph: RootedGraph) -> Callable[[int], bool]:
-    """Oracle: chosen edges form a tree through the root.
+def _root_tree(pairs, vertex_count: int, root: int, mask: int) -> list | None:
+    """The chosen pairs in order when they form a tree through the root, else None.
 
-    Union-find over the endpoints: any cycle is fatal (either it sits in the
-    root component, which then is not a tree, or it sits elsewhere, where no
-    edge is allowed at all), and afterwards every chosen edge must lie in the
-    root's component.
+    They must form a forest, and every chosen pair must lie in the root's
+    tree of it: a circuit is fatal wherever it sits, since the root's
+    component must be a tree and no edge may lie outside it.
     """
-    edges = graph.edges
-    root = graph.root
-    nv = graph.vertex_count
+    parent = list(range(vertex_count))
+    chosen = join_edges(parent, pairs, mask)
+    if chosen is None:
+        return None
+    target = find(parent, root)
+    return chosen if all(find(parent, u) == target for u, _ in chosen) else None
 
-    def oracle(mask: int) -> bool:
-        if mask == 0:
-            return True
-        parent = list(range(nv))
-        chosen = []
-        m = mask
-        e = 0
-        while m:
-            if m & 1:
-                u, v = edges[e]
-                ru, rv = find(parent, u), find(parent, v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-                chosen.append(u)
-            m >>= 1
-            e += 1
-        target = find(parent, root)
-        return all(find(parent, u) == target for u in chosen)
 
-    return oracle
+def branching_feasibility(graph: RootedGraph) -> Callable[[int], bool]:
+    """Oracle: chosen edges form a tree through the root."""
+    edges, nv, root = graph.edges, graph.vertex_count, graph.root
+    return lambda mask: _root_tree(edges, nv, root, mask) is not None
 
 
 def directed_branching_feasibility(digraph: RootedDigraph) -> Callable[[int], bool]:
     """Oracle: chosen arcs form an arborescence rooted at the root.
 
-    A search from the root over the chosen arcs must reach the
-    tail of every chosen arc, and the chosen arcs must count one less than
-    the reached vertices (tree condition on the underlying graph).
+    That is: they form a tree through the root (arcs read as edges), no
+    vertex is the head of two chosen arcs, and the root is the head of none.
+    An arborescence passes all three.  Conversely, a tree through r with k
+    arcs has k + 1 vertices; the k heads are distinct and not r, so every
+    other vertex is the head of exactly one arc.  Walking back along these
+    arcs from any vertex never meets a vertex twice (the tree has no
+    circuit), so it stops, and it can stop only at r, the one vertex without
+    an arc in; so r reaches every vertex along the arcs.
     """
-    arcs = digraph.arcs
-    root = digraph.root
+    arcs, nv, root = digraph.arcs, digraph.vertex_count, digraph.root
 
     def oracle(mask: int) -> bool:
-        if mask == 0:
-            return True
-        chosen = []
-        m = mask
-        e = 0
-        while m:
-            if m & 1:
-                chosen.append(arcs[e])
-            m >>= 1
-            e += 1
-        reached = reach(root, chosen, True)
-        if any(u not in reached for u, _ in chosen):
+        chosen = _root_tree(arcs, nv, root, mask)
+        if chosen is None:
             return False
-        return len(chosen) == len(reached) - 1
+        heads = {v for _, v in chosen}
+        return len(heads) == len(chosen) and root not in heads
 
     return oracle
 

@@ -74,6 +74,8 @@ def _read_carrier(path: str):
             return parse_carrier_text(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(args, payload: str) -> None:

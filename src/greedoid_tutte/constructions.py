@@ -52,7 +52,7 @@ from .greedoid import (
     max_feasible_subset,
 )
 from .polynomials import BivariatePoly, rational
-from .primitives import find, reach
+from .primitives import join_edges, reach
 
 Thickenable = Union[Carrier, Greedoid]
 
@@ -405,29 +405,6 @@ def stretch_unrooted(graph: UnrootedGraph, k: int) -> UnrootedGraph:
     return UnrootedGraph(next_vertex, tuple(edges))
 
 
-def _edge_subset_tree(edges, mask, nv):
-    """Vertex set of the subtree formed by the edge subset, or None."""
-    parent = list(range(nv))
-    vertices = set()
-    m = mask
-    e = 0
-    while m:
-        if m & 1:
-            u, v = edges[e]
-            ru, rv = find(parent, u), find(parent, v)
-            if ru == rv:
-                return None
-            parent[ru] = rv
-            vertices.add(u)
-            vertices.add(v)
-        m >>= 1
-        e += 1
-    roots = {find(parent, v) for v in vertices}
-    if len(roots) != 1:
-        return None
-    return vertices
-
-
 def count_subtrees(graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS) -> int:
     """Subtrees of an unrooted graph: single vertices plus tree edge sets."""
     return sum(count_subtrees_typed(graph, max_elements).values())
@@ -462,8 +439,11 @@ def count_subtrees_typed(
     for v in range(graph.vertex_count):
         record({v}, 0)
     for mask in range(1, 1 << m):
-        vertices = _edge_subset_tree(graph.edges, mask, graph.vertex_count)
-        if vertices is not None:
+        forest = join_edges(list(range(graph.vertex_count)), graph.edges, mask)
+        if forest is None:
+            continue
+        vertices = {v for pair in forest for v in pair}
+        if len(vertices) == len(forest) + 1:  # a forest with one component
             record(vertices, mask)
     return table
 

@@ -1,12 +1,12 @@
-"""Union-find, root reachability, GF(2) elimination and the binomial shift,
-shared by every module.
+"""Union-find (with one pass over an edge bitmask), root reachability, GF(2)
+elimination and the binomial shift, shared by every module.
 
 This module imports nothing from the package, so any module may import it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 def find(parent: list[int], v: int) -> int:
@@ -15,6 +15,26 @@ def find(parent: list[int], v: int) -> int:
         parent[v] = parent[parent[v]]
         v = parent[v]
     return v
+
+
+def join_edges(parent: list[int], pairs: Sequence[tuple[int, int]], mask: int) -> list | None:
+    """Join the ends of the pairs chosen by ``mask`` in a union-find forest.
+
+    Returns the chosen pairs in order, or None as soon as one closes a
+    circuit (a loop closes one at once), so a list back means the chosen
+    pairs form a forest.
+    """
+    chosen = []
+    while mask:
+        low = mask & -mask
+        pair = pairs[low.bit_length() - 1]
+        ru, rv = find(parent, pair[0]), find(parent, pair[1])
+        if ru == rv:
+            return None
+        parent[ru] = rv
+        chosen.append(pair)
+        mask ^= low
+    return chosen
 
 
 def reach(root: int, pairs: Iterable[tuple[int, int]], directed: bool) -> set[int]:

@@ -237,12 +237,11 @@ def subtree_count_via_rooted(
     """
     if not graph_is_connected(graph):
         raise NotConnectedError("subtree counting needs a connected graph")
+    rank = graph.vertex_count - 1  # a spanning tree, from every root
     per_size: dict[int, Fraction] = {}
     for root in range(graph.vertex_count):
         rooted = RootedGraph(graph.vertex_count, graph.edges, root)
-        g = to_greedoid(rooted)
-        rank = g.rank
-        restricted = tutte_restrict(g, H0Y(), max_elements)
+        restricted = tutte_restrict(rooted, H0Y(), max_elements)
         shifted = restricted.compose_shift(1)  # coefficients of (x-1) powers
         for exp, coeff in shifted.terms.items():
             size = rank - exp
@@ -290,7 +289,7 @@ def digon_reduction_check(
     g = to_greedoid(digraph)
     size, rank = g.size, g.rank
     lhs = tutte_eval(digon_stretch(digraph, 2), 1, -1, max_elements)
-    rhs = Fraction(3) ** (size - rank) * tutte_eval(g, 1, Fraction(1, 3), max_elements)
+    rhs = Fraction(3) ** (size - rank) * tutte_eval(digraph, 1, Fraction(1, 3), max_elements)
     return lhs == rhs
 
 

@@ -39,7 +39,7 @@ from .errors import NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, find, reach
+from .primitives import binomial_shift, join_edges, reach
 
 
 @dataclass(frozen=True)
@@ -275,23 +275,10 @@ def _forest_greedoid(graph: UnrootedGraph) -> Greedoid:
     The forests are the independent sets of the graphic matroid, so subset
     ranks in this greedoid are the classical ranks n - c(A).
     """
-    edges = graph.edges
-    nv = graph.vertex_count
+    edges, nv = graph.edges, graph.vertex_count
 
     def oracle(mask: int) -> bool:
-        parent = list(range(nv))
-        m = mask
-        e = 0
-        while m:
-            if m & 1:
-                u, v = edges[e]
-                ru, rv = find(parent, u), find(parent, v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-            m >>= 1
-            e += 1
-        return True
+        return join_edges(list(range(nv)), edges, mask) is not None
 
     return Greedoid(graph.edge_count, oracle, name="forest")
 

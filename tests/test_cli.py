@@ -133,6 +133,16 @@ def test_non_integer_vertex_exit_code(tmp_path, capsys):
         assert "is not an integer" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00root 0\n")
+    for argv in (["tutte", str(bad)], ["eval", str(bad), "--x", "2", "--y", "3"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+
 def test_bound_exit_code(tmp_path, capsys):
     big = tmp_path / "big.graph"
     big.write_text(format_carrier(path_graph(21)))

@@ -1,7 +1,7 @@
-"""Union-find, root reachability, GF(2) elimination and the binomial shift,
-pinned against references written here from first principles on random small
-carriers with loops, repeated elements and parts the root cannot reach, and
-on random coefficients."""
+"""Union-find, the tree oracles built on its bitmask pass, root reachability,
+GF(2) elimination and the binomial shift, pinned against references written
+here from first principles on random small carriers with loops, repeated
+elements and parts the root cannot reach, and on random coefficients."""
 
 import itertools
 from collections import Counter
@@ -14,9 +14,11 @@ from greedoid_tutte import (
     GF2,
     BinaryMatrix,
     BivariatePoly,
+    RootedDigraph,
     RootedGraph,
     UnrootedGraph,
     arborescence_count,
+    count_subtrees_typed,
     matrix_rank,
     spanning_tree_count,
     thicken,
@@ -24,8 +26,14 @@ from greedoid_tutte import (
     tutte_eval,
     unrooted_tutte_polynomial,
 )
-from greedoid_tutte.carriers import gf2_row_rank, merge_identical_elements
+from greedoid_tutte.carriers import (
+    branching_feasibility,
+    directed_branching_feasibility,
+    gf2_row_rank,
+    merge_identical_elements,
+)
 from greedoid_tutte.primitives import binomial_shift
+from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
 
@@ -44,6 +52,68 @@ def _classical_rank(vertex_count, edges):
         if a != b:
             label = [a if x == b else x for x in label]
     return vertex_count - len(set(label))
+
+
+@st.composite
+def tree_carriers(draw):
+    """At most 5 vertices and 8 pairs, with a root: loops, repeated pairs,
+    pairs into the root and vertices the root cannot reach are all common."""
+    nv = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    return nv, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=8))), draw(vertex)
+
+
+def _reached(root, pairs, directed):
+    """Vertices reached from the root, growing the set until no pair adds one."""
+    reached = {root}
+    grown = True
+    while grown:
+        grown = False
+        for u, v in pairs:
+            for a, b in [(u, v)] if directed else [(u, v), (v, u)]:
+                if a in reached and b not in reached:
+                    reached.add(b)
+                    grown = True
+    return reached
+
+
+def _is_tree_from(root, pairs, directed):
+    """The pairs reach out from the root to every tail (every end, undirected)
+    and count one less than the vertices reached."""
+    reached = _reached(root, pairs, directed)
+    ends = {u for u, _ in pairs} if directed else {w for pair in pairs for w in pair}
+    return ends <= reached and len(pairs) == len(reached) - 1
+
+
+@PROPERTY
+@given(tree_carriers())
+def test_tree_oracles_match_definitions(drawn):
+    nv, pairs, root = drawn
+    in_tree = branching_feasibility(RootedGraph(nv, pairs, root))
+    in_arborescence = directed_branching_feasibility(RootedDigraph(nv, pairs, root))
+    in_forest = _forest_greedoid(UnrootedGraph(nv, pairs)).feasible_mask
+    for mask in range(1 << len(pairs)):
+        chosen = [pair for e, pair in enumerate(pairs) if mask >> e & 1]
+        assert in_tree(mask) == _is_tree_from(root, chosen, False)
+        assert in_arborescence(mask) == _is_tree_from(root, chosen, True)
+        assert in_forest(mask) == (_classical_rank(nv, chosen) == len(chosen))
+
+
+@PROPERTY
+@given(tree_carriers())
+def test_typed_subtree_counts_match_brute_force(drawn):
+    nv, pairs, _ = drawn
+    subtrees = [((), {v}) for v in range(nv)]  # (edge ids, vertices)
+    for size in range(1, len(pairs) + 1):
+        for used in itertools.combinations(range(len(pairs)), size):
+            chosen = [pairs[e] for e in used]
+            if _is_tree_from(chosen[0][0], chosen, False):
+                subtrees.append((used, {w for pair in chosen for w in pair}))
+    expected = Counter()
+    for used, vertices in subtrees:
+        inside = [(u in vertices) + (v in vertices) for e, (u, v) in enumerate(pairs) if e not in used]
+        expected[inside.count(1), inside.count(2)] += 1
+    assert count_subtrees_typed(UnrootedGraph(nv, pairs)) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
