@@ -233,6 +233,20 @@ def carrier_elements(carrier: Carrier) -> tuple:
     raise TypeError(f"not a carrier: {carrier!r}")
 
 
+def carrier_rank(carrier: Carrier) -> int:
+    """Rank of the carrier's greedoid, in polynomial time.
+
+    A graph or digraph has rank one less than the number of vertices the
+    root reaches; a matrix, the largest k whose top k rows are independent
+    over GF(2).
+    """
+    if not isinstance(carrier, BinaryMatrix):
+        return len(reach(carrier.root, carrier_elements(carrier), isinstance(carrier, RootedDigraph))) - 1
+    basis: dict[int, int] = {}
+    rows = gf2_pack(carrier.bits)
+    return next((k for k, row in enumerate(rows) if not gf2_insert(basis, row)), len(rows))
+
+
 def with_elements(
     carrier: Carrier, elements, vertex_count: int | None = None, root: int | None = None
 ) -> Carrier:

@@ -8,7 +8,8 @@ recovery of perfect matchings) and ``verify`` (built-in identity suites).
 
 Rational parameters are written as p/q strings, never floats.  Exit codes:
 0 success, 1 failed verification, 2 parse error, 3 violated precondition,
-4 enumeration bound exceeded.
+4 enumeration bound exceeded (for ``verify``: some row was skipped over the
+bound and none failed).
 """
 
 from __future__ import annotations
@@ -255,14 +256,17 @@ def _cmd_verify(args) -> int:
         _emit(args, "\n".join(lines))
         return 0 if not problems else 1
     outcome = suites.run_suite(args.suite, carrier, args.max_elements)
+    status = {True: "pass", False: "FAIL", None: "skipped"}
     lines = [
-        f"{name}: {'pass' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
+        f"{name}: {status[ok]}" + (f" ({detail})" if detail else "")
         for name, ok, detail in outcome
     ]
-    overall = all(ok for _, ok, _ in outcome)
-    lines.append(f"suite {args.suite}: {'pass' if overall else 'FAIL'}")
+    oks = [ok for _, ok, _ in outcome]
+    code = 1 if False in oks else 4 if None in oks else 0
+    summary = {0: "pass", 1: "FAIL", 4: f"incomplete ({oks.count(None)} skipped)"}[code]
+    lines.append(f"suite {args.suite}: {summary}")
     _emit(args, "\n".join(lines))
-    return 0 if overall else 1
+    return code
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")

@@ -26,6 +26,7 @@ from .carriers import (
     RootedGraph,
     UnrootedGraph,
     carrier_elements,
+    carrier_rank,
     directed_path,
     directed_star,
     gf2_row_rank,
@@ -34,7 +35,6 @@ from .carriers import (
     path_graph,
     require_root_connected,
     star_graph,
-    to_greedoid,
     with_elements,
 )
 from .constructions import attach_carrier, block_diag, digon_stretch, thicken
@@ -46,10 +46,10 @@ from .errors import (
     ProbabilityRangeError,
 )
 from .exact import vandermonde_solve
-from .greedoid import DEFAULT_MAX_ELEMENTS, loops_of
+from .greedoid import DEFAULT_MAX_ELEMENTS
 from .polynomials import LaurentPoly, rational
 from .primitives import reach
-from .tutte import H0Y, tutte_eval, tutte_restrict
+from .tutte import H0Y, _profile, tutte_eval, tutte_restrict
 
 FAMILIES = ("graph", "digraph", "binary")
 
@@ -87,10 +87,6 @@ def brute_force_oracle(
     return PointOracle(family, a, b, lambda carrier: tutte_eval(carrier, a, b, max_elements))
 
 
-def _carrier_rank(carrier: Carrier) -> int:
-    return to_greedoid(carrier).rank
-
-
 def _star_for(family: str, k: int):
     return directed_star(k) if family == "digraph" else star_graph(k)
 
@@ -122,8 +118,7 @@ def interpolate_curve(
         raise ForbiddenPointError(
             f"b = {b} is outside the thickening interpolation's case analysis"
         )
-    g = to_greedoid(carrier)
-    size, rank = g.size, g.rank
+    size, rank = carrier.edge_count, carrier_rank(carrier)
     if b == 1:
         ks = range(1, rank + 2)
         nodes = [(a + k - 1) / k for k in ks]
@@ -173,12 +168,12 @@ def interpolate_line_y_minus1(
         pre = _path_for(oracle.family, 2)
 
         def rerouted(c: Carrier) -> Fraction:
-            sign = Fraction(-1) ** _carrier_rank(c)
+            sign = Fraction(-1) ** carrier_rank(c)
             return sign * oracle(attach_carrier(c, pre))
 
         inner = PointOracle(oracle.family, Fraction(2), Fraction(-1), rerouted)
         return interpolate_line_y_minus1(inner, carrier, max_elements)
-    rank = _carrier_rank(carrier)
+    rank = carrier_rank(carrier)
     nodes = []
     values = []
     for k in range(rank + 1):
@@ -190,39 +185,40 @@ def interpolate_line_y_minus1(
     return vandermonde_solve(nodes, values, 0)
 
 
-def _restrict_to_root_component(carrier: Carrier) -> Carrier:
-    """Relabel the root component; only valid when no edge sits outside it."""
-    if isinstance(carrier, BinaryMatrix):
-        return carrier
+def _root_component(carrier: RootedGraph | RootedDigraph) -> RootedGraph | RootedDigraph | None:
+    """The root component, relabelled, or None when some element has an end
+    outside it; such an element is a greedoid loop."""
     elements = carrier_elements(carrier)
     keep = sorted(reach(carrier.root, elements, isinstance(carrier, RootedDigraph)))
     index = {v: i for i, v in enumerate(keep)}
+    if any(u not in index or v not in index for u, v in elements):
+        return None
     return with_elements(
         carrier, [(index[u], index[v]) for u, v in elements], len(keep), index[carrier.root]
     )
 
 
-def recover_point_1_0(
-    oracle: PointOracle, carrier: Carrier, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> Fraction:
+def recover_point_1_0(oracle: PointOracle, carrier: RootedGraph | RootedDigraph) -> Fraction:
     """T(carrier; 1, 0) from a single oracle call at (a, 0), a != 0.
 
     Attaching one pendant edge at every non-root vertex multiplies the
-    y = 0 evaluation by a^rank and moves x to 1.  A carrier with greedoid
-    loops (self-loops or edges outside the root component) contributes a
-    factor y^(number of loops), so its value at y = 0 is 0 outright.
+    y = 0 evaluation by a^rank and moves x to 1.  A greedoid loop
+    contributes a factor y, so the value is 0 when an element lies outside
+    the root component; a loop inside it (a self-loop, an arc into the root,
+    an arc whose head lies on every root path to its tail) stays a loop
+    after the attachment, so the oracle's value is 0 already.
     """
     a, b = oracle.a, oracle.b
     if b != 0:
         raise ForbiddenPointError(f"this recovery needs an oracle on the line y = 0, got b = {b}")
     if a == 0:
         raise ForbiddenPointError("a = 0 does not determine T(1, 0)")
-    if loops_of(to_greedoid(carrier), max_elements):
+    if isinstance(carrier, BinaryMatrix):
+        raise PreconditionError("star attachments are not defined for binary matrices")
+    core = _root_component(carrier)
+    if core is None:
         return Fraction(0)
-    carrier = _restrict_to_root_component(carrier)
-    rank = _carrier_rank(carrier)
-    attached = attach_carrier(carrier, _star_for(oracle.family, 1))
-    return oracle(attached) / a**rank
+    return oracle(attach_carrier(core, _star_for(oracle.family, 1))) / a ** carrier_rank(core)
 
 
 def subtree_count_via_rooted(
@@ -268,16 +264,16 @@ def reliability_identity(
     if not 0 < p < 1:
         raise ProbabilityRangeError(f"need 0 < p < 1, got {p}")
     require_root_connected(digraph)
-    g = to_greedoid(digraph)
-    size, rank = g.size, g.rank
+    profile = _profile(digraph, max_elements)
+    size, rank = profile.size, profile.rank
     direct = Fraction(0)
-    for (d, s), count in g.profile(max_elements).counts.items():
+    for (d, s), count in profile.counts.items():
         if d:
             continue
         j = s + rank  # subsets with full rank have size rank + surplus
         direct += count * p ** (size - j) * (1 - p) ** j
     reconstruction = p ** (size - rank) * (1 - p) ** rank * tutte_eval(
-        g, 1, 1 / p, max_elements
+        digraph, 1, 1 / p, max_elements
     )
     return direct, reconstruction
 
@@ -286,8 +282,7 @@ def digon_reduction_check(
     digraph: RootedDigraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> bool:
     """Check T(D_2; 1, -1) = 3^(|E|-rank) * T(D; 1, 1/3) by brute force."""
-    g = to_greedoid(digraph)
-    size, rank = g.size, g.rank
+    size, rank = digraph.edge_count, carrier_rank(digraph)
     lhs = tutte_eval(digon_stretch(digraph, 2), 1, -1, max_elements)
     rhs = Fraction(3) ** (size - rank) * tutte_eval(digraph, 1, Fraction(1, 3), max_elements)
     return lhs == rhs

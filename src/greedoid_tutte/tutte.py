@@ -28,6 +28,7 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
+    carrier_rank,
     digraph_has_directed_cycle,
     graph_is_connected,
     merge_identical_elements,
@@ -103,9 +104,8 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, enumerated over its classes of identical elements."""
     core, sizes = merge_identical_elements(carrier)
-    g = to_greedoid(core)
     size = sum(sizes)
-    return SubsetProfile(rank_size_profile(g, size, sizes), size, g.rank)
+    return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, carrier_rank(core))
 
 
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:

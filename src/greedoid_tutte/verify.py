@@ -4,7 +4,8 @@ Each suite runs one construction identity over a small built-in catalogue
 (optionally extended with a user-supplied carrier of a kind the suite
 takes, see :func:`run_suite`) and reports one
 (name, ok, detail) row per instance.  Failures carry the witnessing
-instance and point in the detail string.
+instance and point in the detail string; an instance over the element
+bound is skipped (ok is None) and the other rows still run.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
+    carrier_rank,
     demo_binary_matrix,
     directed_path,
     directed_star,
     identity_matrix,
     path_graph,
     star_graph,
-    to_greedoid,
 )
 from .constructions import (
     attach_graphs,
@@ -38,12 +39,14 @@ from .constructions import (
     stretch_unrooted,
     thicken,
 )
-from .errors import DenominatorVanishesError, PreconditionError
+from .errors import DenominatorVanishesError, GroundSetTooLargeError, PreconditionError
 from .greedoid import DEFAULT_MAX_ELEMENTS
 from .polynomials import LaurentPoly
 from .tutte import H0X, H0Y, tutte_polynomial, tutte_restrict
 
-Row = tuple[str, bool, str]
+# (name, ok, detail); ok is None for an instance skipped over the element
+# bound, whose message is then the detail.
+Row = tuple[str, bool | None, str]
 
 SAMPLE_POINTS = [
     (Fraction(3), Fraction(2)),
@@ -67,81 +70,99 @@ def _thickening_catalogue():
     ]
 
 
-def suite_thickening(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
+def _rows(label: str, instances, check, max_elements: int) -> list[Row]:
+    """One row per (name, instance), with check(instance, max_elements)
+    giving (ok, detail); an instance over the element bound is skipped."""
     rows: list[Row] = []
-    catalogue = _thickening_catalogue()
-    if extra is not None:
-        catalogue.append(("user", extra))
-    for name, carrier in catalogue:
-        g = to_greedoid(carrier)
-        base = tutte_polynomial(carrier, max_elements)
-        ok, detail = True, ""
-        for k in (1, 2, 3):
-            actual = tutte_polynomial(thicken(carrier, k), max_elements)
-            if actual != predicted_thickening(base, g.rank, k, "generic"):
-                ok, detail = False, f"k={k} generic rule"
-                break
-            if actual.at_y(-1) != predicted_thickening(base, g.rank, k, "y_eq_minus1"):
-                ok, detail = False, f"k={k} y=-1 rule"
-                break
-            if actual.at_y(1) != predicted_thickening(base, g.rank, k, "y_eq_1"):
-                ok, detail = False, f"k={k} y=1 rule"
-                break
-        rows.append((f"thickening {name}", ok, detail))
+    for name, instance in instances:
+        try:
+            ok, detail = check(instance, max_elements)
+        except GroundSetTooLargeError as exc:
+            ok, detail = None, str(exc)
+        rows.append((f"{label} {name}", ok, detail))
     return rows
 
 
+def _thickening_ok(carrier, max_elements: int) -> tuple[bool, str]:
+    rank = carrier_rank(carrier)
+    base = tutte_polynomial(carrier, max_elements)
+    for k in (1, 2, 3):
+        actual = tutte_polynomial(thicken(carrier, k), max_elements)
+        if actual != predicted_thickening(base, rank, k, "generic"):
+            return False, f"k={k} generic rule"
+        if actual.at_y(-1) != predicted_thickening(base, rank, k, "y_eq_minus1"):
+            return False, f"k={k} y=-1 rule"
+        if actual.at_y(1) != predicted_thickening(base, rank, k, "y_eq_1"):
+            return False, f"k={k} y=1 rule"
+    return True, ""
+
+
+def suite_thickening(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
+    catalogue = _thickening_catalogue()
+    if extra is not None:
+        catalogue.append(("user", extra))
+    return _rows("thickening", catalogue, _thickening_ok, max_elements)
+
+
+def _attachment_ok(pair, max_elements: int) -> tuple[bool, str]:
+    base, patch = pair
+    combined = tutte_polynomial(attach_graphs(base, patch), max_elements)
+    prediction = predicted_attachment(
+        tutte_polynomial(base, max_elements),
+        tutte_polynomial(patch, max_elements),
+        carrier_rank(base),
+        carrier_rank(patch),
+        patch.edge_count,
+    )
+    for a, b in SAMPLE_POINTS:
+        try:
+            expected = prediction.evaluate(a, b)
+        except DenominatorVanishesError:
+            continue
+        if combined.evaluate(a, b) != expected:
+            return False, f"point ({a}, {b})"
+    return True, ""
+
+
 def suite_attachment(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    rows: list[Row] = []
     bases = [("path-1", path_graph(1)), ("path-2", path_graph(2)), ("star-2", star_graph(2))]
     if extra is not None:
         bases.append(("user", extra))
     patches = [("star-1", star_graph(1)), ("path-2", path_graph(2))]
-    for bname, base in bases:
-        for pname, patch in patches:
-            g1, g2 = to_greedoid(base), to_greedoid(patch)
-            combined = tutte_polynomial(attach_graphs(base, patch), max_elements)
-            prediction = predicted_attachment(
-                tutte_polynomial(base, max_elements),
-                tutte_polynomial(patch, max_elements),
-                g1.rank,
-                g2.rank,
-                g2.size,
-            )
-            ok, detail = True, ""
-            for a, b in SAMPLE_POINTS:
-                try:
-                    expected = prediction.evaluate(a, b)
-                except DenominatorVanishesError:
-                    continue
-                if combined.evaluate(a, b) != expected:
-                    ok, detail = False, f"point ({a}, {b})"
-                    break
-            rows.append((f"attachment {bname}~{pname}", ok, detail))
-    return rows
+    pairs = [(f"{bname}~{pname}", (base, patch)) for bname, base in bases for pname, patch in patches]
+    return _rows("attachment", pairs, _attachment_ok, max_elements)
+
+
+def _fullrank_ok(pair, max_elements: int) -> tuple[bool, str]:
+    m1, m2 = pair
+    actual = tutte_polynomial(block_diag(m1, m2), max_elements)
+    predicted = predicted_full_rank(
+        tutte_polynomial(m1, max_elements),
+        tutte_polynomial(m2, max_elements),
+        carrier_rank(m2),
+        m2.edge_count,
+    )
+    return actual == predicted, ""
 
 
 def suite_fullrank(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    rows: list[Row] = []
     mats = [("identity-1", identity_matrix(1)), ("identity-2", identity_matrix(2)), ("demo", demo_binary_matrix())]
     if extra is not None:
         mats.append(("user", extra))
-    for name1, m1 in mats:
-        for name2, m2 in mats:
-            g1, g2 = to_greedoid(m1), to_greedoid(m2)
-            actual = tutte_polynomial(block_diag(m1, m2), max_elements)
-            predicted = predicted_full_rank(
-                tutte_polynomial(m1, max_elements),
-                tutte_polynomial(m2, max_elements),
-                g2.rank,
-                g2.size,
-            )
-            rows.append((f"fullrank {name1}|{name2}", actual == predicted, ""))
-    return rows
+    pairs = [(f"{name1}|{name2}", (m1, m2)) for name1, m1 in mats for name2, m2 in mats]
+    return _rows("fullrank", pairs, _fullrank_ok, max_elements)
+
+
+def _stretch_ok(graph, max_elements: int) -> tuple[bool, str]:
+    typed = count_subtrees_typed(graph, max_elements)
+    for k in (1, 2, 3):
+        direct = count_subtrees(stretch_unrooted(graph, k), max_elements)
+        if direct != predicted_stretch_subtrees(typed, graph.edge_count, k):
+            return False, f"k={k}"
+    return True, ""
 
 
 def suite_stretch(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    rows: list[Row] = []
     graphs = [
         ("single-edge", UnrootedGraph(2, ((0, 1),))),
         ("path-2", UnrootedGraph(3, ((0, 1), (1, 2)))),
@@ -149,20 +170,27 @@ def suite_stretch(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[
     ]
     if extra is not None:
         graphs.append(("user", extra))
-    for name, graph in graphs:
-        typed = count_subtrees_typed(graph, max_elements)
-        ok, detail = True, ""
-        for k in (1, 2, 3):
-            direct = count_subtrees(stretch_unrooted(graph, k), max_elements)
-            if direct != predicted_stretch_subtrees(typed, graph.edge_count, k):
-                ok, detail = False, f"k={k}"
-                break
-        rows.append((f"stretch {name}", ok, detail))
-    return rows
+    return _rows("stretch", graphs, _stretch_ok, max_elements)
+
+
+def _digon_ok(digraph, max_elements: int) -> tuple[bool, str]:
+    size, rank = digraph.edge_count, carrier_rank(digraph)
+    for k in (1, 2):
+        lhs = tutte_restrict(digon_stretch(digraph, k), H0X(), max_elements)
+        base = tutte_restrict(digraph, H0X(), max_elements)
+        # substitute y -> (y + k)/(k + 1) as an exact polynomial
+        scaled = LaurentPoly({e: c / (k + 1) ** e for e, c in base.terms.items()})
+        rhs = (
+            Fraction(k + 1) ** (size - rank)
+            * LaurentPoly.monomial(k * size)
+            * scaled.compose_shift(k)
+        )
+        if lhs != rhs:
+            return False, f"k={k}"
+    return True, ""
 
 
 def suite_digon(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    rows: list[Row] = []
     digraphs = [
         ("single-arc", RootedDigraph(2, ((0, 1),), 0)),
         ("directed-path-2", directed_path(2)),
@@ -171,29 +199,15 @@ def suite_digon(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Ro
     ]
     if extra is not None:
         digraphs.append(("user", extra))
-    for name, digraph in digraphs:
-        g = to_greedoid(digraph)
-        size, rank = g.size, g.rank
-        ok, detail = True, ""
-        for k in (1, 2):
-            lhs = tutte_restrict(digon_stretch(digraph, k), H0X(), max_elements)
-            base = tutte_restrict(digraph, H0X(), max_elements)
-            # substitute y -> (y + k)/(k + 1) as an exact polynomial
-            scaled = LaurentPoly({e: c / (k + 1) ** e for e, c in base.terms.items()})
-            rhs = (
-                Fraction(k + 1) ** (size - rank)
-                * LaurentPoly.monomial(k * size)
-                * scaled.compose_shift(k)
-            )
-            if lhs != rhs:
-                ok, detail = False, f"k={k}"
-                break
-        rows.append((f"digon-stretch {name}", ok, detail))
-    return rows
+    return _rows("digon-stretch", digraphs, _digon_ok, max_elements)
+
+
+def _bidirect_ok(graph, max_elements: int) -> tuple[bool, str]:
+    lhs = tutte_restrict(bidirect(graph), H0Y(), max_elements)
+    return lhs == tutte_restrict(graph, H0Y(), max_elements), ""
 
 
 def suite_bidirect(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
-    rows: list[Row] = []
     graphs = [
         ("path-2", path_graph(2)),
         ("star-3", star_graph(3)),
@@ -202,11 +216,7 @@ def suite_bidirect(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list
     ]
     if extra is not None:
         graphs.append(("user", extra))
-    for name, graph in graphs:
-        lhs = tutte_restrict(bidirect(graph), H0Y(), max_elements)
-        rhs = tutte_restrict(graph, H0Y(), max_elements)
-        rows.append((f"bidirect {name}", lhs == rhs, ""))
-    return rows
+    return _rows("bidirect", graphs, _bidirect_ok, max_elements)
 
 
 # Each suite with the carrier kinds it can take as its extra instance.

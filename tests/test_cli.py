@@ -230,3 +230,18 @@ def test_negative_fraction_as_separate_argument(files, capsys):
         assert main(argv[:-1] + [argv[-1] + "=-1/2"]) == 0, argv
         assert capsys.readouterr() == split and split.out, argv
     assert main(["eval", p2, "--x", "1", "--y", "1", "--max-elements", "-1"]) == 4
+
+
+def test_verify_skips_rows_over_the_bound(tmp_path, capsys):
+    """The digon 2-stretch of this digraph has 25 arcs: its row is skipped,
+    the rest still run, and the exit code says a row was skipped."""
+    path = tmp_path / "arborescences.digraph"
+    path.write_text("root 0\narc 0 1\narc 0 2\narc 1 2\narc 2 1\narc 2 0\n")
+    assert main(["verify", "all", "--file", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "thickening user: pass" in out
+    assert "digon-stretch user: skipped (ground set has 25 elements" in out
+    assert "bidirect two-parallel: pass" in out
+    assert main(["verify", "all", "--file", str(path), "--max-elements", "25"]) == 0
+    out = capsys.readouterr().out
+    assert "digon-stretch user: pass" in out and "skipped" not in out

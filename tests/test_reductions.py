@@ -28,6 +28,7 @@ from greedoid_tutte import (
     reliability_identity,
     star_graph,
     subtree_count_via_rooted,
+    thicken,
     to_greedoid,
     tutte_eval,
     tutte_polynomial,
@@ -229,3 +230,28 @@ def test_digraph_line_y2_special_attachments():
         assert tutte_eval(attached, Fraction(2, 3), 2) == Fraction(8, 9) ** rank * tutte_eval(
             g, Fraction(5, 6), 2
         )
+
+
+def test_recover_point_1_0_is_one_query_on_a_long_path():
+    """No step but the oracle's own depends on the element count."""
+    for family, carrier in [("graph", path_graph(300)), ("digraph", directed_path(300))]:
+        counterfeit = PointOracle(family, Fraction(2), Fraction(0), lambda carrier: Fraction(7))
+        assert recover_point_1_0(counterfeit, carrier) == Fraction(7, 2**300)
+        assert counterfeit.calls == 1
+
+
+def test_recover_point_1_0_rejects_matrices():
+    oracle = brute_force_oracle("binary", 2, 0)
+    for matrix in (BinaryMatrix(((1, 0), (0, 0))), identity_matrix(2)):
+        with pytest.raises(PreconditionError):
+            recover_point_1_0(oracle, matrix)
+    assert oracle.calls == 0
+
+
+def test_reliability_identity_on_a_thickening():
+    """24 arcs in three classes: the counts come from the class profile."""
+    thick = thicken(DIRECTED_TRIANGLE, 8)
+    assert thick.edge_count == 24
+    for p in (Fraction(1, 3), Fraction(1, 2)):
+        direct, reconstructed = reliability_identity(thick, p, max_elements=24)
+        assert direct == reconstructed
