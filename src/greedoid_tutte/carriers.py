@@ -233,6 +233,11 @@ def carrier_elements(carrier: Carrier) -> tuple:
     raise TypeError(f"not a carrier: {carrier!r}")
 
 
+def root_reach(carrier: RootedGraph | RootedDigraph) -> set[int]:
+    """The vertices the root reaches along the carrier's edges, or along its arcs."""
+    return reach(carrier.root, carrier_elements(carrier), isinstance(carrier, RootedDigraph))
+
+
 def carrier_rank(carrier: Carrier) -> int:
     """Rank of the carrier's greedoid, in polynomial time.
 
@@ -241,7 +246,7 @@ def carrier_rank(carrier: Carrier) -> int:
     over GF(2).
     """
     if not isinstance(carrier, BinaryMatrix):
-        return len(reach(carrier.root, carrier_elements(carrier), isinstance(carrier, RootedDigraph))) - 1
+        return len(root_reach(carrier)) - 1
     basis: dict[int, int] = {}
     rows = gf2_pack(carrier.bits)
     return next((k for k, row in enumerate(rows) if not gf2_insert(basis, row)), len(rows))
@@ -294,7 +299,7 @@ def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]
 
 
 def root_component_vertices(graph: RootedGraph) -> frozenset[int]:
-    return frozenset(reach(graph.root, graph.edges, False))
+    return frozenset(root_reach(graph))
 
 
 def graph_is_connected(graph: RootedGraph | UnrootedGraph) -> bool:
@@ -305,7 +310,7 @@ def graph_is_connected(graph: RootedGraph | UnrootedGraph) -> bool:
 
 
 def reachable_from_root(digraph: RootedDigraph) -> frozenset[int]:
-    return frozenset(reach(digraph.root, digraph.arcs, True))
+    return frozenset(root_reach(digraph))
 
 
 def digraph_is_root_connected(digraph: RootedDigraph) -> bool:

@@ -6,9 +6,12 @@ by (rank deficit, size surplus).  The Tutte polynomial
     T(x, y) = sum over subsets A of (x-1)^(rank(E)-rank(A)) * (y-1)^(|A|-rank(A))
 
 and all its curve restrictions are exact rearrangements of that profile, so
-every public operation here reads one profile, enumerated once per greedoid
-or carrier and then shared, and does only polynomial algebra on its integer
-counts.
+every public operation here reads one profile, made once per greedoid or
+carrier and then shared, and does only polynomial algebra on its integer
+counts.  A greedoid's profile is enumerated subset by subset.  A carrier's
+comes from the cheaper of two engines: enumeration over its classes of
+identical elements, or, for a rooted graph or digraph, the sum over the
+vertex sets the root reaches in :mod:`.vertex_profile`.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -24,6 +27,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 from .carriers import (
+    BinaryMatrix,
     Carrier,
     RootedDigraph,
     RootedGraph,
@@ -33,6 +37,7 @@ from .carriers import (
     graph_is_connected,
     merge_identical_elements,
     require_root_connected,
+    root_reach,
     sink_count,
     to_greedoid,
 )
@@ -41,6 +46,7 @@ from .exact import ExactMatrix, det_exact
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
 from .primitives import binomial_shift, join_edges, reach
+from .vertex_profile import vertex_subset_profile
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,24 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
-    """Profile of a carrier, enumerated over its classes of identical elements."""
+    """Profile of a carrier, by the engine with less work.
+
+    Enumeration over the classes of identical elements visits the 2^classes
+    subsets of the core.  For a rooted graph or digraph whose root reaches
+    n vertices, the vertex-subset engine makes 3^(n-1) products instead, and
+    it runs when that is fewer.  A binary matrix is always enumerated.  The
+    one reachability search gives both that choice and the rank.
+    """
     core, sizes = merge_identical_elements(carrier)
     size = sum(sizes)
-    return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, carrier_rank(core))
+    if isinstance(carrier, BinaryMatrix):
+        rank = carrier_rank(core)
+    else:
+        reached = root_reach(core)
+        rank = len(reached) - 1
+        if 3**rank < 2 ** len(sizes):
+            return SubsetProfile(vertex_subset_profile(carrier, reached), size, rank)
+    return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
