@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd
 
 from .errors import (
     GroundSetTooLargeError,
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, bareiss_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
-from .primitives import find
+from .primitives import find, gaussian_binomial
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -247,7 +247,7 @@ def _state_bound(cols: list[tuple], pivots: list[int], need: int, p: int) -> int
         bound = sum(comb(i, a) for a in range(max(0, need - rr), min(need, rx) + 1))
         if p:  # Gaussian binomial [w choose d]_p times the sizes allowed with d
             spans = (
-                prod(p ** (w - j) - 1 for j in range(d)) // prod(p ** (j + 1) - 1 for j in range(d))
+                gaussian_binomial(w, d, p)
                 * max(0, min(need, d + rx - w) - max(d, need - rr + d) + 1)
                 for d in range(w + 1)
             )

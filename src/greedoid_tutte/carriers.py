@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, enumerate_feasible_sets
-from .primitives import find, gf2_insert, gf2_pack, gf2_rank, join_edges, reach
+from .primitives import find, gf2_insert, gf2_pack, gf2_rank, join_edges, reach, renumber
 
 
 def _check_vertices(carrier, attr: str, kind: str) -> None:
@@ -129,7 +129,10 @@ def _root_tree(pairs, vertex_count: int, root: int, mask: int) -> list | None:
 
     They must form a forest, and every chosen pair must lie in the root's
     tree of it: a circuit is fatal wherever it sits, since the root's
-    component must be a tree and no edge may lie outside it.
+    component must be a tree and no edge may lie outside it.  Each call
+    makes a forest over the vertices 0 .. vertex_count - 1, so the oracles
+    renumber their pairs once (:func:`.primitives.renumber`) and the forest
+    has one entry per vertex they touch, whatever the vertex ids.
     """
     parent = list(range(vertex_count))
     chosen = join_edges(parent, pairs, mask)
@@ -141,8 +144,9 @@ def _root_tree(pairs, vertex_count: int, root: int, mask: int) -> list | None:
 
 def branching_feasibility(graph: RootedGraph) -> Callable[[int], bool]:
     """Oracle: chosen edges form a tree through the root."""
-    edges, nv, root = graph.edges, graph.vertex_count, graph.root
-    return lambda mask: _root_tree(edges, nv, root, mask) is not None
+    edges, vertices = renumber(graph.edges, graph.root)  # the root is vertex 0
+    nv = len(vertices)
+    return lambda mask: _root_tree(edges, nv, 0, mask) is not None
 
 
 def directed_branching_feasibility(digraph: RootedDigraph) -> Callable[[int], bool]:
@@ -157,14 +161,15 @@ def directed_branching_feasibility(digraph: RootedDigraph) -> Callable[[int], bo
     circuit), so it stops, and it can stop only at r, the one vertex without
     an arc in; so r reaches every vertex along the arcs.
     """
-    arcs, nv, root = digraph.arcs, digraph.vertex_count, digraph.root
+    arcs, vertices = renumber(digraph.arcs, digraph.root)  # the root is vertex 0
+    nv = len(vertices)
 
     def oracle(mask: int) -> bool:
-        chosen = _root_tree(arcs, nv, root, mask)
+        chosen = _root_tree(arcs, nv, 0, mask)
         if chosen is None:
             return False
         heads = {v for _, v in chosen}
-        return len(heads) == len(chosen) and root not in heads
+        return len(heads) == len(chosen) and 0 not in heads
 
     return oracle
 

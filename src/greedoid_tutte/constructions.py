@@ -52,7 +52,7 @@ from .greedoid import (
     max_feasible_subset,
 )
 from .polynomials import BivariatePoly, rational
-from .primitives import join_edges, reach
+from .primitives import join_edges, reach, renumber
 
 Thickenable = Union[Carrier, Greedoid]
 
@@ -436,13 +436,16 @@ def count_subtrees_typed(
                 j += 1
         table[(i, j)] = table.get((i, j), 0) + 1
 
-    for v in range(graph.vertex_count):
+    edges, touched = renumber(graph.edges)
+    if graph.vertex_count > len(touched):  # each other vertex is a subtree with no edge near it
+        table[(0, 0)] = graph.vertex_count - len(touched)
+    for v in touched:
         record({v}, 0)
     for mask in range(1, 1 << m):
-        forest = join_edges(list(range(graph.vertex_count)), graph.edges, mask)
+        forest = join_edges(list(range(len(touched))), edges, mask)
         if forest is None:
             continue
-        vertices = {v for pair in forest for v in pair}
+        vertices = {touched[v] for pair in forest for v in pair}
         if len(vertices) == len(forest) + 1:  # a forest with one component
             record(vertices, mask)
     return table

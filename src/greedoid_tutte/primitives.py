@@ -1,5 +1,6 @@
-"""Union-find (with one pass over an edge bitmask), root reachability, GF(2)
-elimination and the binomial shift, shared by every module.
+"""Union-find (with one pass over an edge bitmask, and vertex renumbering for
+it), root reachability, GF(2) elimination, the binomial shift and the
+Gaussian binomial, shared by every module.
 
 This module imports nothing from the package, so any module may import it.
 """
@@ -35,6 +36,19 @@ def join_edges(parent: list[int], pairs: Sequence[tuple[int, int]], mask: int) -
         chosen.append(pair)
         mask ^= low
     return chosen
+
+
+def renumber(pairs: Iterable[tuple[int, int]], *first: int) -> tuple[list[tuple[int, int]], list]:
+    """The pairs over their vertices renumbered 0, 1, ... in order of first
+    mention, the vertices ``first`` before all others, and the old vertex
+    of each new one.
+
+    A union-find forest over the renumbered pairs has one entry per vertex
+    they touch, whatever the largest vertex id.
+    """
+    index = {v: i for i, v in enumerate(dict.fromkeys(first))}
+    pairs = [(index.setdefault(u, len(index)), index.setdefault(v, len(index))) for u, v in pairs]
+    return pairs, list(index)
 
 
 def reach(root: int, pairs: Iterable[tuple[int, int]], directed: bool) -> set[int]:
@@ -97,3 +111,11 @@ def binomial_shift(coeffs: Mapping[int, object], a) -> list:
             binom = binom * i // (e - i + 1)
             power *= a
     return out
+
+
+def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """[n choose k]_q, the number of k-dimensional subspaces of GF(q)^n (0 when k > n)."""
+    count = 1
+    for j in range(k):  # each partial product is [n choose j + 1]_q, an integer
+        count = count * (q ** (n - j) - 1) // (q ** (j + 1) - 1)
+    return count

@@ -10,8 +10,10 @@ every public operation here reads one profile, made once per greedoid or
 carrier and then shared, and does only polynomial algebra on its integer
 counts.  A greedoid's profile is enumerated subset by subset.  A carrier's
 comes from the cheaper of two engines: enumeration over its classes of
-identical elements, or, for a rooted graph or digraph, the sum over the
-vertex sets the root reaches in :mod:`.vertex_profile`.
+identical elements, or a second engine of its family: for a rooted graph
+or digraph, the sum over the vertex sets the root reaches in
+:mod:`.vertex_profile`, and for a binary matrix, the programme over the
+spans of column sets in :mod:`.span_profile`.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -41,11 +43,12 @@ from .carriers import (
     sink_count,
     to_greedoid,
 )
-from .errors import NotConnectedError, NotOnCurveError
+from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, join_edges, reach
+from .primitives import binomial_shift, gaussian_binomial, join_edges, reach, renumber
+from .span_profile import span_state_profile
 from .vertex_profile import vertex_subset_profile
 
 
@@ -106,26 +109,55 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
     return _carrier_profile(source)
 
 
+# The most work any carrier profile may take, in the unit each engine is
+# chosen by: subsets for class enumeration, pairs of vertex sets for the
+# vertex-subset engine, spans for the span-state engine.  Enumeration at this
+# bound already takes about half a minute and a GiB of arrays, and each step
+# past it doubles that, so a larger profile is refused up front, whatever
+# element bound the caller passes.
+_MAX_WORK = 2**26
+
+
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, by the engine with less work.
 
     Enumeration over the classes of identical elements visits the 2^classes
     subsets of the core.  For a rooted graph or digraph whose root reaches
-    n vertices, the vertex-subset engine makes 3^(n-1) products instead, and
-    it runs when that is fewer.  A binary matrix is always enumerated.  The
-    one reachability search gives both that choice and the rank.
+    n vertices, the vertex-subset engine makes 3^(n-1) products instead; for
+    a binary matrix of rank R, the span-state engine keeps at most N(R)
+    spans per column, N(R) being the number of subspaces of GF(2)^R.  The
+    second engine runs when its figure is below 2^classes.  One reachability
+    search, or one GF(2) elimination, gives both that choice and the rank.
+    When the work of the chosen engine exceeds ``_MAX_WORK``,
+    ``GroundSetTooLargeError`` is raised before anything is allocated.
     """
     core, sizes = merge_identical_elements(carrier)
-    size = sum(sizes)
+    size, subsets = sum(sizes), 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
+        # N(R) >= [R choose R//2]_2 >= 2^(R*R//4): only a small rank can win
+        small = rank * rank // 4 < len(sizes)
+        work = sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1)) if small else subsets
     else:
         reached = root_reach(core)
         rank = len(reached) - 1
-        if 3**rank < 2 ** len(sizes):
-            return SubsetProfile(vertex_subset_profile(carrier, reached), size, rank)
-    return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
+        work = 3**rank
+    work = min(work, subsets)
+    if work > _MAX_WORK:
+        raise GroundSetTooLargeError(
+            size,
+            _MAX_WORK,
+            f"the profile of these {size} elements takes about 2^{work.bit_length() - 1} "
+            f"steps by its cheapest engine, past the limit of 2^{_MAX_WORK.bit_length() - 1}",
+        )
+    if work == subsets:
+        counts = rank_size_profile(to_greedoid(core), size, sizes)
+    elif isinstance(carrier, BinaryMatrix):
+        counts = span_state_profile(core, sizes, rank)
+    else:
+        counts = vertex_subset_profile(carrier, reached)
+    return SubsetProfile(counts, size, rank)
 
 
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -295,7 +327,8 @@ def _forest_greedoid(graph: UnrootedGraph) -> Greedoid:
     The forests are the independent sets of the graphic matroid, so subset
     ranks in this greedoid are the classical ranks n - c(A).
     """
-    edges, nv = graph.edges, graph.vertex_count
+    edges, vertices = renumber(graph.edges)
+    nv = len(vertices)
 
     def oracle(mask: int) -> bool:
         return join_edges(list(range(nv)), edges, mask) is not None

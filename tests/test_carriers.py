@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from greedoid_tutte import (
     BinaryMatrix,
+    count_subtrees_typed,
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
@@ -14,7 +17,9 @@ from greedoid_tutte import (
     standard_family,
     star_graph,
     to_greedoid,
+    tutte_eval,
     tutte_polynomial,
+    unrooted_tutte_polynomial,
     verify_family_axioms,
 )
 from greedoid_tutte.carriers import (
@@ -201,3 +206,22 @@ def test_carrier_sniffing():
     assert isinstance(parse_carrier_text("root 0\narc 0 1\n"), RootedDigraph)
     assert isinstance(parse_carrier_text("11\n01\n"), BinaryMatrix)
     assert isinstance(parse_carrier_text("edge 0 1\n"), UnrootedGraph)
+
+
+def test_high_vertex_ids_cost_what_low_ones_cost():
+    """The tree oracles and the subtree count work on the vertices the pairs
+    touch, so a star rooted at vertex 10^6 is as quick as one rooted at 0."""
+    far, leaves = 10**6, range(1, 9)
+    for kind in (RootedGraph, RootedDigraph):
+        high = kind(far + 9, tuple((far, far + i) for i in leaves), far)
+        low = kind(9, tuple((0, i) for i in leaves), 0)
+        start = time.perf_counter()
+        assert tutte_eval(high, 2, 3) == tutte_eval(low, 2, 3)
+        assert tutte_polynomial(to_greedoid(high)) == tutte_polynomial(to_greedoid(low))
+        assert time.perf_counter() - start < 1.0  # a forest of 10^6 entries per call takes seconds
+    high = UnrootedGraph(far + 9, tuple((far, far + i) for i in leaves))
+    low = UnrootedGraph(9, tuple((0, i) for i in leaves))
+    typed = count_subtrees_typed(low)
+    typed[(0, 0)] += far  # the untouched vertices are one-vertex subtrees
+    assert count_subtrees_typed(high) == typed
+    assert unrooted_tutte_polynomial(high) == unrooted_tutte_polynomial(low)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from greedoid_tutte.cli import main
 from greedoid_tutte.carriers import format_carrier, parse_carrier_text
-from greedoid_tutte import RootedDigraph, demo_binary_matrix, path_graph, thicken, tutte_polynomial
+import greedoid_tutte
+from greedoid_tutte import RootedDigraph, RootedGraph, demo_binary_matrix, path_graph, thicken
+from greedoid_tutte import tutte_polynomial
 from greedoid_tutte import tutte as tutte_module
 
 
@@ -245,3 +251,30 @@ def test_verify_skips_rows_over_the_bound(tmp_path, capsys):
     assert main(["verify", "all", "--file", str(path), "--max-elements", "25"]) == 0
     out = capsys.readouterr().out
     assert "digon-stretch user: pass" in out and "skipped" not in out
+
+
+# Run the CLI in a child process whose address space is capped at 1.5 GiB.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+from greedoid_tutte.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_oversized_profile_refused_before_allocating(tmp_path):
+    """31 vertices and 100 edges: 3^30 vertex-set pairs or 2^100 subsets.
+    Both are refused before any table is made, so the capped child exits 4
+    with one error line and no traceback."""
+    edges = tuple((i, (i + d) % 31) for d in (1, 2, 3, 4) for i in range(31))[:100]
+    path = tmp_path / "big.graph"
+    path.write_text(format_carrier(RootedGraph(31, edges, 0)))
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["eval", str(path), "--x", "2", "--y", "2", "--max-elements", "100"]
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 4, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^26" in lines[0]

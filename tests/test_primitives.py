@@ -4,10 +4,12 @@ here from first principles on random small carriers with loops, repeated
 elements and parts the root cannot reach, and on random coefficients."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
@@ -32,7 +34,7 @@ from greedoid_tutte.carriers import (
     gf2_row_rank,
     merge_identical_elements,
 )
-from greedoid_tutte.primitives import binomial_shift
+from greedoid_tutte.primitives import binomial_shift, gaussian_binomial
 from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
@@ -188,3 +190,22 @@ def test_binomial_shift_at_rational_offsets(coeffs, a):
     for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
         direct = sum(c * (t + a) ** e for e, c in coeffs.items())
         assert sum(c * t**i for i, c in enumerate(shifted)) == direct
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])
+def test_gaussian_binomial_counts_subspaces(q, n):
+    """Every subspace of GF(q)^n is the span of at most n vectors; count the
+    distinct spans of such vector sets by dimension."""
+    vectors = list(itertools.product(range(q), repeat=n))
+    spans = set()
+    for k in range(n + 1):
+        for chosen in itertools.combinations(vectors, k):
+            spans.add(
+                frozenset(
+                    tuple(sum(c * v[i] for c, v in zip(coeffs, chosen)) % q for i in range(n))
+                    for coeffs in itertools.product(range(q), repeat=k)
+                )
+            )
+    by_dimension = Counter(round(math.log(len(span), q)) for span in spans)
+    expected = [gaussian_binomial(n, d, q) for d in range(n + 2)]  # none of dimension n + 1
+    assert [by_dimension[d] for d in range(n + 2)] == expected

@@ -1,0 +1,111 @@
+"""The span-state profile engine agrees with subset enumeration on binary
+matrices, and a matrix's profile comes from whichever engine has less work."""
+
+import itertools
+import random
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from greedoid_tutte import (
+    GF2,
+    BinaryMatrix,
+    count_bases,
+    identity_matrix,
+    thicken,
+    to_greedoid,
+    tutte_eval,
+    tutte_polynomial,
+)
+from greedoid_tutte import tutte as tutte_module
+from greedoid_tutte.errors import GroundSetTooLargeError
+from greedoid_tutte.carriers import carrier_rank, merge_identical_elements
+from greedoid_tutte.greedoid import rank_size_profile
+from greedoid_tutte.span_profile import span_state_profile
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrices(draw):
+    """Binary matrices of at most 5 rows and 10 columns.
+
+    The columns come from a pool of at most 2 * rows + 1, one of them zero,
+    so they repeat.  A zeroed row makes a zero row, and a zeroed top row a matrix of
+    rank 0; the rows below the rank change the spans of column sets but not
+    their ranks.  All of it comes from one seeded generator: drawn directly,
+    sizes and bits lean towards zero, and most matrices had rank 0.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.randint(1, 5)
+    pool = [0] + [rng.randrange(1, 2**rows) for _ in range(rng.randint(rows, 2 * rows))]
+    columns = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+    zeroed = rng.choice([None] * 12 + [*range(rows)])
+    return BinaryMatrix(
+        tuple(tuple(0 if r == zeroed else col >> r & 1 for col in columns) for r in range(rows))
+    )
+
+
+@PROPERTY
+@given(matrices())
+def test_engine_matches_enumeration(matrix):
+    core, sizes = merge_identical_elements(matrix)
+    expected = rank_size_profile(to_greedoid(matrix))
+    assert span_state_profile(core, sizes, carrier_rank(core)) == expected
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Name the engine behind each matrix profile, starting from an empty cache."""
+    calls = []
+    for name in ("rank_size_profile", "span_state_profile"):
+        engine = getattr(tutte_module, name)
+        monkeypatch.setattr(tutte_module, name, lambda *a, f=engine, n=name: calls.append(n) or f(*a))
+    tutte_module._carrier_profile.cache_clear()
+    return calls
+
+
+def weight_three(rows: int, cols: int) -> BinaryMatrix:
+    """The first ``cols`` 3-sets of rows, as columns with three ones."""
+    supports = list(itertools.combinations(range(rows), 3))[:cols]
+    return BinaryMatrix(tuple(tuple(int(r in s) for s in supports) for r in range(rows)))
+
+
+def random_matrix(rows: int, cols: int, seed: int) -> BinaryMatrix:
+    rng = random.Random(seed)
+    return BinaryMatrix(tuple(tuple(rng.randrange(2) for _ in range(cols)) for _ in range(rows)))
+
+
+@pytest.mark.parametrize(
+    "matrix, engine",
+    [
+        (weight_three(6, 12), "span_state_profile"),  # N(6) = 2825 spans against 2^12 subsets
+        (identity_matrix(12), "rank_size_profile"),  # N(12) against 2^12
+        (thicken(identity_matrix(3), 3), "rank_size_profile"),  # N(3) = 16 against 2^3 classes
+    ],
+)
+def test_engine_choice(engines, matrix, engine):
+    assert tutte_polynomial(matrix) == tutte_polynomial(to_greedoid(matrix))
+    assert engines == [engine]
+
+
+def test_beyond_enumeration_bound(engines):
+    """The bases of the binary greedoid are the column sets whose top R rows
+    are nonsingular, R being the rank, so T(1, 1) counts them."""
+    matrix = random_matrix(8, 20, 0)  # 20 distinct columns, rank 8
+    rank = carrier_rank(matrix)
+    assert tutte_eval(matrix, 2, 2, max_elements=20) == 2**20
+    top = [col[:rank] for col in zip(*matrix.bits)]
+    assert tutte_eval(matrix, 1, 1, max_elements=20) == count_bases(top, GF2, rank)
+    assert engines == ["span_state_profile"]
+
+
+def test_large_rank_refused_without_counting_its_spans():
+    """N(600) alone would take seconds to sum; 2^(600*600//4) >= 2^600
+    settles the choice, and 2^600 subsets are past the work limit."""
+    matrix = identity_matrix(600)
+    start = time.perf_counter()
+    with pytest.raises(GroundSetTooLargeError, match="2\\^600 steps"):
+        tutte_eval(matrix, 2, 2, max_elements=600)
+    assert time.perf_counter() - start < 2.0
