@@ -8,7 +8,8 @@ to and from iterables for readability.
 Exponential operations (enumerating feasible sets, whole-lattice rank
 tables, parallel classes, axiom verification) are guarded by a configurable
 ground-set bound.  The default of 20 elements keeps every guarded call near
-a million subsets.
+a million subsets; a rank table of more than 2^26 subsets is refused
+whatever the bound.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ from .errors import ElementOutOfRangeError, GroundSetTooLargeError
 from .primitives import binomial_shift, find
 
 DEFAULT_MAX_ELEMENTS = 20
+
+# The most work any subset profile may take, in the unit its engine is
+# chosen by: subsets for enumeration, pairs of vertex sets for the
+# vertex-subset engine, spans for the span-state engine; also the most bits
+# the vertex-subset engine's packed polynomials may take.  Enumeration at
+# this bound already takes about half a minute and a GiB of arrays, and each
+# step past it doubles that, so a larger profile, or a larger rank table, is
+# refused up front, whatever element bound the caller passes.
+_MAX_WORK = 2**26
 
 
 def mask_of(elements: Iterable[int], size: int | None = None) -> int:
@@ -230,10 +240,19 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     array is the subset-lattice maximum of |B| * [B feasible].  That maximum is
     taken with the standard one-bit-at-a-time sweep over the lattice, which is
     a pure aggregation of oracle answers: results are identical to running the
-    greedy rank on every subset, just much faster.
+    greedy rank on every subset, just much faster.  A table of more than
+    ``_MAX_WORK`` subsets raises ``GroundSetTooLargeError`` before anything
+    is allocated.
     """
     _check_bound(greedoid.size, max_elements)
     n = greedoid.size
+    if 1 << n > _MAX_WORK:
+        raise GroundSetTooLargeError(
+            n,
+            _MAX_WORK,
+            f"the rank table of these {n} elements has 2^{n} entries, "
+            f"past the limit of 2^{_MAX_WORK.bit_length() - 1}",
+        )
     pc = _popcounts(n)
     ranks = np.zeros(1 << n, dtype=np.uint8)
     feasible = enumerate_feasible_sets(greedoid, max_elements)

@@ -69,6 +69,48 @@ def reach(root: int, pairs: Iterable[tuple[int, int]], directed: bool) -> set[in
     return reached
 
 
+def blocks(root: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, list[int]]], set[int]]:
+    """The blocks of the undirected graph on the pairs that hold the root's
+    component, and the vertices of that component.
+
+    Each block is given as its vertex nearest the root and a list of its
+    other vertices, and the blocks come in post-order of the block-cut tree:
+    every block hanging below a vertex of a block comes before that block.
+    Loops lie in no block.  The depth-first search keeps its own stack, so
+    no path is too long for it (Tarjan, SIAM J. Comput. 1, 1972).
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in pairs:
+        if u != v:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+    order = {root: 0}  # discovery index of each vertex seen
+    low = {root: 0}  # least discovery index reached from its subtree by one back edge
+    pending = [root]  # vertices seen and not yet in a block, in discovery order
+    found = []
+    path = [(root, iter(adj.get(root, ())))]
+    while path:
+        u, neighbours = path[-1]
+        for v in neighbours:
+            if v not in order:
+                order[v] = low[v] = len(order)
+                pending.append(v)
+                path.append((v, iter(adj.get(v, ()))))
+                break
+            low[u] = min(low[u], order[v])
+        else:
+            path.pop()
+            if path:
+                top = path[-1][0]
+                low[top] = min(low[top], low[u])
+                if low[u] >= order[top]:  # top separates u's subtree from the root
+                    block = [pending.pop()]  # u's subtree above the blocks found in it
+                    while block[-1] != u:
+                        block.append(pending.pop())
+                    found.append((top, block))
+    return found, set(order)
+
+
 def gf2_pack(vectors: Iterable[Iterable[int]]) -> list[int]:
     """Each integer vector reduced mod 2, as an int whose bit i is entry i."""
     return [sum((b & 1) << i for i, b in enumerate(vec)) for vec in vectors]

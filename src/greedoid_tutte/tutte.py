@@ -11,8 +11,8 @@ carrier and then shared, and does only polynomial algebra on its integer
 counts.  A greedoid's profile is enumerated subset by subset.  A carrier's
 comes from the cheaper of two engines: enumeration over its classes of
 identical elements, or a second engine of its family: for a rooted graph
-or digraph, the sum over the vertex sets the root reaches in
-:mod:`.vertex_profile`, and for a binary matrix, the programme over the
+or digraph, the sum over the vertex sets the root reaches, block by block,
+in :mod:`.vertex_profile`, and for a binary matrix, the programme over the
 spans of column sets in :mod:`.span_profile`.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
@@ -45,9 +45,16 @@ from .carriers import (
 )
 from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
-from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, SubsetProfile, _check_bound, rank_size_profile
+from .greedoid import (
+    _MAX_WORK,
+    DEFAULT_MAX_ELEMENTS,
+    Greedoid,
+    SubsetProfile,
+    _check_bound,
+    rank_size_profile,
+)
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, gaussian_binomial, join_edges, reach, renumber
+from .primitives import binomial_shift, blocks, gaussian_binomial, join_edges, reach, renumber
 from .span_profile import span_state_profile
 from .vertex_profile import vertex_subset_profile
 
@@ -109,28 +116,23 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
     return _carrier_profile(source)
 
 
-# The most work any carrier profile may take, in the unit each engine is
-# chosen by: subsets for class enumeration, pairs of vertex sets for the
-# vertex-subset engine, spans for the span-state engine.  Enumeration at this
-# bound already takes about half a minute and a GiB of arrays, and each step
-# past it doubles that, so a larger profile is refused up front, whatever
-# element bound the caller passes.
-_MAX_WORK = 2**26
-
-
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, by the engine with less work.
 
     Enumeration over the classes of identical elements visits the 2^classes
-    subsets of the core.  For a rooted graph or digraph whose root reaches
-    n vertices, the vertex-subset engine makes 3^(n-1) products instead; for
-    a binary matrix of rank R, the span-state engine keeps at most N(R)
+    subsets of the core.  For a rooted graph or digraph, the vertex-subset
+    engine makes 3^(|B|-1) products for each block B of the graph the root
+    reaches (3^(n-1) when the n vertices the root reaches form one block);
+    for a binary matrix of rank R, the span-state engine keeps at most N(R)
     spans per column, N(R) being the number of subspaces of GF(2)^R.  The
-    second engine runs when its figure is below 2^classes.  One reachability
-    search, or one GF(2) elimination, gives both that choice and the rank.
-    When the work of the chosen engine exceeds ``_MAX_WORK``,
-    ``GroundSetTooLargeError`` is raised before anything is allocated.
+    second engine runs when its figure is below 2^classes.  One search for
+    the blocks (after one for the reached vertices, for a digraph), or one
+    GF(2) elimination, gives both that choice and the rank.  When the work
+    of the chosen engine exceeds ``_MAX_WORK``, ``GroundSetTooLargeError``
+    is raised before anything is allocated; the vertex-subset engine is
+    passed over when its packed polynomials would take more than
+    ``_MAX_WORK`` bits.
     """
     core, sizes = merge_identical_elements(carrier)
     size, subsets = sum(sizes), 2 ** len(sizes)
@@ -140,9 +142,15 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
         small = rank * rank // 4 < len(sizes)
         work = sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1)) if small else subsets
     else:
-        reached = root_reach(core)
+        if isinstance(core, RootedGraph):
+            tree, reached = blocks(core.root, core.edges)
+        else:
+            reached = root_reach(core)
+            tree, _ = blocks(core.root, [arc for arc in core.arcs if arc[0] in reached])
         rank = len(reached) - 1
-        work = 3**rank
+        # (1+z)^k for k <= size and the profile: about (size + rank)(size + 1)^2 bits
+        fits = (size + rank + 2) * (size + 1) ** 2 <= _MAX_WORK
+        work = sum(3 ** len(others) for _, others in tree) if fits else subsets
     work = min(work, subsets)
     if work > _MAX_WORK:
         raise GroundSetTooLargeError(

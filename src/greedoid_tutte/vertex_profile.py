@@ -21,12 +21,32 @@ where n is the number of vertices the root reaches, whatever the number of
 elements (Bjorklund, Husfeldt, Kaski and Koivisto, "Computing the Tutte
 polynomial in vertex-exponential time", FOCS 2008).
 
-Vertices the root does not reach take no part in the sum, and loops,
-repeated elements and arcs into the root need no special case.  Every
-polynomial in z is held as one int with m + 1 bits per coefficient, where m
-is the number of elements: every count is at most 2^m, so a product of two
-polynomials is one product of ints, and since every R_S is nonnegative
-coefficientwise, the subtraction borrows across no coefficient.
+The sum runs block by block.  Take the blocks of the underlying graph on
+the reached vertices.  Each block B has one vertex p nearest the root, and
+a path from the root into B passes p and then stays in B, so the vertices
+of B that A reaches are those p reaches along A's elements in B, when p is
+reached at all, and none otherwise.  So with P_c(z, w) the profile of all
+that hangs below a vertex c (w counting the vertices reached below c, once c
+is), and m_c its element count, the part at and below p is
+
+    sum over S inside B holding p of R_S(z) (1+z)^free(S) w^(|S|-1)
+        * product over c in S \\ p of P_c * product over c in B \\ S of (1+z)^m_c,
+
+with R_S and free(S) over B's elements only: a sum of 3^(|B|-1) products.
+The blocks are taken from the leaves of the block-cut tree up to the root,
+whose part times (1+z)^(elements in no block) is the profile (compare the
+multiplicativity of the greedoid polynomial over such joins: Gordon and
+McMahon, Proc. Amer. Math. Soc. 107, 1989).  Loops, repeated elements,
+arcs into the root and unreached vertices need no special case.
+
+Every polynomial in z is held as one int with m + 1 bits per coefficient,
+where m is the number of elements: every count is at most 2^m, so a product
+of two polynomials is one product of ints, and since every R_S is
+nonnegative coefficientwise, the subtraction borrows across no coefficient.
+Powers of w step by m + 1 such coefficients, so a profile in z and w is one
+int of (rank + 1)(m + 1)^2 bits, and the product of the profiles of disjoint
+element sets, which has at most m elements, is again one product of ints.
+Only a block's sum over S carries w; each R_S stays a polynomial in z.
 """
 
 from __future__ import annotations
@@ -36,6 +56,7 @@ from collections import Counter
 import numpy as np
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
+from .primitives import blocks
 
 
 def vertex_subset_profile(
@@ -44,60 +65,109 @@ def vertex_subset_profile(
     """Subset counts keyed by (rank deficit, size surplus), as ``rank_size_profile`` gives them.
 
     ``reached`` is the set of vertices the root reaches along all the
-    carrier's elements.  Vertex sets are bitmasks over these vertices, with
-    the root as bit 0.
+    carrier's elements.
     """
     directed = isinstance(carrier, RootedDigraph)
-    bit = {v: 1 << i for i, v in enumerate(sorted(reached, key=lambda v: v != carrier.root))}
-    n, m = len(bit), carrier.edge_count
-    masks = np.arange(1 << n, dtype=np.int64)
-    inside = np.zeros(1 << n, dtype=np.int64)  # elements with both ends in S
-    blocked = np.zeros(1 << n, dtype=np.int64)  # elements with an end (a tail) in S
-    into = np.zeros((n, 1 << n), dtype=np.int64) if directed else None  # arcs out of i, head in S
-    for (u, v), count in Counter(carrier_elements(carrier)).items():
-        if u not in bit:  # both ends, or the tail, unreached: free for every S
-            continue
-        ends = bit[u] | bit[v]
-        inside += count * ((masks & ends) == ends)
-        blocked += count * ((masks & (bit[u] if directed else ends)) != 0)
-        if directed:
-            into[bit[u].bit_length() - 1] += count * ((masks & bit[v]) != 0)
-    inside_of, free_of = inside.tolist(), (m - blocked).tolist()
-
-    width = m + 1
+    m = carrier.edge_count
+    width, stride = m + 1, (m + 1) ** 2  # bits per coefficient, and per power of w
     powers = [1]  # (1+z)^k for k = 0..m
     for _ in range(m):
         powers.append(powers[-1] + (powers[-1] << width))
+
+    # the elements that may lie in a reached set: no loop, both ends (the tail) reached
+    counts = Counter(pair for pair in carrier_elements(carrier) if pair[0] in reached and pair[0] != pair[1])
+    tree, _ = blocks(carrier.root, counts)
+    # An element lies in the block of its ends where neither is the top, or
+    # where one is; the block above a top comes later in post-order.
+    own = {v: i for i, (_, others) in enumerate(tree) for v in others}
+    parts: list[dict[tuple[int, int], int]] = [{} for _ in tree]
+    for (u, v), count in counts.items():
+        parts[min(own.get(u, len(tree)), own.get(v, len(tree)))][(u, v)] = count
+
+    below: dict[int, tuple[int, int]] = {}  # vertex -> (P_c, m_c) of what hangs below it
+    for (top, others), part in zip(tree, parts):
+        hanging = [below.pop(v, (1, 0)) for v in others]
+        block, size = _block_profile([top, *others], part, hanging, directed, powers, stride)
+        above, count = below.get(top, (1, 0))
+        below[top] = (above * block, count + size)
+    total, size = below.get(carrier.root, (1, 0))
+    total *= powers[m - size]
+
+    field, band = (1 << width) - 1, (1 << stride) - 1
+    profile: dict[tuple[int, int], int] = {}
+    for rank in range(len(reached)):
+        row = (total & band) >> rank * width  # sizes from rank up
+        total >>= stride
+        surplus = 0
+        while row:
+            if row & field:
+                profile[(len(reached) - 1 - rank, surplus)] = row & field
+            row >>= width
+            surplus += 1
+    return profile
+
+
+def _block_profile(
+    vertices: list[int],
+    elements: dict[tuple[int, int], int],
+    hanging: list[tuple[int, int]],
+    directed: bool,
+    powers: list[int],
+    stride: int,
+) -> tuple[int, int]:
+    """The profile in z and w of one block and all that hangs below it, and its element count.
+
+    ``vertices[0]`` is the block's top, and bit 0 of every vertex set;
+    ``elements`` counts the block's elements by end pair, and ``hanging`` gives
+    (P_c, m_c) for each other vertex in turn.
+    """
+    n = len(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = np.zeros((n, n), dtype=np.int64)  # elements by end (tail, head) indices
+    for (u, v), count in elements.items():
+        pairs[index[u], index[v]] += count
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # [v in S] by S and v
+    inside = ((member @ pairs) * member).sum(1)  # elements with both ends in S
+    if directed:  # arcs with tail outside S; arcs out of each vertex with head in S
+        free, into = (1 - member) @ pairs.sum(1), member @ pairs.T
+    else:  # edges inside the complement of S
+        free = inside[::-1]
+    counts_below = np.array([0] + [count for _, count in hanging])
+    free = free + (1 - member) @ counts_below  # c outside S leaves all below it free
+    size = sum(elements.values()) + int(counts_below.sum())
+    cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
+    inside_of, free_of = inside.tolist(), free.tolist()
+
     reaching = [0] * (1 << n)  # R_S
-    by_rank = [0] * n
-    # k[part] counts the elements inside S that cannot leave T = S \ part.
-    # For a graph it is the edges inside part, whatever S is; for a digraph
-    # it is the arcs with tail in part and head in S, filled in for each S.
-    k = [0] * (1 << n) if directed else inside_of
+    sums: dict[tuple[int, int], int] = {}  # (S's vertices with something below, |S| - 1) -> sum over S
+    # k[part] counts the elements inside S that cannot leave T = S \ part:
+    # for a digraph the arcs with tail in part and head in S, filled in for
+    # each S; for a graph the edges inside part, whatever S is, so their
+    # powers of 1+z are looked up once.
+    k = [0] * (1 << n)
+    weight = [powers[c] for c in inside_of]
     for s in range(1, 1 << n, 2):
         rest = s ^ 1
+        total = part = 0
         if directed:
-            row = into[:, s].tolist()
-            part = 0
+            row = into[s].tolist()
             while part != rest:  # the subsets of rest in increasing order
                 part = (part - rest) & rest
                 low = part & -part
                 k[part] = k[part ^ low] + row[low.bit_length() - 1]
-        total = 0
-        part = rest
-        while part:
-            total += reaching[s ^ part] * powers[k[part]]
-            part = (part - 1) & rest
-        reaching[s] = powers[inside_of[s]] - total
-        by_rank[s.bit_count() - 1] += reaching[s] * powers[free_of[s]]
+                total += reaching[s ^ part] * powers[k[part]]
+        else:
+            while part != rest:
+                part = (part - rest) & rest
+                total += reaching[s ^ part] * weight[part]
+        reaching[s] = weight[s] - total
+        key = (s & cuts, s.bit_count() - 1)
+        sums[key] = sums.get(key, 0) + reaching[s] * powers[free_of[s]]
 
-    field = (1 << width) - 1
-    profile: dict[tuple[int, int], int] = {}
-    for rank, packed in enumerate(by_rank):
-        size = 0
-        while packed:
-            if packed & field:
-                profile[(n - 1 - rank, size - rank)] = packed & field
-            packed >>= width
-            size += 1
-    return profile
+    profile = 0
+    for (met, rank), poly in sums.items():
+        for i, (hanging_profile, _) in enumerate(hanging, 1):
+            if met >> i & 1:
+                poly *= hanging_profile
+        profile += poly << rank * stride
+    return profile, size

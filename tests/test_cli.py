@@ -278,3 +278,33 @@ def test_oversized_profile_refused_before_allocating(tmp_path):
     assert done.returncode == 4, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "2^26" in lines[0]
+
+
+def run_capped(argv):
+    """The CLI on ``argv`` in a child process capped at 1.5 GiB, as above."""
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_oversized_rank_table_refused_before_allocating(tmp_path):
+    """path_graph(31) has 32 feasible sets, but the rank table of its 31
+    edges would hold 2^31 entries: refused before it is made."""
+    path = tmp_path / "p31.graph"
+    path.write_text(format_carrier(path_graph(31)))
+    done = run_capped(["verify", "axioms", "--file", str(path), "--max-elements", "31"])
+    assert done.returncode == 4, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^26" in lines[0]
+
+
+def test_long_path_profile_fits(tmp_path):
+    """A path of 200 bridges: 200 blocks of 3 products each, and packed
+    polynomials of about 16 million bits, within the limit and the cap."""
+    path = tmp_path / "p200.graph"
+    path.write_text(format_carrier(path_graph(200)))
+    done = run_capped(["eval", str(path), "--x", "2", "--y", "2", "--max-elements", "200"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(2**200)

@@ -1,5 +1,6 @@
 """Union-find, the tree oracles built on its bitmask pass, root reachability,
-GF(2) elimination and the binomial shift, pinned against references written
+the block decomposition, GF(2) elimination and the binomial shift, pinned
+against references written
 here from first principles on random small carriers with loops, repeated
 elements and parts the root cannot reach, and on random coefficients."""
 
@@ -34,7 +35,7 @@ from greedoid_tutte.carriers import (
     gf2_row_rank,
     merge_identical_elements,
 )
-from greedoid_tutte.primitives import binomial_shift, gaussian_binomial
+from greedoid_tutte.primitives import binomial_shift, blocks, gaussian_binomial, reach
 from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
@@ -209,3 +210,37 @@ def test_gaussian_binomial_counts_subspaces(q, n):
     by_dimension = Counter(round(math.log(len(span), q)) for span in spans)
     expected = [gaussian_binomial(n, d, q) for d in range(n + 2)]  # none of dimension n + 1
     assert [by_dimension[d] for d in range(n + 2)] == expected
+
+
+def k4_chain(count: int) -> list[tuple[int, int]]:
+    """count copies of K4, copy i on vertices 3i .. 3i + 3, so each shares one vertex with the next."""
+    return [(3 * i + a, 3 * i + b) for i in range(count) for a in range(4) for b in range(a + 1, 4)]
+
+
+@pytest.mark.parametrize(
+    "root, pairs, sizes",
+    [
+        (0, [(i, i + 1) for i in range(5)], [2] * 5),  # path: a bridge per edge
+        (2, [(i, (i + 1) % 6) for i in range(6)], [6]),  # cycle: one block
+        (0, k4_chain(10), [4] * 10),
+        (4, k4_chain(10), [4] * 10),  # rooted inside the chain
+        (0, [(0, 1), (0, 2), (2, 3), (2, 4), (4, 5), (4, 5), (5, 5)], [2] * 5),  # tree, repeated edge, loop
+        (0, [(0, 1), (2, 3)], [2]),  # the part without the root is not searched
+        (0, [], []),
+    ],
+)
+def test_block_counts(root, pairs, sizes):
+    found, component = blocks(root, pairs)
+    assert sorted(1 + len(others) for _, others in found) == sizes
+    assert component == reach(root, pairs, False)
+    # post-order: every block hanging below a vertex of a block comes before it
+    position = {v: i for i, (_, others) in enumerate(found) for v in others}
+    assert all(position.get(top, len(found)) > i for i, (top, _) in enumerate(found))
+    covered = [v for _, others in found for v in others]
+    assert sorted(covered) == sorted(component - {root})  # each vertex but the root once below its top
+
+
+def test_blocks_of_a_long_path_need_no_recursion():
+    found, component = blocks(0, [(i, i + 1) for i in range(4999)])
+    assert len(found) == 4999 and len(component) == 5000
+    assert found[0] == (4998, [4999])  # the deepest bridge first

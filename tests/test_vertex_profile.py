@@ -1,5 +1,5 @@
-"""The vertex-subset profile engine agrees with subset enumeration, and a
-carrier's profile comes from whichever engine has less work."""
+"""The vertex-subset profile engine agrees with subset enumeration, block by
+block, and a carrier's profile comes from whichever engine has less work."""
 
 import json
 
@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from greedoid_tutte import (
     RootedDigraph,
     RootedGraph,
+    attach_digraphs,
     attach_graphs,
+    directed_path,
+    directed_star,
     path_graph,
     star_graph,
     thicken,
@@ -20,6 +23,7 @@ from greedoid_tutte import (
 from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.carriers import carrier_elements, format_carrier, root_reach
 from greedoid_tutte.cli import main
+from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.greedoid import rank_size_profile
 from greedoid_tutte.tutte import arborescence_count, spanning_tree_count
 from greedoid_tutte.vertex_profile import vertex_subset_profile
@@ -55,6 +59,53 @@ def test_engine_matches_enumeration(carrier):
     assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
 
 
+@st.composite
+def block_chains(draw):
+    """Rooted graphs and digraphs of at most 7 vertices and 11 elements, rich in blocks.
+
+    Blocks of 2 to 4 vertices are glued one at a time at a vertex already
+    drawn: bridges, some repeated, cycles and complete graphs.  That gives
+    trees, cacti, chains of blocks and pendant stars.  A graph's block may
+    be glued to nothing, so the root does not reach it; a digraph's elements
+    point either way, so an arc may run from a child block into its cut
+    vertex, or leave the part below a cut vertex unreachable.  A few loops
+    go on glue vertices, and the root is any vertex.
+    """
+    directed = draw(st.booleans())
+    nv, pairs, glued = 1, [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if nv == 7:
+            break
+        glue = draw(st.sampled_from([*range(nv)] + ([] if directed or nv > 5 else [None])))
+        new = draw(st.integers(1 + (glue is None), min(3, 7 - nv)))
+        vertices = ([] if glue is None else [glue]) + list(range(nv, nv + new))
+        nv += new
+        size = len(vertices)
+        if size == 2:
+            block = [tuple(vertices)] * draw(st.integers(1, 3))
+        elif draw(st.booleans()):
+            block = [(vertices[i], vertices[(i + 1) % size]) for i in range(size)]
+        else:
+            block = [(vertices[i], vertices[j]) for i in range(size) for j in range(i + 1, size)]
+        if len(pairs) + len(block) > 11:
+            break  # its new vertices stay isolated
+        pairs += block
+        glued.append(vertices[0])
+    pairs += [(v, v) for v in draw(st.lists(st.sampled_from(glued or [0]), max_size=2))]
+    if directed:  # most arcs point away from the glue vertex
+        pairs = [(v, u) if draw(st.integers(0, 3)) == 0 else (u, v) for u, v in pairs]
+    pairs = draw(st.permutations(pairs))[:11]
+    root = 0 if draw(st.booleans()) else draw(st.integers(0, nv - 1))  # 0 is the first glue vertex
+    return (RootedDigraph if directed else RootedGraph)(nv, tuple(pairs), root)
+
+
+@PROPERTY
+@given(block_chains())
+def test_block_engine_matches_enumeration(carrier):
+    expected = rank_size_profile(to_greedoid(carrier))
+    assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
 @pytest.fixture
 def engines(monkeypatch):
     """Name the engine behind each carrier profile, starting from an empty cache."""
@@ -82,11 +133,23 @@ WHEEL = RootedGraph(7, tuple((0, i) for i in range(1, 7)) + tuple((i, i % 6 + 1)
     "carrier, engine",
     [
         (WHEEL, "vertex_subset_profile"),  # 3^6 products against 2^12 subsets
-        (attach_graphs(path_graph(3), star_graph(3)), "rank_size_profile"),  # 3^12 against 2^12
+        (attach_graphs(path_graph(3), star_graph(3)), "vertex_subset_profile"),  # 12 blocks of 2 vertices: 36 against 2^12
         (thicken(path_graph(3), 3), "rank_size_profile"),  # 3^3 against 2^3 classes
     ],
 )
 def test_engine_choice(engines, carrier, engine):
+    assert tutte_polynomial(carrier) == tutte_polynomial(to_greedoid(carrier))
+    assert engines == [engine]
+
+
+@pytest.mark.parametrize(
+    "carrier, engine",
+    [
+        (attach_digraphs(directed_path(3), directed_star(3)), "vertex_subset_profile"),  # 36 against 2^12
+        (thicken(path_graph(3), 3), "rank_size_profile"),  # 3 blocks of 2 vertices: 9 against 2^3 classes
+    ],
+)
+def test_block_engine_choice(engines, carrier, engine):
     assert tutte_polynomial(carrier) == tutte_polynomial(to_greedoid(carrier))
     assert engines == [engine]
 
@@ -112,3 +175,30 @@ def test_cli_beyond_enumeration(tmp_path, capsys):
     terms = json.loads(capsys.readouterr().out)
     assert sum(int(t["num"]) for t in terms) == spanning_tree_count(circulant(False))
     assert main(["tutte", str(path)]) == 4  # the bound still counts the 40 elements
+
+
+def k4_chain(directed: bool):
+    """Ten copies of K4, copy i on vertices 3i .. 3i + 3, rooted at 0: 31
+    vertices and 60 edges, or both arcs of each edge."""
+    edges = [(3 * i + a, 3 * i + b) for i in range(10) for a in range(4) for b in range(a + 1, 4)]
+    if directed:
+        return RootedDigraph(31, tuple(arc for u, v in edges for arc in ((u, v), (v, u))), 0)
+    return RootedGraph(31, tuple(edges), 0)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_block_chain_beyond_enumeration(directed):
+    """3^3 products per block, where one block of 31 vertices would take 3^30."""
+    carrier = k4_chain(directed)
+    m = carrier.edge_count
+    assert tutte_eval(carrier, 2, 2, max_elements=m) == 2**m
+    trees = arborescence_count(carrier) if directed else spanning_tree_count(carrier)
+    assert trees == 16**10
+    assert tutte_eval(carrier, 1, 1, max_elements=m) == trees
+
+
+def test_long_directed_path_refused_without_recursion():
+    """3,000 vertices: the block search keeps its own stack, and the profile,
+    past every engine's limit, is refused before it is begun."""
+    with pytest.raises(GroundSetTooLargeError):
+        tutte_eval(directed_path(2999), 2, 2, max_elements=2999)
