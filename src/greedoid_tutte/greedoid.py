@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError
-from .primitives import binomial_shift, find
+from .primitives import find, unpack_profile
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -292,56 +292,40 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     """Profile of a ground set of identical-element classes, from the core's rank table.
 
     A subset A meeting exactly the classes U has rank r(U), and the subsets
-    meeting exactly U are counted by size by prod over c in U of
-    ((1+z)^|c| - 1).  Core subsets are first counted by (deficit, number of
-    singleton classes met, set of larger classes met); each such group is
-    then expanded by its size polynomial in Python ints, since the counts
-    reach 2^(ground size).  With every class of size 1 this is the plain
-    count of core subsets by (deficit, surplus).
+    meeting exactly U are counted by size by the product over c in U of
+    (1+z)^|c| - 1 = z h_c.  Core subsets are first counted by (deficit, |U|,
+    larger classes in U); each group then adds its count times z^|U| times
+    the product of those h_c to its rank's size polynomial, a Python int
+    packed as :func:`.primitives.packed_powers` sets out.  With every class
+    of size 1 this is the plain count of core subsets by (deficit, surplus).
     """
     core = len(sizes)
     multi = [e for e, c in enumerate(sizes) if c > 1]
     t = len(multi)
     top = int(ranks[-1])
-    width = core - t + 1
-    # keys: ((deficit * width + singleton classes met) << t) | larger classes met
+    # keys: ((deficit * (core + 1) + classes met) << t) | larger classes met
     keys = ranks.astype(np.int64)
     np.subtract(top, keys, out=keys)
-    keys *= width
+    keys *= core + 1
     keys += _popcounts(core)
     if multi:
-        masks = np.arange(1 << core, dtype=np.int64)
-        met = np.zeros_like(masks)
-        for j, e in enumerate(multi):
-            bit = (masks >> e) & 1
-            keys -= bit
-            met |= bit << j
         keys <<= t
-        keys |= met
+        masks = np.arange(1 << core, dtype=np.int64)
+        for j, e in enumerate(multi):
+            keys |= ((masks >> e) & 1) << j
     counts = np.bincount(keys)
 
-    # by_size[m]: counts by size of the subsets meeting exactly the larger classes in m
-    by_size = [[1]]
+    width = sum(sizes) + 1
+    one_plus_z = (1 << width) + 1
+    by_size = [1]  # by_size[u]: the product of h_c over the larger classes in u
     for e in multi:
-        step = binomial_shift({sizes[e]: 1, 0: -1}, 1)  # (1+z)^c - 1
-        grown = []
-        for w in by_size:
-            out = [0] * (len(w) + len(step) - 1)
-            for i, wi in enumerate(w):
-                for k, sk in enumerate(step):
-                    out[i + k] += wi * sk
-            grown.append(out)
-        by_size += grown
-    profile: dict[tuple[int, int], int] = {}
-    for key in np.nonzero(counts)[0]:
-        count = int(counts[key])
-        d, single = divmod(int(key) >> t, width)
-        offset = single - (top - d)
-        for size, w in enumerate(by_size[int(key) & ((1 << t) - 1)]):
-            if w:
-                k = (d, size + offset)
-                profile[k] = profile.get(k, 0) + count * w
-    return profile
+        h = (one_plus_z ** sizes[e] - 1) >> width
+        by_size += [w * h for w in by_size]
+    by_rank = [0] * (top + 1)
+    for key in np.nonzero(counts)[0].tolist():
+        deficit, met = divmod(key >> t, core + 1)
+        by_rank[top - deficit] += (int(counts[key]) * by_size[key & ((1 << t) - 1)]) << (met * width)
+    return unpack_profile(by_rank, width)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Union-find (with one pass over an edge bitmask, and vertex renumbering for
-it), root reachability, GF(2) elimination, the binomial shift and the
-Gaussian binomial, shared by every module.
+it), root reachability, GF(2) elimination, the binomial shift, polynomials
+packed into ints and the Gaussian binomial, shared by every module.
 
 This module imports nothing from the package, so any module may import it.
 """
@@ -153,6 +153,37 @@ def binomial_shift(coeffs: Mapping[int, object], a) -> list:
             binom = binom * i // (e - i + 1)
             power *= a
     return out
+
+
+def packed_powers(m: int) -> list[int]:
+    """(1+z)^k for k = 0..m, each packed into one int with m + 1 bits per
+    coefficient of z, the lowest power in the lowest bits.
+
+    Every profile engine counts subsets of m elements by size in this
+    packing.  No count exceeds 2^m, so each fits its m + 1 bits, and while
+    every coefficient is nonnegative, a sum or product of packed polynomials
+    is one sum or product of ints, with no carry (or borrow, for a
+    difference) from one coefficient into the next.  So one power (1+z)^k
+    is (2^(m+1) + 1)^k; this table, about m^3 / 2 bits, is for callers that
+    need every k.
+    """
+    powers = [1]
+    for _ in range(m):
+        powers.append(powers[-1] + (powers[-1] << (m + 1)))
+    return powers
+
+
+def unpack_profile(by_rank: Sequence[int], width: int) -> dict[tuple[int, int], int]:
+    """Subset counts keyed by (rank deficit, size surplus), from ``by_rank[r]``,
+    the subsets of rank r counted by size, packed ``width`` bits per
+    coefficient; the last rank is the whole set's.  Zero counts get no key."""
+    field, top = (1 << width) - 1, len(by_rank) - 1
+    profile = {}
+    for rank, packed in enumerate(by_rank):
+        for shift in range(0, packed.bit_length(), width):
+            if count := packed >> shift & field:
+                profile[(top - rank, shift // width - rank)] = count
+    return profile
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -19,10 +19,9 @@ GF(2)^R, so there are at most N(R), the number of such subspaces, of them
 (Hlineny, "The Tutte polynomial for matroids of bounded branch-width",
 Combin. Probab. Comput. 15 (2006), uses the same states).
 
-Counts by size are held as one int with m + 1 bits per coefficient, where m
-is the number of elements, as in :mod:`.vertex_profile`: every count is at
-most 2^m, and all arithmetic is sums and products of nonnegative
-polynomials, so no coefficient carries into the next.
+Counts by size are packed into one int with m + 1 bits per coefficient, m
+being the number of elements, as :func:`.primitives.packed_powers` sets out:
+all arithmetic is sums and products of nonnegative polynomials.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .carriers import BinaryMatrix
-from .primitives import binomial_shift
+from .primitives import unpack_profile
 
 
 def span_state_profile(
@@ -44,11 +43,12 @@ def span_state_profile(
     order.
     """
     width = sum(sizes) + 1
+    one_plus_z = (1 << width) + 1
     window = (1 << rank) - 1
     layer: dict[tuple[int, ...], int] = {(): 1}
     for col, c in zip(core.column_bits(), sizes):
         col &= window
-        take = sum(k << (width * i) for i, k in enumerate(binomial_shift({c: 1, 0: -1}, 1)))
+        take = one_plus_z**c - 1
         out: dict[tuple[int, ...], int] = {}
         for rows, weight in layer.items():
             vec = col
@@ -71,13 +71,4 @@ def span_state_profile(
             pivots |= row & -row
         by_rank[(~pivots & (pivots + 1)).bit_length() - 1] += weight
 
-    field = (1 << width) - 1
-    profile: dict[tuple[int, int], int] = {}
-    for r, packed in enumerate(by_rank):
-        size = 0
-        while packed:
-            if packed & field:
-                profile[(rank - r, size - r)] = packed & field
-            packed >>= width
-            size += 1
-    return profile
+    return unpack_profile(by_rank, width)

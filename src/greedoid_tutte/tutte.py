@@ -34,6 +34,7 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
+    carrier_elements,
     carrier_rank,
     digraph_has_directed_cycle,
     graph_is_connected,
@@ -127,37 +128,36 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     for a binary matrix of rank R, the span-state engine keeps at most N(R)
     spans per column, N(R) being the number of subspaces of GF(2)^R.  The
     second engine runs when its figure is below 2^classes.  One search for
-    the blocks (after one for the reached vertices, for a digraph), or one
-    GF(2) elimination, gives both that choice and the rank.  When the work
-    of the chosen engine exceeds ``_MAX_WORK``, ``GroundSetTooLargeError``
-    is raised before anything is allocated; the vertex-subset engine is
-    passed over when its packed polynomials would take more than
-    ``_MAX_WORK`` bits.
+    the reached vertices and one for the blocks, or one GF(2) elimination,
+    give both that choice and the rank.  When the work of the chosen engine
+    exceeds ``_MAX_WORK``, ``GroundSetTooLargeError`` is raised before
+    anything is allocated; the vertex-subset engine is passed over when its
+    packed polynomials would take more than ``_MAX_WORK`` bits.
     """
     core, sizes = merge_identical_elements(carrier)
     size, subsets = sum(sizes), 2 ** len(sizes)
+    by = "by its cheapest engine"
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
         # N(R) >= [R choose R//2]_2 >= 2^(R*R//4): only a small rank can win
         small = rank * rank // 4 < len(sizes)
         work = sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1)) if small else subsets
     else:
-        if isinstance(core, RootedGraph):
-            tree, reached = blocks(core.root, core.edges)
-        else:
-            reached = root_reach(core)
-            tree, _ = blocks(core.root, [arc for arc in core.arcs if arc[0] in reached])
+        reached = root_reach(core)
+        tree, _ = blocks(core.root, [pair for pair in carrier_elements(core) if pair[0] in reached])
         rank = len(reached) - 1
+        work = sum(3 ** len(others) for _, others in tree)
         # (1+z)^k for k <= size and the profile: about (size + rank)(size + 1)^2 bits
-        fits = (size + rank + 2) * (size + 1) ** 2 <= _MAX_WORK
-        work = sum(3 ** len(others) for _, others in tree) if fits else subsets
+        bits = (size + rank + 2) * (size + 1) ** 2
+        if bits > _MAX_WORK:
+            work, by = subsets, f"by enumeration, and about 2^{bits.bit_length() - 1} bits by the vertex-subset engine"
     work = min(work, subsets)
     if work > _MAX_WORK:
         raise GroundSetTooLargeError(
             size,
             _MAX_WORK,
             f"the profile of these {size} elements takes about 2^{work.bit_length() - 1} "
-            f"steps by its cheapest engine, past the limit of 2^{_MAX_WORK.bit_length() - 1}",
+            f"steps {by}, past the limit of 2^{_MAX_WORK.bit_length() - 1}",
         )
     if work == subsets:
         counts = rank_size_profile(to_greedoid(core), size, sizes)

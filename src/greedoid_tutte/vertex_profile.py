@@ -39,11 +39,11 @@ multiplicativity of the greedoid polynomial over such joins: Gordon and
 McMahon, Proc. Amer. Math. Soc. 107, 1989).  Loops, repeated elements,
 arcs into the root and unreached vertices need no special case.
 
-Every polynomial in z is held as one int with m + 1 bits per coefficient,
-where m is the number of elements: every count is at most 2^m, so a product
-of two polynomials is one product of ints, and since every R_S is
-nonnegative coefficientwise, the subtraction borrows across no coefficient.
-Powers of w step by m + 1 such coefficients, so a profile in z and w is one
+Every polynomial in z is packed into one int with m + 1 bits per
+coefficient, m being the number of elements, as
+:func:`.primitives.packed_powers` sets out; every R_S is nonnegative
+coefficientwise, so its subtraction borrows across no coefficient.  Powers
+of w step by m + 1 such coefficients, so a profile in z and w is one
 int of (rank + 1)(m + 1)^2 bits, and the product of the profiles of disjoint
 element sets, which has at most m elements, is again one product of ints.
 Only a block's sum over S carries w; each R_S stays a polynomial in z.
@@ -56,7 +56,7 @@ from collections import Counter
 import numpy as np
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
-from .primitives import blocks
+from .primitives import blocks, packed_powers, unpack_profile
 
 
 def vertex_subset_profile(
@@ -70,9 +70,7 @@ def vertex_subset_profile(
     directed = isinstance(carrier, RootedDigraph)
     m = carrier.edge_count
     width, stride = m + 1, (m + 1) ** 2  # bits per coefficient, and per power of w
-    powers = [1]  # (1+z)^k for k = 0..m
-    for _ in range(m):
-        powers.append(powers[-1] + (powers[-1] << width))
+    powers = packed_powers(m)
 
     # the elements that may lie in a reached set: no loop, both ends (the tail) reached
     counts = Counter(pair for pair in carrier_elements(carrier) if pair[0] in reached and pair[0] != pair[1])
@@ -93,18 +91,8 @@ def vertex_subset_profile(
     total, size = below.get(carrier.root, (1, 0))
     total *= powers[m - size]
 
-    field, band = (1 << width) - 1, (1 << stride) - 1
-    profile: dict[tuple[int, int], int] = {}
-    for rank in range(len(reached)):
-        row = (total & band) >> rank * width  # sizes from rank up
-        total >>= stride
-        surplus = 0
-        while row:
-            if row & field:
-                profile[(len(reached) - 1 - rank, surplus)] = row & field
-            row >>= width
-            surplus += 1
-    return profile
+    band = (1 << stride) - 1
+    return unpack_profile([(total >> rank * stride) & band for rank in range(len(reached))], width)
 
 
 def _block_profile(

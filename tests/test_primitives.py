@@ -1,6 +1,6 @@
 """Union-find, the tree oracles built on its bitmask pass, root reachability,
-the block decomposition, GF(2) elimination and the binomial shift, pinned
-against references written
+the block decomposition, GF(2) elimination, the binomial shift and packed
+polynomials, pinned against references written
 here from first principles on random small carriers with loops, repeated
 elements and parts the root cannot reach, and on random coefficients."""
 
@@ -35,7 +35,7 @@ from greedoid_tutte.carriers import (
     gf2_row_rank,
     merge_identical_elements,
 )
-from greedoid_tutte.primitives import binomial_shift, blocks, gaussian_binomial, reach
+from greedoid_tutte.primitives import binomial_shift, blocks, gaussian_binomial, packed_powers, reach, unpack_profile
 from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
@@ -191,6 +191,41 @@ def test_binomial_shift_at_rational_offsets(coeffs, a):
     for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
         direct = sum(c * (t + a) ** e for e, c in coeffs.items())
         assert sum(c * t**i for i, c in enumerate(shifted)) == direct
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 13])
+def test_packed_powers_hold_the_binomial_rows(m):
+    """(1+z)^k packed m + 1 bits per coefficient: the base-2^(m+1) digits of
+    each int are the row of (t + 1)^k, and nothing lies above them."""
+    powers = packed_powers(m)
+    assert len(powers) == m + 1
+    for k, packed in enumerate(powers):
+        digits = []
+        for _ in range(k + 1):
+            packed, digit = divmod(packed, 2 ** (m + 1))
+            digits.append(digit)
+        assert digits == binomial_shift({k: 1}, 1) and packed == 0
+
+
+def test_unpack_profile_reads_full_fields_and_skips_zeros():
+    """2^m, the largest count m elements allow, fills its field's top bit and
+    comes back whole beside nonzero neighbours; zero counts, and a rank with
+    no subsets, give no key."""
+    m = 4
+    full, width = 2**m, m + 1
+    by_rank = [
+        1 + (full << width) + (3 << 2 * width),
+        0,
+        (full << 2 * width) + (7 << 4 * width) + (full << 5 * width),
+    ]
+    assert unpack_profile(by_rank, width) == {
+        (2, 0): 1,
+        (2, 1): full,
+        (2, 2): 3,
+        (0, 0): full,
+        (0, 2): 7,
+        (0, 3): full,
+    }
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 3)])

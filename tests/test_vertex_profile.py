@@ -134,7 +134,7 @@ WHEEL = RootedGraph(7, tuple((0, i) for i in range(1, 7)) + tuple((i, i % 6 + 1)
     [
         (WHEEL, "vertex_subset_profile"),  # 3^6 products against 2^12 subsets
         (attach_graphs(path_graph(3), star_graph(3)), "vertex_subset_profile"),  # 12 blocks of 2 vertices: 36 against 2^12
-        (thicken(path_graph(3), 3), "rank_size_profile"),  # 3^3 against 2^3 classes
+        (thicken(path_graph(3), 3), "rank_size_profile"),  # 3 blocks of 2 vertices: 9 against 2^3 = 8 classes
     ],
 )
 def test_engine_choice(engines, carrier, engine):
@@ -202,3 +202,13 @@ def test_long_directed_path_refused_without_recursion():
     past every engine's limit, is refused before it is begun."""
     with pytest.raises(GroundSetTooLargeError):
         tutte_eval(directed_path(2999), 2, 2, max_elements=2999)
+
+
+def test_long_path_refusal_names_both_figures():
+    """A 341-vertex path takes only 3 * 340 products, but its packed
+    polynomials would take about 2^26 bits, so the engine is passed over and
+    enumeration's 2^340 subsets are refused; the message names both."""
+    with pytest.raises(GroundSetTooLargeError) as refused:
+        tutte_eval(path_graph(340), 2, 2, max_elements=340)
+    assert "2^340 steps by enumeration" in str(refused.value)
+    assert "2^26 bits by the vertex-subset engine" in str(refused.value)
