@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError
-from .primitives import find, unpack_profile
+from .primitives import find, packed_power, unpack_profile
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -292,39 +292,41 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     """Profile of a ground set of identical-element classes, from the core's rank table.
 
     A subset A meeting exactly the classes U has rank r(U), and the subsets
-    meeting exactly U are counted by size by the product over c in U of
-    (1+z)^|c| - 1 = z h_c.  Core subsets are first counted by (deficit, |U|,
-    larger classes in U); each group then adds its count times z^|U| times
-    the product of those h_c to its rank's size polynomial, a Python int
-    packed as :func:`.primitives.packed_powers` sets out.  With every class
-    of size 1 this is the plain count of core subsets by (deficit, surplus).
+    meeting exactly U are counted by size by prod over c in U of
+    ((1+z)^|c| - 1).  Core subsets are first counted by (deficit, number of
+    singleton classes met, set of larger classes met); each such group then
+    adds its size polynomial, packed as :func:`.primitives.packed_powers`
+    sets out, to its rank's.  With every class of size 1 this is the plain
+    count of core subsets by (deficit, surplus).
     """
     core = len(sizes)
     multi = [e for e, c in enumerate(sizes) if c > 1]
     t = len(multi)
     top = int(ranks[-1])
-    # keys: ((deficit * (core + 1) + classes met) << t) | larger classes met
+    radix = core - t + 1  # singleton classes met: 0 to core - t
+    # keys: ((deficit * radix + singleton classes met) << t) | larger classes met
     keys = ranks.astype(np.int64)
     np.subtract(top, keys, out=keys)
-    keys *= core + 1
+    keys *= radix
     keys += _popcounts(core)
     if multi:
         keys <<= t
         masks = np.arange(1 << core, dtype=np.int64)
         for j, e in enumerate(multi):
-            keys |= ((masks >> e) & 1) << j
+            bit = (masks >> e) & 1
+            keys -= bit << t
+            keys |= bit << j
     counts = np.bincount(keys)
 
     width = sum(sizes) + 1
-    one_plus_z = (1 << width) + 1
-    by_size = [1]  # by_size[u]: the product of h_c over the larger classes in u
+    by_size = [1]  # by_size[u]: the product of (1+z)^c - 1 over the larger classes in u
     for e in multi:
-        h = (one_plus_z ** sizes[e] - 1) >> width
-        by_size += [w * h for w in by_size]
+        take = packed_power(sizes[e], width) - 1
+        by_size += [w * take for w in by_size]
     by_rank = [0] * (top + 1)
     for key in np.nonzero(counts)[0].tolist():
-        deficit, met = divmod(key >> t, core + 1)
-        by_rank[top - deficit] += (int(counts[key]) * by_size[key & ((1 << t) - 1)]) << (met * width)
+        deficit, single = divmod(key >> t, radix)
+        by_rank[top - deficit] += (int(counts[key]) * by_size[key & ((1 << t) - 1)]) << (single * width)
     return unpack_profile(by_rank, width)
 
 

@@ -163,9 +163,8 @@ def packed_powers(m: int) -> list[int]:
     packing.  No count exceeds 2^m, so each fits its m + 1 bits, and while
     every coefficient is nonnegative, a sum or product of packed polynomials
     is one sum or product of ints, with no carry (or borrow, for a
-    difference) from one coefficient into the next.  So one power (1+z)^k
-    is (2^(m+1) + 1)^k; this table, about m^3 / 2 bits, is for callers that
-    need every k.
+    difference) from one coefficient into the next.  This table holds about
+    m^3 / 2 bits; :func:`packed_power` gives one power.
     """
     powers = [1]
     for _ in range(m):
@@ -173,16 +172,39 @@ def packed_powers(m: int) -> list[int]:
     return powers
 
 
+def packed_power(k: int, width: int) -> int:
+    """(1+z)^k packed ``width`` bits per coefficient, as in :func:`packed_powers`."""
+    return pack_fields(binomial_shift({k: 1}, 1), width)
+
+
+def pack_fields(values: Sequence[int], width: int) -> int:
+    """Ints below 2^width as one int, ``width`` bits each, the first lowest.  Halving
+    the list keeps the work near linear in the bits, where a shift per field is not."""
+    if len(values) <= 16:
+        return sum(v << i * width for i, v in enumerate(values))
+    half = len(values) // 2
+    return pack_fields(values[:half], width) | pack_fields(values[half:], width) << half * width
+
+
+def packed_fields(packed: int, width: int, count: int) -> list[int]:
+    """The first ``count`` fields of ``width`` bits of a nonnegative int, lowest
+    first, split by halves as :func:`pack_fields` joins them."""
+    if count <= 16:
+        return [packed >> i * width & (1 << width) - 1 for i in range(count)]
+    half = count // 2
+    low = packed_fields(packed & (1 << half * width) - 1, width, half)
+    return low + packed_fields(packed >> half * width, width, count - half)
+
+
 def unpack_profile(by_rank: Sequence[int], width: int) -> dict[tuple[int, int], int]:
     """Subset counts keyed by (rank deficit, size surplus), from ``by_rank[r]``,
     the subsets of rank r counted by size, packed ``width`` bits per
     coefficient; the last rank is the whole set's.  Zero counts get no key."""
-    field, top = (1 << width) - 1, len(by_rank) - 1
-    profile = {}
+    top, profile = len(by_rank) - 1, {}
     for rank, packed in enumerate(by_rank):
-        for shift in range(0, packed.bit_length(), width):
-            if count := packed >> shift & field:
-                profile[(top - rank, shift // width - rank)] = count
+        for size, count in enumerate(packed_fields(packed, width, packed.bit_length() // width + 1)):
+            if count:
+                profile[(top - rank, size - rank)] = count
     return profile
 
 

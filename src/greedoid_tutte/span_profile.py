@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .carriers import BinaryMatrix
-from .primitives import unpack_profile
+from .primitives import packed_power, unpack_profile
 
 
 def span_state_profile(
@@ -43,12 +43,11 @@ def span_state_profile(
     order.
     """
     width = sum(sizes) + 1
-    one_plus_z = (1 << width) + 1
     window = (1 << rank) - 1
     layer: dict[tuple[int, ...], int] = {(): 1}
     for col, c in zip(core.column_bits(), sizes):
         col &= window
-        take = one_plus_z**c - 1
+        take = packed_power(c, width) - 1
         out: dict[tuple[int, ...], int] = {}
         for rows, weight in layer.items():
             vec = col

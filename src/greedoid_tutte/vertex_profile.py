@@ -56,7 +56,7 @@ from collections import Counter
 import numpy as np
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
-from .primitives import blocks, packed_powers, unpack_profile
+from .primitives import blocks, packed_fields, packed_powers, unpack_profile
 
 
 def vertex_subset_profile(
@@ -91,8 +91,7 @@ def vertex_subset_profile(
     total, size = below.get(carrier.root, (1, 0))
     total *= powers[m - size]
 
-    band = (1 << stride) - 1
-    return unpack_profile([(total >> rank * stride) & band for rank in range(len(reached))], width)
+    return unpack_profile(packed_fields(total, stride, len(reached)), width)
 
 
 def _block_profile(

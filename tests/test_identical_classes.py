@@ -1,5 +1,8 @@
 """Profiles computed over classes of identical elements agree with brute force."""
 
+import tracemalloc
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from greedoid_tutte import (
 )
 from greedoid_tutte.carriers import merge_identical_elements
 from greedoid_tutte.errors import GroundSetTooLargeError
+from greedoid_tutte.greedoid import rank_size_profile
 
 MAX_ELEMENTS = 12
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -69,3 +73,30 @@ def test_thickening_bound_counts_every_element():
     with pytest.raises(GroundSetTooLargeError):
         tutte_polynomial(thick)
     assert tutte_eval(thick, 2, 2, max_elements=21) == 2**21
+
+
+def test_one_large_class_profile():
+    """1000 parallel edges at the root: the empty set has rank 0 and every
+    other subset rank 1, so C(1000, k) subsets of k > 0 edges have surplus k - 1."""
+    profile = rank_size_profile(to_greedoid(path_graph(1)), 1000, (1000,))
+    assert profile == {(1, 0): 1, **{(0, k - 1): comb(1000, k) for k in range(1, 1001)}}
+
+
+def test_all_repeated_core_counts_in_small_tables():
+    """A star of 16 edges at the root, each a class of 2: the counts of core
+    subsets by (deficit, singletons met, larger classes met) take 17 * 2^16
+    entries, about 9 MiB, and no table grows with the product of rank and
+    class count."""
+    core = 16
+    star = RootedGraph(core + 1, tuple((0, v) for v in range(1, core + 1)), 0)
+    tracemalloc.start()
+    try:
+        profile = rank_size_profile(to_greedoid(star), 2 * core, (2,) * core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # j classes met, each by (1+z)^2 - 1 = 2z + z^2: rank j and surplus s
+    assert profile == {
+        (core - j, s): comb(core, j) * comb(j, s) * 2 ** (j - s) for j in range(core + 1) for s in range(j + 1)
+    }
+    assert peak < 32 * 2**20

@@ -35,7 +35,17 @@ from greedoid_tutte.carriers import (
     gf2_row_rank,
     merge_identical_elements,
 )
-from greedoid_tutte.primitives import binomial_shift, blocks, gaussian_binomial, packed_powers, reach, unpack_profile
+from greedoid_tutte.primitives import (
+    binomial_shift,
+    blocks,
+    gaussian_binomial,
+    pack_fields,
+    packed_fields,
+    packed_power,
+    packed_powers,
+    reach,
+    unpack_profile,
+)
 from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
 
@@ -205,6 +215,22 @@ def test_packed_powers_hold_the_binomial_rows(m):
             packed, digit = divmod(packed, 2 ** (m + 1))
             digits.append(digit)
         assert digits == binomial_shift({k: 1}, 1) and packed == 0
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.data())
+def test_pack_fields_round_trip(width, data):
+    """Fields packed by halves come back in order, beyond the 16 a plain shift
+    loop handles and with leading zero fields asked for by count."""
+    values = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=70))
+    packed = pack_fields(values, width)
+    assert packed == sum(v << i * width for i, v in enumerate(values))
+    assert packed_fields(packed, width, len(values) + 3) == values + [0, 0, 0]
+
+
+@pytest.mark.parametrize("k, width", [(0, 1), (1, 2), (5, 6), (40, 41), (40, 60)])
+def test_packed_power_is_the_power_of_the_packed_binomial(k, width):
+    assert packed_power(k, width) == ((1 << width) + 1) ** k
 
 
 def test_unpack_profile_reads_full_fields_and_skips_zeros():
