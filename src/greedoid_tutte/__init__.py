@@ -98,6 +98,7 @@ from .basis_counting import (
     SimpleGraph,
     build_gadget_matrix,
     count_bases,
+    count_feasible_templates,
     count_perfect_matchings,
     enumerate_feasible_templates,
     matrix_rank,

@@ -9,6 +9,13 @@ the template's number of bidirected edges, so counting bases for several k
 and solving the resulting linear system recovers the number of feasible
 templates with n/2 bidirected edges: the perfect matchings of G.
 
+The feasible templates are counted by bidirected edges in a search over the
+5 kinds of each edge (absent, bidirected, directed into either end,
+undirected), with the labels counted in closed form
+(:func:`count_feasible_templates`); the listing of every feasible template
+(:func:`enumerate_feasible_templates`) is the reference the count is tested
+against.
+
 The matrix construction, per edge e_i = v_a v_b (a < b) and copy j, places
 the 3x7 block
 
@@ -24,6 +31,7 @@ matroid actually counted lives on the letter columns only.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -171,11 +179,19 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 # rank and basis counting over a field
 
 
+def _field_columns(columns, p: int) -> list[tuple]:
+    """The columns as int tuples reduced mod p, refused unless all of one length."""
+    cols = [tuple(int(v) % p if p else int(v) for v in col) for col in columns]
+    if len({len(col) for col in cols}) > 1:
+        raise PreconditionError("columns must all have the same length")
+    return cols
+
+
 def matrix_rank(columns, field: Field) -> int:
     """Rank of the given column vectors over the field."""
     p, rows = field.char, ()
-    for col in columns:
-        rows = _insert(rows, tuple(int(v) % p if p else int(v) for v in col), p) or rows
+    for col in _field_columns(columns, p):
+        rows = _insert(rows, col, p) or rows
     return len(rows)
 
 
@@ -187,7 +203,7 @@ def _eliminate(vec: tuple, row: tuple, lead: int, p: int) -> tuple:
 
 def _normalize(vec: tuple, p: int) -> tuple:
     """The multiple of a nonzero vector that is monic mod p, or primitive with a positive lead."""
-    lead = next(x for x in vec if x)
+    lead = next(filter(None, vec))
     if p:
         inv = pow(lead, -1, p)
         return tuple(x * inv % p for x in vec)
@@ -196,7 +212,7 @@ def _normalize(vec: tuple, p: int) -> tuple:
 
 
 def _lead(vec: tuple) -> int:
-    return next(t for t, x in enumerate(vec) if x)
+    return vec.index(next(filter(None, vec)))  # the first nonzero value first occurs there
 
 
 def _insert(rows: tuple, vec: tuple, p: int) -> tuple | None:
@@ -205,15 +221,22 @@ def _insert(rows: tuple, vec: tuple, p: int) -> tuple | None:
     Canonical rows are normalized, zero at each other's leading index and
     ordered by it, so equal spans have equal rows.  ``vec`` is reduced mod p.
     """
-    for row in rows:
-        if vec[_lead(row)]:
-            vec = _eliminate(vec, row, _lead(row), p)
+    leads = [_lead(row) for row in rows]
+    for row, lead in zip(rows, leads):
+        if vec[lead]:
+            vec = _eliminate(vec, row, lead, p)
     if not any(vec):
         return None
     new = _normalize(vec, p)
     lead = _lead(new)
-    out = [_normalize(_eliminate(row, new, lead, p), p) if row[lead] else row for row in rows]
-    return tuple(sorted(out + [new], key=_lead))
+    out = []
+    for row in rows:
+        if row[lead]:
+            # ``new`` is zero at every lead, so the row keeps its lead; over GF(p) ``new`` is monic and so is the row
+            row = _eliminate(row, new, lead, p) if p else _normalize(_eliminate(row, new, lead, p), p)
+        out.append(row)
+    out.insert(bisect_left(leads, lead), new)
+    return tuple(out)
 
 
 def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list[tuple], list[int]]:
@@ -293,7 +316,7 @@ def count_bases(
     if size is not None and size < 0:
         raise PreconditionError(f"cannot count subsets of negative size {size}")
     p = field.char
-    cols = [tuple(int(v) % p if p else int(v) for v in col) for col in columns]
+    cols = _field_columns(columns, p)
     coords, pivots = _suffix_coordinates(cols, p)
     need = len(pivots) if size is None else size
     states = _state_bound(cols, pivots, need, p)
@@ -382,20 +405,32 @@ def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool)
     n, states = graph.vertex_count, template.states
     heads = [h for (a, b), state in zip(graph.edges, states) for h in _heads(state, a, b)]
     undirected = [(a, b, s.label) for (a, b), s in zip(graph.edges, states) if s and s.kind == "undirected"]
-    parent, cover = list(range(n)), list(range(2 * n))
+    headless = _headless_roots(n, heads, [(a, b) for a, b, _ in undirected])
+    if headless is None:
+        return False
+    if char_two or not headless:
+        return not headless
+    cover = list(range(2 * n))
     for a, b, label in undirected:
-        parent[find(parent, a)] = find(parent, b)
         twist = n if label == "wz" else 0  # a wz edge crosses between the two copies
         cover[find(cover, a)] = find(cover, b + twist)
         cover[find(cover, a + n)] = find(cover, b + n - twist)
+    return all(find(cover, r) == find(cover, r + n) for r in headless)
+
+
+def _headless_roots(n: int, heads, undirected) -> set[int] | None:
+    """Rules (a) and (b) of :func:`template_is_feasible` for the given heads
+    and undirected edges (a, b): the union-find roots of the components of
+    (V, U) without a head, or None when a rule fails.
+    """
+    parent = list(range(n))
+    for a, b in undirected:
+        parent[find(parent, a)] = find(parent, b)
     # (a) and (b) as multisets: each component's root once per vertex, and once per undirected edge or head
     roots = [find(parent, v) for v in range(n)]
-    if sorted(roots) != sorted(roots[v] for v in [a for a, _, _ in undirected] + heads):
-        return False
-    headless = set(roots).difference(roots[h] for h in heads)
-    if char_two:
-        return not headless
-    return all(find(cover, r) == find(cover, r + n) for r in headless)
+    if sorted(roots) != sorted([roots[a] for a, _ in undirected] + [roots[h] for h in heads]):
+        return None
+    return set(roots).difference(roots[h] for h in heads)
 
 
 _WEIGHT = {None: 0, "bidirected": 2, "directed": 1, "undirected": 1}
@@ -436,6 +471,55 @@ def template_counts_by_bidirected(templates) -> dict[int, int]:
     counts: dict[int, int] = {}
     for t in templates:
         counts[t.bidirected_count] = counts.get(t.bidirected_count, 0) + 1
+    return counts
+
+
+def count_feasible_templates(
+    graph: SimpleGraph, char_two: bool, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> dict[int, int]:
+    """Feasible templates by bidirected count, equal to
+    ``template_counts_by_bidirected(enumerate_feasible_templates(...))``.
+
+    The search runs over the 5 kinds of each edge (absent, bidirected,
+    directed into a, directed into b, undirected) with the prefix cuts of
+    :func:`enumerate_feasible_templates`, and rules (a) and (b) of
+    :func:`template_is_feasible`, which read only the kinds, decide each
+    complete assignment once.  Its labels are then counted in closed form:
+    each directed or undirected edge has 2, and rule (c) keeps exactly half
+    the labelings of each headless component's circuit (those with an odd
+    number of wz edges) over fields other than GF(2), and none over GF(2).
+    So an assignment with d directed and u undirected edges and h headless
+    components gives 2^(d + u - h) feasible templates, or 0 over GF(2)
+    when h > 0.  Bounded like the listing, as 3 elements per edge.
+    """
+    _check_bound(3 * graph.edge_count, max_elements)
+    n, m = graph.vertex_count, graph.edge_count
+    # per edge and kind: heads as a bitmask, weight, undirected edges added, bidirected and labelled edges
+    kinds = [
+        [
+            (0, 0, (), 0, 0),
+            (1 << a | 1 << b, 2, (), 1, 0),
+            (1 << a, 1, (), 0, 1),
+            (1 << b, 1, (), 0, 1),
+            (0, 1, ((a, b),), 0, 1),
+        ]
+        for a, b in graph.edges
+    ]
+    counts: dict[int, int] = {}
+
+    def extend(i: int, heads: int, weight: int, undirected: tuple, bidirected: int, labelled: int) -> None:
+        if weight > n or weight + 2 * (m - i) < n:
+            return
+        if i == m:
+            headless = _headless_roots(n, [v for v in range(n) if heads >> v & 1], undirected)
+            if headless is not None and not (char_two and headless):
+                counts[bidirected] = counts.get(bidirected, 0) + (1 << labelled - len(headless))
+            return
+        for new, step, pair, bi, lab in kinds[i]:
+            if not heads & new:
+                extend(i + 1, heads | new, weight + step, undirected + pair, bidirected + bi, labelled + lab)
+
+    extend(0, 0, 0, (), 0, 0)
     return counts
 
 
@@ -543,42 +627,36 @@ def recover_perfect_matchings(
     subset space stays at most ``_DIRECT_LIMIT`` and taken from the
     per-template closed form otherwise (legitimized by the partition
     property, which the test suite establishes on directly enumerable
-    cases).  Solving the linear system in the template counts then yields
-    t_(n/2), the number of perfect matchings.  The template search is
-    bounded by ``max_elements`` as in :func:`enumerate_feasible_templates`.
+    cases), with the template counts from :func:`count_feasible_templates`.
+    Solving the linear system in the template counts, whose coefficient
+    rows are the same closed forms, then yields t_(n/2), the number of
+    perfect matchings.  The template count is bounded by ``max_elements``,
+    as 3 elements per edge, before any search.
     """
     n, m = graph.vertex_count, graph.edge_count
     if n % 2:
         raise OddVertexCountError("perfect matching recovery needs an even vertex count")
     char_two = field.is_char_two
-    t_true = template_counts_by_bidirected(
-        enumerate_feasible_templates(graph, char_two, max_elements)
-    )
+    t_true = count_feasible_templates(graph, char_two, max_elements)
     top = n // 2
+    coefficients = [
+        [predicted_bases_per_template(n, m, k, j, char_two) for j in range(top + 1)] for k in range(1, top + 2)
+    ]
     b_values: list[int] = []
     sources: list[str] = []
-    for k in range(1, top + 2):
+    for k, row in enumerate(coefficients, 1):
         if comb(4 * m * k, n + m * k) <= _DIRECT_LIMIT:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
             sources.append("enumerated")
         else:
-            total = sum(
-                predicted_bases_per_template(n, m, k, j, char_two) * t_true.get(j, 0)
-                for j in range(top + 1)
-            )
+            total = sum(coefficient * t_true.get(j, 0) for j, coefficient in enumerate(row))
             if total.denominator != 1:
                 raise AssertionError("template sum must be an integer")
             b_k = int(total)
             sources.append("template-sum")
         b_values.append(b_k)
-    system = ExactMatrix(
-        [
-            [predicted_bases_per_template(n, m, k, j, char_two) for j in range(top + 1)]
-            for k in range(1, top + 2)
-        ]
-    )
-    solution = bareiss_solve(system, b_values)
+    solution = bareiss_solve(ExactMatrix(coefficients), b_values)
     t_values = []
     for value in solution:
         if value.denominator != 1 or value < 0:

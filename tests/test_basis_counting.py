@@ -13,6 +13,7 @@ from greedoid_tutte import (
     SimpleGraph,
     build_gadget_matrix,
     count_bases,
+    count_feasible_templates,
     count_perfect_matchings,
     enumerate_feasible_templates,
     matrix_rank,
@@ -591,3 +592,73 @@ def test_feasibility_rule_matches_definition(graph, data):
         counts = template_counts_by_bidirected(enumerate_feasible_templates(graph, char_two))
         predicted = sum(predicted_bases_per_template(n, m, 1, b, char_two) * c for b, c in counts.items())
         assert count_bases(gm.ground_columns(), field, gm.target_rank) == predicted, str(field)
+
+
+@pytest.mark.parametrize("field", [GF2, RATIONALS], ids=str)
+def test_ragged_columns_are_refused(field):
+    """Columns of unequal length raise instead of having their tails dropped."""
+    with pytest.raises(PreconditionError, match="same length"):
+        matrix_rank([(1, 0), (1, 0, 1)], field)
+    with pytest.raises(PreconditionError, match="same length"):
+        count_bases([(1, 0, 1), (0, 1)], field)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(simple_graphs())
+def test_kind_count_matches_template_listing(graph):
+    """Counting by edge kind, labels in closed form, against the listed templates;
+    the graphs drawn have 3 to 6 vertices, odd counts and circuits included."""
+    for char_two in (True, False):
+        listed = template_counts_by_bidirected(enumerate_feasible_templates(graph, char_two))
+        assert count_feasible_templates(graph, char_two) == listed, (graph, char_two)
+
+
+PATH_EDGE = SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (4, 5)))
+TWO_PATHS = SimpleGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5)))
+STAR_EDGE = SimpleGraph(6, ((0, 1), (0, 2), (0, 3), (4, 5)))
+
+# (graph, field) -> (b_values, t_values), as recovered through the template listing
+RECOVERED = [
+    (K2, GF2, (4, 56), (0, 1)),
+    (K2, GF3, (4, 58), (0, 1)),
+    (K2, RATIONALS, (4, 58), (0, 1)),
+    (PATH3, GF2, (256, 222208, 67829760), (0, 48, 1)),
+    (PATH3, GF3, (256, 232000, 71995392), (0, 48, 1)),
+    (PATH3, RATIONALS, (256, 232000, 71995392), (0, 48, 1)),
+    (C4, GF2, (4064, 14581760, 18025021440), (480, 192, 2)),
+    (C4, GF3, (4072, 15124480, 18940428288), (488, 192, 2)),
+    (C4, RATIONALS, (4072, 15124480, 18940428288), (488, 192, 2)),
+    (PATH_EDGE, GF2, (1024, 12443648, 32558284800, 44276817854464), (0, 0, 48, 1)),
+    (PATH_EDGE, GF3, (1024, 13456000, 36285677568, 50142065459200), (0, 0, 48, 1)),
+    (PATH_EDGE, RATIONALS, (1024, 13456000, 36285677568, 50142065459200), (0, 0, 48, 1)),
+    (TWO_PATHS, GF2, (1024, 12845056, 33973862400, 46454366273536), (0, 0, 64, 0)),
+    (TWO_PATHS, GF3, (1024, 13778944, 37456183296, 51969104281600), (0, 0, 64, 0)),
+    (TWO_PATHS, RATIONALS, (1024, 13778944, 37456183296, 51969104281600), (0, 0, 64, 0)),
+    (STAR_EDGE, GF2, (768, 9633792, 25480396800, 34840774705152), (0, 0, 48, 0)),
+    (STAR_EDGE, GF3, (768, 10334208, 28092137472, 38976828211200), (0, 0, 48, 0)),
+    (STAR_EDGE, RATIONALS, (768, 10334208, 28092137472, 38976828211200), (0, 0, 48, 0)),
+]
+
+
+@pytest.mark.parametrize("graph,field,b_values,t_values", RECOVERED)
+def test_recovery_values_pinned(graph, field, b_values, t_values):
+    report = recover_perfect_matchings(graph, field)
+    assert (report.b_values, report.t_values) == (b_values, t_values)
+    assert report.match
+
+
+def test_kind_count_is_bounded_first(monkeypatch):
+    """The recovery refuses 7 edges (21 elements) before any leaf, lift or basis count."""
+    seven = SimpleGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)))
+
+    def never(*args):
+        raise AssertionError("work done before the bound")
+
+    for name in ("build_gadget_matrix", "count_bases", "_headless_roots"):
+        monkeypatch.setattr(basis_counting, name, never)
+    with pytest.raises(GroundSetTooLargeError):
+        count_feasible_templates(seven, True)
+    with pytest.raises(GroundSetTooLargeError):
+        count_feasible_templates(C4, False, max_elements=11)
+    with pytest.raises(GroundSetTooLargeError):
+        recover_perfect_matchings(seven, GF2)
