@@ -254,17 +254,23 @@ def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list[tuple], list[in
     return [tuple(by_pivot[b][n - 1 - j] for b in pivots) for j in range(n)], pivots
 
 
-def _state_bound(cols: list[tuple], pivots: list[int], need: int, p: int) -> int:
+def _state_bound(coords: list[tuple], pivots: list[int], need: int, p: int) -> int:
     """Upper bound on the states of any one layer of the span-state DP.
 
     After i columns S lies in a space of dimension w = r(first i) + r(rest) - r(all),
     and d = dim S <= |A| <= d + r(first i) - w and need - |A| <= r(rest) - d.
     Over GF(q) there are [w choose d]_q spaces S; over any field, distinct
-    states come from distinct subsets of the first i columns.
+    states come from distinct subsets of the first i columns.  The prefix
+    ranks come from the columns' coordinates, an invertible image of them.
     """
-    left = [len(cols) - 1 - j for j in _suffix_coordinates(cols[::-1], p)[1]]  # greedy from the left
+    left, rows = [], ()  # the columns picked greedily from the left
+    for j, coord in enumerate(coords):
+        grown = _insert(rows, coord, p)
+        if grown:
+            rows = grown
+            left.append(j)
     worst = 0
-    for i in range(len(cols) + 1):
+    for i in range(len(coords) + 1):
         rx, rr = sum(j < i for j in left), sum(b >= i for b in pivots)
         w = rx + rr - len(pivots)
         bound = sum(comb(i, a) for a in range(max(0, need - rr), min(need, rx) + 1))
@@ -319,7 +325,7 @@ def count_bases(
     cols = _field_columns(columns, p)
     coords, pivots = _suffix_coordinates(cols, p)
     need = len(pivots) if size is None else size
-    states = _state_bound(cols, pivots, need, p)
+    states = _state_bound(coords, pivots, need, p)
     if states > max_subsets:
         raise GroundSetTooLargeError(
             len(cols),
@@ -527,8 +533,8 @@ def predicted_bases_per_template(n: int, m: int, k: int, bidirected: int, char_t
     """Closed-form basis count of one feasible template with b bidirected edges."""
     if k < 1:
         raise PreconditionError("need k >= 1")
-    per_bidirected = Fraction(4, k) + 12 if char_two else Fraction(3, k) + 13
-    return Fraction(4) ** (k * m) * Fraction(k, 4) ** n * per_bidirected**bidirected
+    per_bidirected = 12 * k + 4 if char_two else 13 * k + 3  # k times the factor per bidirected edge
+    return Fraction(4 ** (k * m) * k**n * per_bidirected**bidirected, 4**n * k**bidirected)
 
 
 def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template:

@@ -3,7 +3,12 @@
 Solves and determinants first clear the denominators of every row and then
 run Bareiss' fraction-free elimination with full pivoting over the integers,
 so all intermediate values are integers with polynomially bounded bit length
-and the final answers are exact rationals.
+and the final answers are exact rationals.  Back-substitution solves for the
+determinant times the solution, an integer vector, with exact divisions.
+
+A Vandermonde system is built as integers directly: the row of a node a/q
+becomes a^j q^(n-1-j), j = 0 .. n-1, for any window of exponents (see
+:func:`vandermonde_solve`), so no rational power is ever formed.
 """
 
 from __future__ import annotations
@@ -154,8 +159,8 @@ def bareiss_solve(matrix: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve Ax = b exactly for square nonsingular A.
 
     Row denominators of the augmented system are cleared first (row scalings
-    do not change the solution), then the integer system is triangularized by
-    Bareiss steps and back-substituted with exact rationals.
+    do not change the solution), then the integer system is solved by
+    :func:`_solve_integer`.
     """
     if not matrix.is_square:
         raise NotSquareError(f"solve with a {matrix.rows}x{matrix.cols} matrix")
@@ -167,27 +172,41 @@ def bareiss_solve(matrix: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         return ()
     augmented = [list(row) + [b[i]] for i, row in enumerate(matrix.entries)]
     a, _ = _clear_denominators(augmented)
+    return _solve_integer(a, n)
+
+
+def _solve_integer(a: list[list[int]], n: int) -> tuple[Fraction, ...]:
+    """The solution of the n x (n + 1) augmented integer system ``a``.
+
+    Bareiss steps triangularize ``a`` in place; the last pivot is then the
+    determinant D up to sign, so D x is an integer vector (Cramer's rule) and
+    back-substitution for it divides exactly.  The column permutation of the
+    pivoting is undone at the end.
+    """
     _, colperm = _bareiss_forward(a, n, n + 1)
-    if a[n - 1][n - 1] == 0:
+    det = a[n - 1][n - 1]
+    if det == 0:
         raise SingularMatrixError("matrix is singular")
-    x: list[Fraction | None] = [None] * n
+    scaled = [0] * n  # D x, in pivot order
     for i in range(n - 1, -1, -1):
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    result: list[Fraction | None] = [None] * n
+        row = a[i]
+        acc = det * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = acc // row[i]
+    result: list[Fraction] = [Fraction(0)] * n
     for pos, original in enumerate(colperm):
-        result[original] = x[pos]
-    return tuple(result)  # type: ignore[arg-type]
+        result[original] = Fraction(scaled[pos], det)
+    return tuple(result)
 
 
 def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 0) -> LaurentPoly:
     """Interpolate the unique polynomial spanning the given exponent window.
 
-    The result has exponents ``lowest_exponent .. lowest_exponent+n-1`` and
-    takes ``values[i]`` at ``nodes[i]``.  Interpolation runs through
-    :func:`bareiss_solve` on the (shifted-power) Vandermonde system.
+    The result has exponents ``L .. L+n-1``, L = ``lowest_exponent``, and
+    takes ``values[i]`` at ``nodes[i]``.  The row of a node a/q (in lowest
+    terms, q > 0) is scaled by a^(-L) q^(L+n-1), which makes it the integer
+    row a^j q^(n-1-j), j = 0 .. n-1, whatever L is; the denominator of the
+    scaled value multiplies into the row.  The integer system is solved by
+    Bareiss steps with no rational matrix built.
     """
     pts = [rational(v) for v in nodes]
     vals = [rational(v) for v in values]
@@ -202,6 +221,15 @@ def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 
     n = len(pts)
     if n == 0:
         return LaurentPoly.zero()
-    system = ExactMatrix([[p ** (lowest_exponent + j) for j in range(n)] for p in pts])
-    coeffs = bareiss_solve(system, vals)
+    low, high = lowest_exponent, lowest_exponent + n - 1  # a^(-low) q^high scales each row
+    system = []
+    for point, value in zip(pts, vals):
+        a, q = point.numerator, point.denominator
+        scaled = Fraction(
+            value.numerator * a ** max(-low, 0) * q ** max(high, 0),
+            value.denominator * a ** max(low, 0) * q ** max(-high, 0),
+        )
+        d = scaled.denominator
+        system.append([d * a**j * q ** (n - 1 - j) for j in range(n)] + [scaled.numerator])
+    coeffs = _solve_integer(system, n)
     return LaurentPoly({lowest_exponent + j: coeffs[j] for j in range(n)})

@@ -39,6 +39,16 @@ multiplicativity of the greedoid polynomial over such joins: Gordon and
 McMahon, Proc. Amer. Math. Soc. 107, 1989).  Loops, repeated elements,
 arcs into the root and unreached vertices need no special case.
 
+A block of 2 vertices, p and one other vertex q, needs no sum and no table.
+Let it hold d elements from p to q (every edge of a graph block) and u arcs
+from q to p.  The set {p} leaves the u arcs and all below q free, and
+R_{p,q} = (1+z)^u ((1+z)^d - 1), so the part at and below p is
+
+    (1+z)^(u + m_q) + w (1+z)^u ((1+z)^d - 1) P_q.
+
+The work estimate in :func:`.tutte._carrier_profile` still counts such a
+block as 3 products, so the choice between engines is unchanged.
+
 Every polynomial in z is packed into one int with m + 1 bits per
 coefficient, m being the number of elements, as
 :func:`.primitives.packed_powers` sets out; every R_S is nonnegative
@@ -108,6 +118,15 @@ def _block_profile(
     ``elements`` counts the block's elements by end pair, and ``hanging`` gives
     (P_c, m_c) for each other vertex in turn.
     """
+    if len(vertices) == 2:  # the closed form; see the module docstring
+        top, other = vertices
+        ((hanging_profile, below),) = hanging
+        up = elements.get((other, top), 0) if directed else 0
+        down = sum(elements.values()) - up
+        both = powers[up] * (powers[down] - 1)
+        if below:
+            both *= hanging_profile
+        return powers[up + below] + (both << stride), down + up + below
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     pairs = np.zeros((n, n), dtype=np.int64)  # elements by end (tail, head) indices

@@ -444,6 +444,18 @@ def test_count_bases_beyond_subset_enumeration():
             assert count_bases(gm.ground_columns(), field, gm.target_rank) == predicted, (k, str(field))
 
 
+def test_predicted_bases_match_the_product_of_fraction_powers():
+    """The one-fraction closed form against the product it replaces."""
+    for k in range(1, 7):
+        for n in range(11):
+            for m in range(n + 1):
+                for b in range(n // 2 + 1):
+                    for char_two in (True, False):
+                        per_bidirected = Fraction(4, k) + 12 if char_two else Fraction(3, k) + 13
+                        expected = Fraction(4) ** (k * m) * Fraction(k, 4) ** n * per_bidirected**b
+                        assert predicted_bases_per_template(n, m, k, b, char_two) == expected
+
+
 def test_count_bases_state_bound_raises_first(monkeypatch):
     """An over-budget count raises before the first DP step."""
 

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import ExactMatrix, bareiss_solve, det_exact, vandermonde_solve
 from greedoid_tutte.errors import (
     DuplicateNodeError,
     NotSquareError,
+    PreconditionError,
     SingularMatrixError,
 )
 
@@ -120,3 +122,31 @@ def test_vandermonde_interpolates_exactly():
 def test_vandermonde_duplicate_node():
     with pytest.raises(DuplicateNodeError):
         vandermonde_solve([1, 1], [2, 3])
+
+
+@st.composite
+def interpolation_problems(draw):
+    """Distinct fractional and negative nodes, any values, and an exponent window from -4 to 3."""
+    lowest = draw(st.integers(-4, 3))
+    numerator = st.integers(-9, 9) if lowest == 0 else st.integers(-9, 9).filter(bool)
+    node = st.builds(Fraction, numerator, st.integers(1, 6))
+    nodes = draw(st.lists(node, min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(st.fractions(max_denominator=12), min_size=len(nodes), max_size=len(nodes)))
+    return nodes, values, lowest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(interpolation_problems())
+def test_vandermonde_interpolates_fractional_nodes(problem):
+    nodes, values, lowest = problem
+    poly = vandermonde_solve(nodes, values, lowest)
+    assert all(lowest <= e < lowest + len(nodes) for e in poly.terms)
+    for node, value in zip(nodes, values):
+        assert poly.evaluate(node) == value
+
+
+def test_vandermonde_refuses_node_zero_outside_the_window_and_equal_fractions():
+    with pytest.raises(PreconditionError):
+        vandermonde_solve([0, 1], [1, 2], lowest_exponent=2)
+    with pytest.raises(DuplicateNodeError):
+        vandermonde_solve([Fraction(2, 4), "1/2"], [1, 2])

@@ -106,6 +106,24 @@ def test_block_engine_matches_enumeration(carrier):
     assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
 
 
+DIGON_PATH = RootedDigraph(3, ((0, 1), (1, 0), (1, 2), (2, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        # arcs both ways in every block, stars of k arcs hanging below each cut vertex
+        *(attach_digraphs(DIGON_PATH, directed_star(k)) for k in range(4)),
+        # 3 parallel edges, one written from the far end, with a subtree and a loop below
+        RootedGraph(6, ((0, 1), (1, 0), (0, 1), (1, 2), (2, 3), (2, 3), (2, 4), (4, 4), (1, 5)), 0),
+    ],
+)
+def test_two_vertex_blocks_match_enumeration(carrier):
+    """Every block here has 2 vertices, so the engine takes only its closed form."""
+    expected = rank_size_profile(to_greedoid(carrier))
+    assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
 @pytest.fixture
 def engines(monkeypatch):
     """Name the engine behind each carrier profile, starting from an empty cache."""
