@@ -43,7 +43,7 @@ from .errors import (
     OddVertexCountError,
     PreconditionError,
 )
-from .exact import ExactMatrix, bareiss_solve
+from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
 from .primitives import find, gaussian_binomial
 
@@ -634,10 +634,11 @@ def recover_perfect_matchings(
     per-template closed form otherwise (legitimized by the partition
     property, which the test suite establishes on directly enumerable
     cases), with the template counts from :func:`count_feasible_templates`.
-    Solving the linear system in the template counts, whose coefficient
-    rows are the same closed forms, then yields t_(n/2), the number of
-    perfect matchings.  The template count is bounded by ``max_elements``,
-    as 3 elements per edge, before any search.
+    The closed form for a template with j bidirected edges is c_k x_k^j, so
+    b_k = c_k sum over j of t_j x_k^j, and interpolating the template
+    polynomial through the distinct nodes x_k then yields t_(n/2), the
+    number of perfect matchings.  The template count is bounded by
+    ``max_elements``, as 3 elements per edge, before any search.
     """
     n, m = graph.vertex_count, graph.edge_count
     if n % 2:
@@ -645,26 +646,25 @@ def recover_perfect_matchings(
     char_two = field.is_char_two
     t_true = count_feasible_templates(graph, char_two, max_elements)
     top = n // 2
-    coefficients = [
-        [predicted_bases_per_template(n, m, k, j, char_two) for j in range(top + 1)] for k in range(1, top + 2)
-    ]
+    scales = [predicted_bases_per_template(n, m, k, 0, char_two) for k in range(1, top + 2)]
+    nodes = [predicted_bases_per_template(n, m, k, 1, char_two) / c for k, c in enumerate(scales, 1)]
     b_values: list[int] = []
     sources: list[str] = []
-    for k, row in enumerate(coefficients, 1):
+    for k, (c, x) in enumerate(zip(scales, nodes), 1):
         if comb(4 * m * k, n + m * k) <= _DIRECT_LIMIT:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
             sources.append("enumerated")
         else:
-            total = sum(coefficient * t_true.get(j, 0) for j, coefficient in enumerate(row))
+            total = c * sum(t_true.get(j, 0) * x**j for j in range(top + 1))
             if total.denominator != 1:
                 raise AssertionError("template sum must be an integer")
             b_k = int(total)
             sources.append("template-sum")
         b_values.append(b_k)
-    solution = bareiss_solve(ExactMatrix(coefficients), b_values)
+    solution = vandermonde_solve(nodes, [b / c for b, c in zip(b_values, scales)])
     t_values = []
-    for value in solution:
+    for value in (solution.terms.get(j, Fraction(0)) for j in range(top + 1)):
         if value.denominator != 1 or value < 0:
             raise AssertionError("recovered template counts must be non-negative integers")
         t_values.append(int(value))

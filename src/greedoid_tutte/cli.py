@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -84,7 +85,10 @@ def _emit(args, payload: str) -> None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload if payload.endswith("\n") else payload + "\n")
     else:
-        print(payload)
+        try:
+            print(payload, flush=True)
+        except BrokenPipeError:  # the reader has closed stdout; what it left unread is not wanted
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _read_rooted(path: str):
@@ -232,14 +236,10 @@ def _cmd_vertigan(args) -> int:
 
 def _verify_axioms(carrier, max_elements: int) -> list[str]:
     g = to_greedoid(carrier)
-    problems = []
+    ranks = subset_ranks(g, max_elements)  # first: it refuses a table past the work limit at once
     family = enumerate_feasible_sets(g, max_elements)
-    report = verify_family_axioms(g.size, family)
-    problems += [f"{v.axiom}: witness {v.witness}" for v in report.violations]
-    ranks = subset_ranks(g, max_elements)
-    report = verify_rank_axioms(g.size, ranks)
-    problems += [f"{v.axiom}: witness {v.witness}" for v in report.violations]
-    return problems
+    reports = [verify_family_axioms(g.size, family), verify_rank_axioms(g.size, ranks)]
+    return [f"{v.axiom}: witness {v.witness}" for report in reports for v in report.violations]
 
 
 def _cmd_verify(args) -> int:

@@ -47,6 +47,7 @@ from .greedoid import (
     DEFAULT_MAX_ELEMENTS,
     Greedoid,
     _check_bound,
+    _check_work,
     closure,
     enumerate_feasible_sets,
     max_feasible_subset,
@@ -420,6 +421,7 @@ def count_subtrees_typed(
     """
     m = graph.edge_count
     _check_bound(m, max_elements)
+    _check_work(m, [(1 << m, "steps over edge subsets")])
     table: dict[tuple[int, int], int] = {}
 
     def record(vertices: set[int], edge_mask: int) -> None:

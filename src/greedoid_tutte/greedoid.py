@@ -25,14 +25,18 @@ from .primitives import find, packed_power, unpack_profile
 
 DEFAULT_MAX_ELEMENTS = 20
 
-# The most work any subset profile may take, in the unit its engine is
-# chosen by: subsets for enumeration, pairs of vertex sets for the
-# vertex-subset engine, spans for the span-state engine; also the most bits
-# the vertex-subset engine's packed polynomials may take.  Enumeration at
-# this bound already takes about half a minute and a GiB of arrays, and each
-# step past it doubles that, so a larger profile, or a larger rank table, is
-# refused up front, whatever element bound the caller passes.
+# The most any figure of exponential work may reach, whatever the element
+# bound.  Enumeration at this bound already takes about half a minute and a
+# GiB of arrays, and each step past it doubles that.
 _MAX_WORK = 2**26
+
+
+def _check_work(size: int, figures: Sequence[tuple[int, str]]) -> None:
+    """Refuse work on ``size`` elements, naming every (figure, what) past ``_MAX_WORK``."""
+    over = ", and ".join(f"about 2^{f.bit_length() - 1} {what}" for f, what in figures if f > _MAX_WORK)
+    if over:
+        limit = f"past the limit of 2^{_MAX_WORK.bit_length() - 1}"
+        raise GroundSetTooLargeError(size, _MAX_WORK, f"these {size} elements take {over}, {limit}")
 
 
 def mask_of(elements: Iterable[int], size: int | None = None) -> int:
@@ -246,13 +250,7 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     """
     _check_bound(greedoid.size, max_elements)
     n = greedoid.size
-    if 1 << n > _MAX_WORK:
-        raise GroundSetTooLargeError(
-            n,
-            _MAX_WORK,
-            f"the rank table of these {n} elements has 2^{n} entries, "
-            f"past the limit of 2^{_MAX_WORK.bit_length() - 1}",
-        )
+    _check_work(n, [(1 << n, "entries of a rank table")])
     pc = _popcounts(n)
     ranks = np.zeros(1 << n, dtype=np.uint8)
     feasible = enumerate_feasible_sets(greedoid, max_elements)
@@ -392,7 +390,8 @@ def verify_family_axioms(size: int, feasible_sets: Iterable[int]) -> AxiomReport
 
     Reports the empty-set axiom and, for every pair of feasible sets of
     different sizes, the existence of a single-element feasible extension of
-    the smaller inside the larger (with witnesses when it fails).
+    the smaller inside the larger (with witnesses when it fails).  More than
+    ``_MAX_WORK`` such pairs are refused before the first is checked.
     """
     family = set(feasible_sets)
     violations: list[AxiomViolation] = []
@@ -401,6 +400,8 @@ def verify_family_axioms(size: int, feasible_sets: Iterable[int]) -> AxiomReport
     by_size: dict[int, list[int]] = {}
     for f in family:
         by_size.setdefault(bin(f).count("1"), []).append(f)
+    counts = [len(sets) for sets in by_size.values()]  # pairs of sets of different sizes, checked below
+    _check_work(size, [((sum(counts) ** 2 - sum(c * c for c in counts)) // 2, "pairs of feasible sets")])
     sizes = sorted(by_size)
     for big_size in sizes:
         for small_size in sizes:

@@ -29,7 +29,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from .carriers import BinaryMatrix
-from .primitives import packed_power, unpack_profile
+from .primitives import gaussian_binomial, packed_power, unpack_profile
+
+
+def span_state_cost(rank: int, classes: int) -> list[tuple[int, str]]:
+    """The engine's one figure for a matrix of rank R and ``classes`` distinct columns.
+
+    That is N(R), the most spans a layer can hold.  N(R) >= [R choose
+    R//2]_2 >= 2^(R*R//4), so when that already reaches the 2^classes
+    subsets of enumeration it stands in for N(R), which is then never summed.
+    """
+    low = rank * rank // 4
+    spans = 1 << low if low >= classes else sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1))
+    return [(spans, "spans by the span-state engine")]
 
 
 def span_state_profile(

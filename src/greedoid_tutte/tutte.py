@@ -34,7 +34,6 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
-    carrier_elements,
     carrier_rank,
     digraph_has_directed_cycle,
     graph_is_connected,
@@ -44,7 +43,7 @@ from .carriers import (
     sink_count,
     to_greedoid,
 )
-from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
+from .errors import NotConnectedError, NotOnCurveError
 from .exact import ExactMatrix, det_exact
 from .greedoid import (
     _MAX_WORK,
@@ -52,12 +51,13 @@ from .greedoid import (
     Greedoid,
     SubsetProfile,
     _check_bound,
+    _check_work,
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, blocks, gaussian_binomial, join_edges, reach, renumber
-from .span_profile import span_state_profile
-from .vertex_profile import vertex_subset_profile
+from .primitives import binomial_shift, join_edges, reach, renumber
+from .span_profile import span_state_cost, span_state_profile
+from .vertex_profile import vertex_subset_cost, vertex_subset_profile
 
 
 @dataclass(frozen=True)
@@ -119,53 +119,27 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
-    """Profile of a carrier, by the engine with less work.
+    """Profile of a carrier, by the engine with fewer steps.
 
-    Enumeration over the classes of identical elements visits the 2^classes
-    subsets of the core.  For a rooted graph or digraph, the vertex-subset
-    engine makes 3^(|B|-1) products for each block B of the graph the root
-    reaches (3^(n-1) when the n vertices the root reaches form one block);
-    for a binary matrix of rank R, the span-state engine keeps at most N(R)
-    spans per column, N(R) being the number of subspaces of GF(2)^R.  The
-    second engine runs when its figure is below 2^classes.  One search for
-    the reached vertices and one for the blocks, or one GF(2) elimination,
-    give both that choice and the rank.  When the work of the chosen engine
-    exceeds ``_MAX_WORK``, ``GroundSetTooLargeError`` is raised before
-    anything is allocated; the vertex-subset engine is passed over when its
-    packed polynomials would take more than ``_MAX_WORK`` bits.
+    Enumeration over the classes of identical elements takes 2^classes
+    steps; the family's own engine states its figures, steps first, and runs
+    when they all fit and its steps are fewer.  When neither engine fits,
+    ``GroundSetTooLargeError`` names every figure past the limit.
     """
     core, sizes = merge_identical_elements(carrier)
-    size, subsets = sum(sizes), 2 ** len(sizes)
-    by = "by its cheapest engine"
+    size, steps = sum(sizes), 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
-        # N(R) >= [R choose R//2]_2 >= 2^(R*R//4): only a small rank can win
-        small = rank * rank // 4 < len(sizes)
-        work = sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1)) if small else subsets
+        figures, engine = span_state_cost(rank, len(sizes)), lambda: span_state_profile(core, sizes, rank)
     else:
         reached = root_reach(core)
-        tree, _ = blocks(core.root, [pair for pair in carrier_elements(core) if pair[0] in reached])
         rank = len(reached) - 1
-        work = sum(3 ** len(others) for _, others in tree)
-        # (1+z)^k for k <= size and the profile: about (size + rank)(size + 1)^2 bits
-        bits = (size + rank + 2) * (size + 1) ** 2
-        if bits > _MAX_WORK:
-            work, by = subsets, f"by enumeration, and about 2^{bits.bit_length() - 1} bits by the vertex-subset engine"
-    work = min(work, subsets)
-    if work > _MAX_WORK:
-        raise GroundSetTooLargeError(
-            size,
-            _MAX_WORK,
-            f"the profile of these {size} elements takes about 2^{work.bit_length() - 1} "
-            f"steps {by}, past the limit of 2^{_MAX_WORK.bit_length() - 1}",
-        )
-    if work == subsets:
-        counts = rank_size_profile(to_greedoid(core), size, sizes)
-    elif isinstance(carrier, BinaryMatrix):
-        counts = span_state_profile(core, sizes, rank)
-    else:
-        counts = vertex_subset_profile(carrier, reached)
-    return SubsetProfile(counts, size, rank)
+        figures, engine = vertex_subset_cost(core, reached, size), lambda: vertex_subset_profile(carrier, reached)
+    if figures[0][0] < steps and all(figure <= _MAX_WORK for figure, _ in figures):
+        return SubsetProfile(engine(), size, rank)
+    if steps > _MAX_WORK:  # so neither engine fits
+        _check_work(size, [(steps, "steps by enumeration"), *figures])
+    return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:

@@ -46,9 +46,6 @@ R_{p,q} = (1+z)^u ((1+z)^d - 1), so the part at and below p is
 
     (1+z)^(u + m_q) + w (1+z)^u ((1+z)^d - 1) P_q.
 
-The work estimate in :func:`.tutte._carrier_profile` still counts such a
-block as 3 products, so the choice between engines is unchanged.
-
 Every polynomial in z is packed into one int with m + 1 bits per
 coefficient, m being the number of elements, as
 :func:`.primitives.packed_powers` sets out; every R_S is nonnegative
@@ -67,6 +64,22 @@ import numpy as np
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
 from .primitives import blocks, packed_fields, packed_powers, unpack_profile
+
+
+def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], size: int) -> list[tuple[int, str]]:
+    """The products and the bits this engine takes for a carrier of ``size`` elements.
+
+    ``core`` holds one element per class of identical elements, and
+    ``reached`` the vertices its root reaches.  A block B takes 3^(|B|-1)
+    products; a block of 2 vertices, though it takes its closed form, counts
+    as 3.  The powers (1+z)^k, k <= size, and the profile take about
+    (size + rank)(size + 1)^2 bits.
+    """
+    tree, _ = blocks(core.root, [pair for pair in carrier_elements(core) if pair[0] in reached])
+    return [
+        (sum(3 ** len(others) for _, others in tree), "products by the vertex-subset engine"),
+        ((size + len(reached) + 1) * (size + 1) ** 2, "bits by the vertex-subset engine"),
+    ]
 
 
 def vertex_subset_profile(

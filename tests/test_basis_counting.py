@@ -674,3 +674,15 @@ def test_kind_count_is_bounded_first(monkeypatch):
         count_feasible_templates(C4, False, max_elements=11)
     with pytest.raises(GroundSetTooLargeError):
         recover_perfect_matchings(seven, GF2)
+
+
+def test_recovery_interpolates_the_template_polynomial(monkeypatch):
+    """b_k / c_k is the template polynomial at x_k = (13k + 3) / k over GF(3):
+    one Vandermonde solve, and no general linear solve."""
+    calls = []
+    original = basis_counting.vandermonde_solve
+    monkeypatch.setattr(basis_counting, "vandermonde_solve", lambda *args: calls.append(args) or original(*args))
+    report = recover_perfect_matchings(C4, GF3)
+    assert report.match and report.recovered == 2
+    assert [nodes for nodes, _ in calls] == [[Fraction(13 * k + 3, k) for k in (1, 2, 3)]]
+    assert not hasattr(basis_counting, "bareiss_solve")

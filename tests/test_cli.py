@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from greedoid_tutte.cli import main
 from greedoid_tutte.carriers import format_carrier, parse_carrier_text
 import greedoid_tutte
-from greedoid_tutte import RootedDigraph, RootedGraph, demo_binary_matrix, path_graph, thicken
+from greedoid_tutte import RootedDigraph, RootedGraph, demo_binary_matrix, path_graph, star_graph, thicken
 from greedoid_tutte import tutte_polynomial
 from greedoid_tutte import tutte as tutte_module
 
@@ -308,3 +310,70 @@ def test_long_path_profile_fits(tmp_path):
     done = run_capped(["eval", str(path), "--x", "2", "--y", "2", "--max-elements", "200"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == str(2**200)
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``.
+
+    Its file descriptor is that of a scratch file, which the CLI may point
+    at the null device."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_quietly(files, tmp_path, monkeypatch, capsys):
+    with monkeypatch.context() as patch, open(tmp_path / "stand-in", "w") as handle:
+        patch.setattr(sys, "stdout", ClosedPipe(handle.fileno()))
+        code = main(["tutte", str(files["p2"])])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_no_traceback(files):
+    """A child whose stdout pipe has no reader left exits with its own code and an empty stderr."""
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "greedoid_tutte.cli", "tutte", str(files["p2"])],
+        env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write)
+    os.close(read)  # before the child has started up, let alone written
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "leaves, bound, figure",
+    [
+        (27, 27, "2^27 entries of a rank table"),  # refused before a feasible set is enumerated
+        (16, 20, "2^30 pairs of feasible sets"),  # 2^16 feasible sets, refused before the pair loop
+    ],
+)
+def test_verify_axioms_refused_before_its_loops(tmp_path, capsys, leaves, bound, figure):
+    path = tmp_path / "star.graph"
+    path.write_text(format_carrier(star_graph(leaves)))
+    start = time.perf_counter()
+    assert main(["verify", "axioms", "--file", str(path), "--max-elements", str(bound)]) == 4
+    assert figure in capsys.readouterr().err
+    assert time.perf_counter() - start < 20
+
+
+def test_verify_stretch_skips_a_long_path(tmp_path, capsys):
+    """30 edges within a bound of 100 elements, but 2^30 edge subsets: that row is skipped."""
+    path = tmp_path / "p30.graph"
+    path.write_text("".join(f"edge {i} {i + 1}\n" for i in range(30)))
+    assert main(["verify", "stretch", "--file", str(path), "--max-elements", "100"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["stretch single-edge: pass", "stretch path-2: pass", "stretch triangle: pass"]
+    assert lines[3].startswith("stretch user: skipped") and "2^30 steps over edge subsets" in lines[3]

@@ -46,6 +46,7 @@ from greedoid_tutte.errors import (
     DenominatorVanishesError,
     DivisionByZeroError,
     FullRowRankError,
+    GroundSetTooLargeError,
     NotConnectedError,
     NotRootConnectedError,
     PreconditionError,
@@ -368,3 +369,10 @@ def test_bidirect_examples():
     assert tutte_polynomial(to_greedoid(single)).terms == {(0, 0): 1}
     with pytest.raises(NotConnectedError):
         bidirect(RootedGraph(2, (), 0))
+
+
+def test_typed_subtree_count_refuses_past_the_work_limit():
+    """A 30-edge path within a bound of 100 elements still has 2^30 edge subsets."""
+    path = UnrootedGraph(31, tuple((i, i + 1) for i in range(30)))
+    with pytest.raises(GroundSetTooLargeError, match="2\\^30 steps over edge subsets"):
+        count_subtrees_typed(path, max_elements=100)

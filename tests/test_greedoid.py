@@ -21,7 +21,7 @@ from greedoid_tutte import (
     verify_family_axioms,
     verify_rank_axioms,
 )
-from greedoid_tutte.greedoid import rank_size_profile, subset_ranks
+from greedoid_tutte.greedoid import rank_size_profile, subset_ranks, _check_work
 from greedoid_tutte.errors import ElementOutOfRangeError, GroundSetTooLargeError
 
 from catalogues import LOOP_GRAPH, TRIANGLE, brute_rank, greedoid_instances
@@ -214,3 +214,20 @@ def test_enumeration_bound_guard():
     with pytest.raises(GroundSetTooLargeError):
         enumerate_feasible_sets(g)
     assert enumerate_feasible_sets(g, max_elements=21) == [0]
+
+
+def test_work_check_names_only_the_figures_past_the_limit():
+    _check_work(5, [(2**26, "steps at the limit")])
+    with pytest.raises(GroundSetTooLargeError) as refused:
+        _check_work(5, [(2**30, "steps by one engine"), (2**10, "bits"), (3**30, "products by another")])
+    assert str(refused.value) == (
+        "these 5 elements take about 2^30 steps by one engine, and about 2^47 products by another, "
+        "past the limit of 2^26"
+    )
+
+
+def test_family_axioms_refuse_too_many_pairs_before_checking():
+    """All 2^16 subsets of 16 elements: about 2^30 pairs of different sizes."""
+    with pytest.raises(GroundSetTooLargeError, match="2\\^30 pairs of feasible sets"):
+        verify_family_axioms(16, range(1 << 16))
+    assert verify_family_axioms(10, range(1 << 10)).ok

@@ -22,7 +22,7 @@ from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.carriers import carrier_rank, merge_identical_elements
 from greedoid_tutte.greedoid import rank_size_profile
-from greedoid_tutte.span_profile import span_state_profile
+from greedoid_tutte.span_profile import span_state_profile, span_state_cost
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -109,3 +109,11 @@ def test_large_rank_refused_without_counting_its_spans():
     with pytest.raises(GroundSetTooLargeError, match="2\\^600 steps"):
         tutte_eval(matrix, 2, 2, max_elements=600)
     assert time.perf_counter() - start < 2.0
+
+
+def test_cost_is_the_subspace_count_or_its_lower_bound():
+    """N(6) = 2825 spans; for rank 600 the bound 2^(600*600//4) stands in for N(600)."""
+    assert span_state_cost(6, 12) == [(2825, "spans by the span-state engine")]
+    start = time.perf_counter()
+    assert span_state_cost(600, 600)[0][0] == 2**90000
+    assert time.perf_counter() - start < 0.1

@@ -22,11 +22,12 @@ from greedoid_tutte import (
 )
 from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.carriers import carrier_elements, format_carrier, root_reach
+from greedoid_tutte.carriers import merge_identical_elements
 from greedoid_tutte.cli import main
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.greedoid import rank_size_profile
 from greedoid_tutte.tutte import arborescence_count, spanning_tree_count
-from greedoid_tutte.vertex_profile import vertex_subset_profile
+from greedoid_tutte.vertex_profile import vertex_subset_profile, vertex_subset_cost
 
 from test_identical_classes import rooted_multigraphs
 
@@ -230,3 +231,25 @@ def test_long_path_refusal_names_both_figures():
         tutte_eval(path_graph(340), 2, 2, max_elements=340)
     assert "2^340 steps by enumeration" in str(refused.value)
     assert "2^26 bits by the vertex-subset engine" in str(refused.value)
+
+
+def test_refusal_names_every_figure_past_the_limit():
+    """31 vertices and 100 edges in one block: 2^100 subsets by enumeration
+    and 3^30 products by the vertex-subset engine are both past the limit,
+    and the message names both; the engine's packed polynomials, about 2^20
+    bits, are within it and go unnamed."""
+    edges = tuple((i, (i + d) % 31) for d in (1, 2, 3, 4) for i in range(31))[:100]
+    with pytest.raises(GroundSetTooLargeError) as refused:
+        tutte_eval(RootedGraph(31, edges, 0), 2, 2, max_elements=100)
+    message = str(refused.value)
+    assert "2^100 steps by enumeration" in message
+    assert "2^47 products by the vertex-subset engine" in message
+    assert "bits" not in message
+
+
+def test_cost_counts_a_two_vertex_block_as_three_products():
+    """thicken(path_graph(3), 3): 3 blocks of 2 vertices, 9 elements, rank 3."""
+    core, sizes = merge_identical_elements(thicken(path_graph(3), 3))
+    (products, _), (bits, _) = vertex_subset_cost(core, root_reach(core), sum(sizes))
+    assert products == 9
+    assert bits == (9 + 3 + 2) * 10**2
