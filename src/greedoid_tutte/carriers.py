@@ -184,7 +184,7 @@ def binary_feasibility(matrix: BinaryMatrix) -> Callable[[int], bool]:
     rows = matrix.row_count
 
     def oracle(mask: int) -> bool:
-        p = bin(mask).count("1")
+        p = mask.bit_count()
         if p == 0:
             return True
         if p > rows:

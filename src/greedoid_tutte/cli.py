@@ -52,7 +52,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .greedoid import DEFAULT_MAX_ELEMENTS, enumerate_feasible_sets, subset_ranks, verify_family_axioms, verify_rank_axioms
+from .greedoid import DEFAULT_MAX_ELEMENTS, feasible_of_ranks, subset_ranks, verify_family_axioms, verify_rank_axioms
 from .polynomials import rational
 from .reductions import (
     brute_force_oracle,
@@ -236,8 +236,8 @@ def _cmd_vertigan(args) -> int:
 
 def _verify_axioms(carrier, max_elements: int) -> list[str]:
     g = to_greedoid(carrier)
-    ranks = subset_ranks(g, max_elements)  # first: it refuses a table past the work limit at once
-    family = enumerate_feasible_sets(g, max_elements)
+    ranks = subset_ranks(g, max_elements)  # it refuses a table past the work limit at once
+    family = feasible_of_ranks(ranks).tolist()
     reports = [verify_family_axioms(g.size, family), verify_rank_axioms(g.size, ranks)]
     return [f"{v.axiom}: witness {v.witness}" for report in reports for v in report.violations]
 
@@ -280,15 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, bounded=True):
         # so "--x -1/2" is a value: argparse knows only integer and decimal negatives
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument(
-            "--max-elements",
-            type=int,
-            default=DEFAULT_MAX_ELEMENTS,
-            help="enumeration bound on the ground-set size (default %(default)s)",
-        )
+        if bounded:
+            p.add_argument(
+                "--max-elements",
+                type=int,
+                default=DEFAULT_MAX_ELEMENTS,
+                help="enumeration bound on the ground-set size (default %(default)s)",
+            )
         p.add_argument("--out", help="write the result to a file instead of stdout")
 
     p = sub.add_parser("tutte", help="full Tutte polynomial as JSON")
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, default=2, help="multiplicity for thicken/stretch/digon")
     p.add_argument("--with", dest="with_file", help="second carrier for attach/fullrank")
-    common(p)
+    common(p, bounded=False)  # a construction enumerates nothing
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("reduce", help="run an interpolation reduction, emit a JSON report")

@@ -41,7 +41,8 @@ class NotSquareError(PreconditionError):
 
 
 class SingularMatrixError(PreconditionError):
-    """No nonzero pivot survives the full pivoting search."""
+    """Row pivoting found the pivot column zero from the pivot row down: the
+    trailing block has a zero column, so no column swap could give a pivot."""
 
 
 class DuplicateNodeError(PreconditionError):

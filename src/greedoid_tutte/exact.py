@@ -1,10 +1,17 @@
 """Fraction-free exact linear algebra.
 
 Solves and determinants first clear the denominators of every row and then
-run Bareiss' fraction-free elimination with full pivoting over the integers,
-so all intermediate values are integers with polynomially bounded bit length
-and the final answers are exact rationals.  Back-substitution solves for the
-determinant times the solution, an integer vector, with exact divisions.
+run Bareiss' fraction-free elimination over the integers, so all intermediate
+values are integers with polynomially bounded bit length and the final
+answers are exact rationals.  Back-substitution solves for the determinant
+times the solution, an integer vector, with exact divisions.
+:func:`det_integer` is the same elimination on rows that are already ints
+(the matrix-tree counts).
+
+Pivots are searched in the pivot column only, and rows are swapped to bring
+one up.  A column swap never finds a pivot that a row swap misses: when
+column k is zero from row k down, the trailing block has a zero column, so
+the matrix is singular.
 
 A Vandermonde system is built as integers directly: the row of a node a/q
 becomes a^j q^(n-1-j), j = 0 .. n-1, for any window of exponents (see
@@ -88,43 +95,29 @@ def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[i
     out = []
     scale = Fraction(1)
     for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
+        mult = lcm(*(v.denominator for v in row))
         out.append([int(v * mult) for v in row])
         scale *= mult
     return out, scale
 
 
-def _find_pivot(a: list[list[int]], k: int, n: int) -> tuple[int, int] | None:
-    for i in range(k, n):
-        for j in range(k, n):
-            if a[i][j] != 0:
-                return i, j
-    return None
+def _bareiss_forward(a: list[list[int]]) -> int:
+    """Fraction-free forward elimination with row pivoting.
 
-
-def _bareiss_forward(a: list[list[int]], n: int, width: int):
-    """Fraction-free forward elimination with full pivoting.
-
-    ``a`` is modified in place (n rows, ``width`` >= n columns; columns past n
-    ride along, e.g. an augmented right-hand side).  Returns the sign of the
-    accumulated row/column permutation and the column permutation applied to
-    the first n columns, or raises SingularMatrixError when no pivot exists.
+    ``a`` is modified in place (n >= 1 rows of at least n columns; columns
+    past n ride along, e.g. an augmented right-hand side).  Returns the sign
+    of the row permutation, or raises SingularMatrixError when column k is
+    zero from row k down.
     """
+    n, width = len(a), len(a[0])
     sign = 1
-    colperm = list(range(n))
     prev = 1
     for k in range(n):
-        pivot = _find_pivot(a, k, n)
-        if pivot is None:
+        pivot_row = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot_row is None:
             raise SingularMatrixError(f"no nonzero pivot at elimination step {k}")
-        pr, pc = pivot
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        if pc != k:
-            for row in a:
-                row[k], row[pc] = row[pc], row[k]
-            colperm[k], colperm[pc] = colperm[pc], colperm[k]
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         if k == n - 1:
             break
@@ -137,22 +130,25 @@ def _bareiss_forward(a: list[list[int]], n: int, width: int):
                 rowi[j] = (pivot_val * rowi[j] - aik * rowk[j]) // prev
             rowi[k] = 0
         prev = pivot_val
-    return sign, colperm
+    return sign
+
+
+def det_integer(a: list[list[int]]) -> int:
+    """Determinant of a square matrix of ints, given as rows it may overwrite."""
+    if not a:
+        return 1
+    try:
+        return _bareiss_forward(a) * a[-1][-1]
+    except SingularMatrixError:
+        return 0
 
 
 def det_exact(matrix: ExactMatrix) -> Fraction:
     """Exact determinant via integer Bareiss elimination."""
     if not matrix.is_square:
         raise NotSquareError(f"determinant of a {matrix.rows}x{matrix.cols} matrix")
-    n = matrix.rows
-    if n == 0:
-        return Fraction(1)
     a, scale = _clear_denominators(matrix.entries)
-    try:
-        sign, _ = _bareiss_forward(a, n, n)
-    except SingularMatrixError:
-        return Fraction(0)
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return det_integer(a) / scale
 
 
 def bareiss_solve(matrix: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -172,30 +168,25 @@ def bareiss_solve(matrix: ExactMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
         return ()
     augmented = [list(row) + [b[i]] for i, row in enumerate(matrix.entries)]
     a, _ = _clear_denominators(augmented)
-    return _solve_integer(a, n)
+    return _solve_integer(a)
 
 
-def _solve_integer(a: list[list[int]], n: int) -> tuple[Fraction, ...]:
+def _solve_integer(a: list[list[int]]) -> tuple[Fraction, ...]:
     """The solution of the n x (n + 1) augmented integer system ``a``.
 
     Bareiss steps triangularize ``a`` in place; the last pivot is then the
-    determinant D up to sign, so D x is an integer vector (Cramer's rule) and
-    back-substitution for it divides exactly.  The column permutation of the
-    pivoting is undone at the end.
+    determinant D up to sign, nonzero, so D x is an integer vector (Cramer's
+    rule) and back-substitution for it divides exactly.
     """
-    _, colperm = _bareiss_forward(a, n, n + 1)
+    _bareiss_forward(a)
+    n = len(a)
     det = a[n - 1][n - 1]
-    if det == 0:
-        raise SingularMatrixError("matrix is singular")
-    scaled = [0] * n  # D x, in pivot order
+    scaled = [0] * n  # D x
     for i in range(n - 1, -1, -1):
         row = a[i]
         acc = det * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
         scaled[i] = acc // row[i]
-    result: list[Fraction] = [Fraction(0)] * n
-    for pos, original in enumerate(colperm):
-        result[original] = Fraction(scaled[pos], det)
-    return tuple(result)
+    return tuple(Fraction(v, det) for v in scaled)
 
 
 def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 0) -> LaurentPoly:
@@ -231,5 +222,5 @@ def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 
         )
         d = scaled.denominator
         system.append([d * a**j * q ** (n - 1 - j) for j in range(n)] + [scaled.numerator])
-    coeffs = _solve_integer(system, n)
+    coeffs = _solve_integer(system)
     return LaurentPoly({lowest_exponent + j: coeffs[j] for j in range(n)})

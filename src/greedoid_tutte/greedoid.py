@@ -218,8 +218,8 @@ def enumerate_feasible_sets(
 def enumerate_bases(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[int]:
     """All feasible sets of maximum rank, sorted by bitmask value."""
     feasible = enumerate_feasible_sets(greedoid, max_elements)
-    top = max(bin(f).count("1") for f in feasible)
-    return [f for f in feasible if bin(f).count("1") == top]
+    top = max(f.bit_count() for f in feasible)
+    return [f for f in feasible if f.bit_count() == top]
 
 
 def loops_of(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[int, ...]:
@@ -260,6 +260,11 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
         view = ranks.reshape(-1, 2, 1 << i)
         np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
     return ranks
+
+
+def feasible_of_ranks(ranks: np.ndarray) -> np.ndarray:
+    """The feasible sets, ascending, read off a rank table: A is feasible exactly when rank(A) = |A|."""
+    return np.flatnonzero(ranks == _popcounts(len(ranks).bit_length() - 1))
 
 
 def rank_size_profile(
@@ -342,7 +347,8 @@ def parallel_classes(
     """Partition elements into parallel classes; loops form one class.
 
     Elements e and f are parallel when rank(A+e) = rank(A+f) = rank(A+e+f)
-    for every subset A, which is decided here from the full rank table.
+    for every subset A, which is decided here from the full rank table; the
+    loops, the elements in no feasible set, are read off the same table.
     """
     n = greedoid.size
     _check_bound(n, max_elements)
@@ -361,7 +367,8 @@ def parallel_classes(
     for e in range(n):
         groups.setdefault(find(parent, e), []).append(e)
     classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-    loops = loops_of(greedoid, max_elements)
+    used = int(np.bitwise_or.reduce(feasible_of_ranks(ranks)))
+    loops = elements_of(greedoid.full_mask & ~used)
     loop_class = loops if loops else None
     return ParallelClasses(classes=classes, loop_class=loop_class)
 
@@ -399,7 +406,7 @@ def verify_family_axioms(size: int, feasible_sets: Iterable[int]) -> AxiomReport
         violations.append(AxiomViolation("G1", (), "empty set is not feasible"))
     by_size: dict[int, list[int]] = {}
     for f in family:
-        by_size.setdefault(bin(f).count("1"), []).append(f)
+        by_size.setdefault(f.bit_count(), []).append(f)
     counts = [len(sets) for sets in by_size.values()]  # pairs of sets of different sizes, checked below
     _check_work(size, [((sum(counts) ** 2 - sum(c * c for c in counts)) // 2, "pairs of feasible sets")])
     sizes = sorted(by_size)
@@ -431,21 +438,16 @@ def verify_family_axioms(size: int, feasible_sets: Iterable[int]) -> AxiomReport
     return AxiomReport(tuple(violations))
 
 
-def verify_rank_axioms(size: int, rank_table: Mapping[int, int] | np.ndarray) -> AxiomReport:
+def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
     """Check the three rank-function axioms on an explicit rank table.
 
-    The table must cover every subset of the ground set.  Monotonicity is
-    verified on covering pairs (A, A+e), which implies it for all inclusions.
+    The table is indexed by bitmask and must cover every subset of the ground
+    set.  Monotonicity is verified on covering pairs (A, A+e), which implies
+    it for all inclusions.
     """
     total = 1 << size
     table = np.zeros(total, dtype=np.int64)
-    if isinstance(rank_table, np.ndarray):
-        table[:] = rank_table
-    else:
-        if len(rank_table) != total:
-            raise ValueError("rank table must cover every subset")
-        for mask, value in rank_table.items():
-            table[mask] = value
+    table[:] = rank_table
     pc = _popcounts(size).astype(np.int64)
     masks = np.arange(total, dtype=np.int64)
     violations: list[AxiomViolation] = []

@@ -17,8 +17,6 @@ from typing import Callable, Iterable, Mapping
 from .errors import DivisionByZeroError, ParseError
 from .primitives import binomial_shift
 
-Rational = Fraction
-
 
 def rational(value) -> Fraction:
     """Coerce ints, Fractions and "p/q" strings to an exact rational."""
@@ -202,9 +200,6 @@ class BivariatePoly(_Poly):
     def degree_x(self) -> int:
         return max((xe for xe, _ in self.terms), default=0)
 
-    def degree_y(self) -> int:
-        return max((ye for _, ye in self.terms), default=0)
-
     def to_json_obj(self) -> list[dict]:
         return [
             {"xexp": xe, "yexp": ye, "num": str(c.numerator), "den": str(c.denominator)}
@@ -279,9 +274,6 @@ class LaurentPoly(_Poly):
 
     def min_exponent(self) -> int:
         return min(self.terms, default=0)
-
-    def max_exponent(self) -> int:
-        return max(self.terms, default=0)
 
     def to_json_obj(self) -> list[dict]:
         return [

@@ -44,7 +44,7 @@ from .carriers import (
     to_greedoid,
 )
 from .errors import NotConnectedError, NotOnCurveError
-from .exact import ExactMatrix, det_exact
+from .exact import det_integer
 from .greedoid import (
     _MAX_WORK,
     DEFAULT_MAX_ELEMENTS,
@@ -283,7 +283,7 @@ def _matrix_tree(root: int, pairs, directed: bool) -> int:
     reduced = [
         [lap[i][j] for j in range(nv) if j != skip] for i in range(nv) if i != skip
     ]
-    return int(det_exact(ExactMatrix(reduced)))
+    return det_integer(reduced)
 
 
 def digraph_sinks_fastpath(digraph: RootedDigraph, a) -> Fraction:

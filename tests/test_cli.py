@@ -377,3 +377,11 @@ def test_verify_stretch_skips_a_long_path(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["stretch single-edge: pass", "stretch path-2: pass", "stretch triangle: pass"]
     assert lines[3].startswith("stretch user: skipped") and "2^30 steps over edge subsets" in lines[3]
+
+
+def test_construct_takes_no_element_bound(files, capsys):
+    """A construction enumerates nothing, so it has no --max-elements to ignore."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["construct", "thicken", str(files["p2"]), "--max-elements", "3"])
+    assert exit_info.value.code == 2
+    assert "--max-elements" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -150,3 +151,54 @@ def test_vandermonde_refuses_node_zero_outside_the_window_and_equal_fractions():
         vandermonde_solve([0, 1], [1, 2], lowest_exponent=2)
     with pytest.raises(DuplicateNodeError):
         vandermonde_solve([Fraction(2, 4), "1/2"], [1, 2])
+
+
+def leibniz_det(rows):
+    """Sum over permutations of signed products: the determinant by definition."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def row_swap_matrices():
+    """Matrices whose elimination must swap rows: anti-diagonals, a zero
+    top-left corner, and upper triangles with the rows shifted down by one
+    (row k of the triangle sits at row k + 1), which need a swap at every step."""
+    rng = random.Random(19)
+    out = []
+    for n in range(2, 7):
+        out.append([[Fraction(i + 2) if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)])
+        corner = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        corner[0][0] = Fraction(0)
+        out.append(corner)
+        upper = [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) if j == i else
+                  Fraction(rng.randint(-4, 4), rng.randint(1, 2)) if j > i else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+        out.append(upper[-1:] + upper[:-1])
+    return out
+
+
+def test_row_swaps_match_the_leibniz_determinant():
+    for rows in row_swap_matrices():
+        a = ExactMatrix(rows)
+        det = leibniz_det(rows)
+        assert det != 0
+        assert det_exact(a) == det
+        b = [Fraction(i * i - 3, i + 1) for i in range(len(rows))]
+        x = bareiss_solve(a, b)
+        assert a.apply(x) == tuple(b)
+
+
+def test_singular_when_the_pivot_column_empties_before_a_later_column():
+    # after one step column 1 is zero from row 1 down but column 2 is not
+    rows = [[1, 2, 3], [2, 4, 7], [3, 6, 1]]
+    assert leibniz_det([[Fraction(v) for v in row] for row in rows]) == 0
+    assert det_exact(ExactMatrix(rows)) == 0
+    with pytest.raises(SingularMatrixError):
+        bareiss_solve(ExactMatrix(rows), [1, 2, 3])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from greedoid_tutte import (
     unrooted_tutte_x1,
 )
 from greedoid_tutte.errors import GroundSetTooLargeError, NotOnCurveError, NotRootConnectedError
+from greedoid_tutte.exact import ExactMatrix, det_exact
 from greedoid_tutte.greedoid import subset_ranks
 
 from catalogues import (
@@ -265,3 +267,32 @@ def test_enumeration_bound():
     with pytest.raises(GroundSetTooLargeError):
         tutte_polynomial(to_greedoid(big))
     assert tutte_eval(to_greedoid(big), 1, 1, max_elements=21) == 1
+
+
+def reduced_laplacian(vertex_count, pairs, root, directed):
+    """The Laplacian (in-degree Laplacian when directed) without the root's row and column."""
+    lap = [[0] * vertex_count for _ in range(vertex_count)]
+    for u, v in pairs:
+        if u != v:
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            if not directed:
+                lap[u][u] += 1
+                lap[v][u] -= 1
+    keep = [v for v in range(vertex_count) if v != root]
+    return ExactMatrix([[lap[i][j] for j in keep] for i in keep])
+
+
+def test_matrix_tree_counts_on_large_carriers():
+    rng = random.Random(40)
+    n = 42
+    pairs = [(v, v + 1) for v in range(n - 1)]  # the root 0 reaches every vertex
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(80)]
+    graph = RootedGraph(n, tuple(pairs), 0)
+    digraph = RootedDigraph(n, tuple(pairs), 0)
+    assert spanning_tree_count(graph) == det_exact(reduced_laplacian(n, pairs, 0, False))
+    assert arborescence_count(digraph) == det_exact(reduced_laplacian(n, pairs, 0, True))
+    # Cayley: n^(n-2) spanning trees of K_n, and as many arborescences of the complete digraph
+    complete = [(u, v) for u in range(n) for v in range(n) if u != v]
+    assert spanning_tree_count(RootedGraph(n, tuple((u, v) for u, v in complete if u < v), 0)) == n ** (n - 2)
+    assert arborescence_count(RootedDigraph(n, tuple(complete), 5)) == n ** (n - 2)
