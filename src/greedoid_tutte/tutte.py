@@ -13,7 +13,9 @@ comes from the cheaper of two engines: enumeration over its classes of
 identical elements, or a second engine of its family: for a rooted graph
 or digraph, the sum over the vertex sets the root reaches, block by block,
 in :mod:`.vertex_profile`, and for a binary matrix, the programme over the
-spans of column sets in :mod:`.span_profile`.
+spans of column sets in :mod:`.span_profile`.  A k-thickening, whose classes
+all hold k > 1 elements, expands its core's profile by the thickening identity
+(Jaeger, Vertigan and Welsh, 1990) in about (rank + 1)(elements + 1)^2 bits.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -43,7 +45,7 @@ from .carriers import (
     sink_count,
     to_greedoid,
 )
-from .errors import NotConnectedError, NotOnCurveError
+from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import det_integer
 from .greedoid import (
     _MAX_WORK,
@@ -55,7 +57,7 @@ from .greedoid import (
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, join_edges, reach, renumber
+from .primitives import binomial_shift, join_edges, packed_power, reach, renumber, unpack_profile
 from .span_profile import span_state_cost, span_state_profile
 from .vertex_profile import vertex_subset_cost, vertex_subset_profile
 
@@ -98,8 +100,9 @@ Evaluatable = Union[Greedoid, Carrier]
 
 
 # Carrier profiles kept for reuse.  A caller asking several queries about one
-# carrier needs one entry; a few more allow interleaving, and each entry keeps
-# its carrier and a few KiB of counts alive until it is evicted.
+# carrier needs one entry, a k-thickening two (itself and its core); a few more
+# allow interleaving, and each entry keeps its carrier and a few KiB of counts
+# alive until it is evicted.
 _PROFILE_CACHE_SIZE = 16
 
 
@@ -125,6 +128,10 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     steps; the family's own engine states its figures, steps first, and runs
     when they all fit and its steps are fewer.  When neither engine fits,
     ``GroundSetTooLargeError`` names every figure past the limit.
+
+    A k-thickening, whose classes all hold k > 1 elements, expands its core's
+    cached profile when the core's engines and the expansion's
+    (rank + 1)(size + 1)^2 bits fit, and otherwise takes the route above.
     """
     core, sizes = merge_identical_elements(carrier)
     size, steps = sum(sizes), 2 ** len(sizes)
@@ -135,11 +142,31 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
         reached = root_reach(core)
         rank = len(reached) - 1
         figures, engine = vertex_subset_cost(core, reached, size), lambda: vertex_subset_profile(carrier, reached)
+    k = max(sizes, default=1)
+    if k > 1 and set(sizes) == {k} and (rank + 1) * (size + 1) ** 2 <= _MAX_WORK:
+        try:
+            return SubsetProfile(_thickened(_carrier_profile(core).counts, k, rank, size), size, rank)
+        except GroundSetTooLargeError:
+            pass  # the core is refused, so the carrier's own figures below refuse it too
     if figures[0][0] < steps and all(figure <= _MAX_WORK for figure, _ in figures):
         return SubsetProfile(engine(), size, rank)
     if steps > _MAX_WORK:  # so neither engine fits
         _check_work(size, [(steps, "steps by enumeration"), *figures])
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
+
+
+def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: int) -> dict[tuple[int, int], int]:
+    """The k-thickening's profile from its core's counts: a core subset of
+    deficit d and surplus s meets rank - d + s classes, each in one of the
+    (1+z)^k - 1 nonempty parts of its k copies, counted by size in z."""
+    width = size + 1
+    part, powers = packed_power(k, width) - 1, [1]
+    for _ in range(size // k):
+        powers.append(powers[-1] * part)
+    by_rank = [0] * (rank + 1)
+    for (d, s), count in counts.items():
+        by_rank[rank - d] += count * powers[rank - d + s]
+    return unpack_profile(by_rank, width)
 
 
 def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
