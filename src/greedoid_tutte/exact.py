@@ -13,15 +13,16 @@ one up.  A column swap never finds a pivot that a row swap misses: when
 column k is zero from row k down, the trailing block has a zero column, so
 the matrix is singular.
 
-A Vandermonde system is built as integers directly: the row of a node a/q
-becomes a^j q^(n-1-j), j = 0 .. n-1, for any window of exponents (see
-:func:`vandermonde_solve`), so no rational power is ever formed.
+A Vandermonde system needs no elimination: :func:`vandermonde_solve` writes
+the row of a node a/q as the integer row a^j q^(n-1-j), j = 0 .. n-1, for
+any window of exponents, and solves it by Lagrange interpolation in
+integers, in O(n^2) products and one rational per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -193,11 +194,18 @@ def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 
     """Interpolate the unique polynomial spanning the given exponent window.
 
     The result has exponents ``L .. L+n-1``, L = ``lowest_exponent``, and
-    takes ``values[i]`` at ``nodes[i]``.  The row of a node a/q (in lowest
-    terms, q > 0) is scaled by a^(-L) q^(L+n-1), which makes it the integer
-    row a^j q^(n-1-j), j = 0 .. n-1, whatever L is; the denominator of the
-    scaled value multiplies into the row.  The integer system is solved by
-    Bareiss steps with no rational matrix built.
+    takes ``values[i]`` at ``nodes[i]``.  Scaled by a^(-L) q^(L+n-1), the
+    equation of a node a/q (in lowest terms, q > 0) reads
+    sum_j c_j a^j q^(n-1-j) = w, an integer row whatever L is.
+
+    That system is solved by Lagrange interpolation over the integers.  Let
+    M(X, Y) be the product of the linear forms q_i X - a_i Y.  The form
+    M_i = M / (q_i X - a_i Y) vanishes at every other node's (a_k, q_k), and
+    at its own it takes D_i, the product of q_k a_i - a_k q_i over k != i.
+    So the coefficients are the sum over i of (w_i / D_i) times those of
+    M_i.  Each linear form is primitive, so synthetic division by it is
+    exact in integers.  The terms share one common denominator, so each
+    coefficient costs one rational; the whole solve takes O(n^2) products.
     """
     pts = [rational(v) for v in nodes]
     vals = [rational(v) for v in values]
@@ -212,15 +220,30 @@ def vandermonde_solve(nodes: Sequence, values: Sequence, lowest_exponent: int = 
     n = len(pts)
     if n == 0:
         return LaurentPoly.zero()
+    forms = [(p.numerator, p.denominator) for p in pts]
+    master = [1]  # master[j]: the coefficient of X^j Y^(degree - j)
+    for a, q in forms:
+        master = [q * lo - a * hi for lo, hi in zip([0, *master], [*master, 0])]
     low, high = lowest_exponent, lowest_exponent + n - 1  # a^(-low) q^high scales each row
-    system = []
-    for point, value in zip(pts, vals):
-        a, q = point.numerator, point.denominator
-        scaled = Fraction(
-            value.numerator * a ** max(-low, 0) * q ** max(high, 0),
-            value.denominator * a ** max(low, 0) * q ** max(-high, 0),
+    terms = []  # (numerator of w_i, its denominator times D_i, coefficients of M_i)
+    for i, ((a, q), value) in enumerate(zip(forms, vals)):
+        quotient = [0] * n
+        carry = 0
+        for j in range(n, 0, -1):  # top down: q l[j-1] = master[j] + a l[j]
+            carry = master[j] + a * carry
+            if q != 1:
+                carry //= q
+            quotient[j - 1] = carry
+        own_value = prod(qk * a - ak * q for k, (ak, qk) in enumerate(forms) if k != i)  # D_i
+        terms.append(
+            (
+                value.numerator * a ** max(-low, 0) * q ** max(high, 0),
+                value.denominator * a ** max(low, 0) * q ** max(-high, 0) * own_value,
+                quotient,
+            )
         )
-        d = scaled.denominator
-        system.append([d * a**j * q ** (n - 1 - j) for j in range(n)] + [scaled.numerator])
-    coeffs = _solve_integer(system)
-    return LaurentPoly({lowest_exponent + j: coeffs[j] for j in range(n)})
+    common = lcm(*(den for _, den, _ in terms))
+    scaled = [(num * (common // den), quotient) for num, den, quotient in terms]
+    return LaurentPoly(
+        {lowest_exponent + j: Fraction(sum(w * row[j] for w, row in scaled), common) for j in range(n)}
+    )

@@ -222,14 +222,6 @@ def enumerate_bases(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS
     return [f for f in feasible if f.bit_count() == top]
 
 
-def loops_of(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -> tuple[int, ...]:
-    """Elements that belong to no feasible set."""
-    used = 0
-    for f in enumerate_feasible_sets(greedoid, max_elements):
-        used |= f
-    return elements_of(greedoid.full_mask & ~used)
-
-
 def _popcounts(n: int) -> np.ndarray:
     pc = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
@@ -282,13 +274,27 @@ def rank_size_profile(
     which element i stands for a class of ``class_sizes[i]`` identical
     elements (no feasible set holds two of a class, and any member may stand
     for the others).  The counts are those of the larger ground set, and
-    ``max_elements`` bounds its size, not the core's.
+    ``max_elements`` bounds its size, not the core's.  Class sizes whose
+    :func:`class_table_bits` pass ``_MAX_WORK`` are refused before the rank
+    table is made.
     """
     sizes = (1,) * greedoid.size if class_sizes is None else tuple(class_sizes)
     if len(sizes) != greedoid.size or any(c < 1 for c in sizes):
         raise ValueError("need one positive class size per core element")
     _check_bound(sum(sizes), max_elements)
+    _check_work(sum(sizes), [(class_table_bits(sizes), "bits by class enumeration")])
     return _class_profile(subset_ranks(greedoid, max_elements), sizes)
+
+
+def class_table_bits(sizes: Sequence[int]) -> int:
+    """Bits of the size polynomials class enumeration keeps.
+
+    There is one per set u of the t classes of more than one element, in
+    sum(u) + 1 fields of m + 1 bits, m the number of elements: in all
+    (m + 1)(2^t + 2^(t-1) * the sum of their sizes) bits.
+    """
+    multi = [c for c in sizes if c > 1]
+    return (sum(sizes) + 1) * ((2 + sum(multi)) << len(multi)) // 2
 
 
 def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int, int], int]:

@@ -5,12 +5,13 @@ polynomial at one fixed rational point), feeds it polynomially many
 constructed carriers (thickenings or star attachments), rescales the
 answers by the construction identities, and solves a Vandermonde system to
 recover the coefficients of the Tutte polynomial restricted to a curve.
-The recovered coefficients must agree with the direct restriction computed
-by brute force; the test suite checks this coefficient by coefficient.
+The recovered coefficients must agree with the direct restriction read off
+the carrier's own subset profile; the test suite checks this coefficient by
+coefficient, and checks every profile engine against subset enumeration.
 
-Oracles are injected values, instantiated by default with the brute-force
-evaluator, so tests can also inject counterfeit oracles to exercise error
-paths.
+Oracles are injected values, instantiated by default with the library's
+exact evaluator :func:`.tutte.tutte_eval`, so tests can also inject
+counterfeit oracles to exercise error paths.
 """
 
 from __future__ import annotations
@@ -82,7 +83,13 @@ class PointOracle:
 def brute_force_oracle(
     family: str, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> PointOracle:
-    """The default oracle: subset enumeration on whatever carrier it is given."""
+    """The default oracle: exact evaluation by :func:`.tutte.tutte_eval`.
+
+    Each queried carrier takes that function's route: a thickening reads the
+    profile of the carrier it thins to, so every thickening of one base
+    shares the base's profile, and any other carrier takes its cheapest
+    profile engine, subset enumeration among them.
+    """
     a, b = rational(a), rational(b)
     return PointOracle(family, a, b, lambda carrier: tutte_eval(carrier, a, b, max_elements))
 
@@ -135,9 +142,8 @@ def interpolate_curve(
         raise ForbiddenPointError("thickening evaluation points are not pairwise distinct")
     values = []
     for k in ks:
-        raw = oracle(thicken(carrier, k))
-        s = sum((b**t for t in range(k)), Fraction(0))
-        values.append(raw / s**rank)
+        s = k if b == 1 else (b**k - 1) / (b - 1)  # 1 + b + ... + b^(k-1)
+        values.append(oracle(thicken(carrier, k)) / s**rank)
     return vandermonde_solve(nodes, values, lowest)
 
 
@@ -281,7 +287,7 @@ def reliability_identity(
 def digon_reduction_check(
     digraph: RootedDigraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> bool:
-    """Check T(D_2; 1, -1) = 3^(|E|-rank) * T(D; 1, 1/3) by brute force."""
+    """Check T(D_2; 1, -1) = 3^(|E|-rank) * T(D; 1, 1/3) from the two digraphs' profiles."""
     size, rank = digraph.edge_count, carrier_rank(digraph)
     lhs = tutte_eval(digon_stretch(digraph, 2), 1, -1, max_elements)
     rhs = Fraction(3) ** (size - rank) * tutte_eval(digraph, 1, Fraction(1, 3), max_elements)

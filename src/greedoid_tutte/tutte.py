@@ -13,9 +13,14 @@ comes from the cheaper of two engines: enumeration over its classes of
 identical elements, or a second engine of its family: for a rooted graph
 or digraph, the sum over the vertex sets the root reaches, block by block,
 in :mod:`.vertex_profile`, and for a binary matrix, the programme over the
-spans of column sets in :mod:`.span_profile`.  A k-thickening, whose classes
-all hold k > 1 elements, expands its core's profile by the thickening identity
-(Jaeger, Vertigan and Welsh, 1990) in about (rank + 1)(elements + 1)^2 bits.
+spans of column sets in :mod:`.span_profile`.
+
+A carrier whose class sizes have gcd g > 1 is the g-thickening H^g of the
+carrier H with each class size divided by g (the core, when g is every class
+size).  Its profile expands H's cached profile by the thickening identity
+(Jaeger, Vertigan and Welsh, 1990) in about (rank + 1)(elements + 1)^2 bits,
+and a point evaluation needs no expansion at all: it is one sum over H's
+profile.  So thickenings of one base by any k share the base's profile.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Mapping, Union
 
 from .carriers import (
@@ -36,6 +42,7 @@ from .carriers import (
     RootedDigraph,
     RootedGraph,
     UnrootedGraph,
+    carrier_elements,
     carrier_rank,
     digraph_has_directed_cycle,
     graph_is_connected,
@@ -44,6 +51,7 @@ from .carriers import (
     root_reach,
     sink_count,
     to_greedoid,
+    with_elements,
 )
 from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import det_integer
@@ -54,6 +62,7 @@ from .greedoid import (
     SubsetProfile,
     _check_bound,
     _check_work,
+    class_table_bits,
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
@@ -99,10 +108,10 @@ CurveSpec = Union[HAlpha, H0X, H0Y, LineY]
 Evaluatable = Union[Greedoid, Carrier]
 
 
-# Carrier profiles kept for reuse.  A caller asking several queries about one
-# carrier needs one entry, a k-thickening two (itself and its core); a few more
-# allow interleaving, and each entry keeps its carrier and a few KiB of counts
-# alive until it is evicted.
+# Carrier profiles, and thinnings, kept for reuse.  A caller asking several
+# queries about one carrier needs one entry, a thickening two (itself and the
+# carrier it thins to); a few more allow interleaving, and each entry keeps its
+# carrier and a few KiB of counts alive until it is evicted.
 _PROFILE_CACHE_SIZE = 16
 
 
@@ -121,20 +130,46 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _thinned(carrier: Carrier) -> tuple[Carrier, int]:
+    """The carrier H and the gcd g of the class sizes, with the carrier the g-thickening of H.
+
+    H keeps each class of identical elements with its size divided by g, so
+    it is the core when g is every class size, and the carrier itself when
+    g = 1.  Kept per carrier, so repeated queries merge its classes once.
+    """
+    core, sizes = merge_identical_elements(carrier)
+    g = gcd(*sizes)
+    if g < 2:
+        return carrier, 1
+    if max(sizes) == g:
+        return core, g
+    return with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)]), g
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, by the engine with fewer steps.
 
-    Enumeration over the classes of identical elements takes 2^classes
-    steps; the family's own engine states its figures, steps first, and runs
-    when they all fit and its steps are fewer.  When neither engine fits,
-    ``GroundSetTooLargeError`` names every figure past the limit.
-
-    A k-thickening, whose classes all hold k > 1 elements, expands its core's
-    cached profile when the core's engines and the expansion's
-    (rank + 1)(size + 1)^2 bits fit, and otherwise takes the route above.
+    A g-thickening of H (g > 1, see :func:`_thinned`) expands H's cached
+    profile when H is not refused and the expansion's (rank + 1)(size + 1)^2
+    bits fit.  Otherwise: enumeration over the classes of identical elements
+    takes 2^classes steps; the family's own engine states its figures, steps
+    first, and runs when they all fit and its steps are fewer, or when the
+    enumeration's :func:`.greedoid.class_table_bits` do not fit.  When
+    neither engine fits, ``GroundSetTooLargeError`` names every figure past
+    the limit.
     """
+    thin, g = _thinned(carrier)
+    size = carrier.edge_count
+    if g > 1 and (carrier_rank(thin) + 1) * (size + 1) ** 2 <= _MAX_WORK:
+        try:
+            base = _carrier_profile(thin)
+        except GroundSetTooLargeError:
+            pass  # H is refused, so the carrier's own figures below refuse it too
+        else:
+            return SubsetProfile(_thickened(base.counts, g, base.rank, size), size, base.rank)
     core, sizes = merge_identical_elements(carrier)
-    size, steps = sum(sizes), 2 ** len(sizes)
+    steps = 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
         figures, engine = span_state_cost(rank, len(sizes)), lambda: span_state_profile(core, sizes, rank)
@@ -142,13 +177,9 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
         reached = root_reach(core)
         rank = len(reached) - 1
         figures, engine = vertex_subset_cost(core, reached, size), lambda: vertex_subset_profile(carrier, reached)
-    k = max(sizes, default=1)
-    if k > 1 and set(sizes) == {k} and (rank + 1) * (size + 1) ** 2 <= _MAX_WORK:
-        try:
-            return SubsetProfile(_thickened(_carrier_profile(core).counts, k, rank, size), size, rank)
-        except GroundSetTooLargeError:
-            pass  # the core is refused, so the carrier's own figures below refuse it too
-    if figures[0][0] < steps and all(figure <= _MAX_WORK for figure, _ in figures):
+    if all(figure <= _MAX_WORK for figure, _ in figures) and (
+        figures[0][0] < steps or class_table_bits(sizes) > _MAX_WORK
+    ):
         return SubsetProfile(engine(), size, rank)
     if steps > _MAX_WORK:  # so neither engine fits
         _check_work(size, [(steps, "steps by enumeration"), *figures])
@@ -156,9 +187,10 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
 
 
 def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: int) -> dict[tuple[int, int], int]:
-    """The k-thickening's profile from its core's counts: a core subset of
-    deficit d and surplus s meets rank - d + s classes, each in one of the
-    (1+z)^k - 1 nonempty parts of its k copies, counted by size in z."""
+    """The profile of H's k-thickening from H's counts: a subset of H of
+    deficit d and surplus s holds rank - d + s elements, and each is met in
+    one of the (1+z)^k - 1 nonempty parts of its k copies, counted by size
+    in z."""
     width = size + 1
     part, powers = packed_power(k, width) - 1, [1]
     for _ in range(size // k):
@@ -216,10 +248,46 @@ def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMEN
     return BivariatePoly(_expand(_profile(source, max_elements).counts))
 
 
+def _point(counts: Mapping[tuple[int, int], int], rank: int, u: Fraction, v: Fraction, q: Fraction) -> Fraction:
+    """The sum of counts[d, s] u^d v^s q^(rank - d).
+
+    u^d q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank,
+    so the terms are summed as integers over one common denominator, and
+    one rational is made at the end.  Nothing is divided, so q may be 0.
+    """
+    top_s = max(s for _, s in counts)
+    up, down = u.numerator * q.denominator, u.denominator * q.numerator
+    us = [up**d * down ** (rank - d) for d in range(rank + 1)]
+    vs = [v.numerator**s * v.denominator ** (top_s - s) for s in range(top_s + 1)]
+    total = sum(c * us[d] * vs[s] for (d, s), c in counts.items())
+    return Fraction(total, (u.denominator * q.denominator) ** rank * v.denominator**top_s)
+
+
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
-    """Exact T(a, b) straight from the subset profile."""
+    """Exact T(a, b) from one subset profile.
+
+    A carrier that is the g-thickening of H (g > 1, see :func:`_thinned`)
+    reads H's profile, with no expansion: with q = 1 + b + ... + b^(g-1),
+
+        T(H^g; a, b) = sum of count[d, s] (a-1)^d (b^g-1)^s q^(rank - d).
+
+    When H is refused, the carrier takes its own route, and so is refused by
+    its own figures.
+    """
     a, b = rational(a), rational(b)
-    return _collect(_profile(source, max_elements).counts, lambda d, s: 0, a - 1, b - 1)[0]
+    if isinstance(source, Greedoid):
+        profile, g = source.profile(max_elements), 1
+    else:
+        _check_bound(source.edge_count, max_elements)
+        thin, g = _thinned(source)
+        try:
+            profile = _carrier_profile(thin)
+        except GroundSetTooLargeError:
+            if g == 1:
+                raise
+            profile, g = _carrier_profile(source), 1
+    v = b**g - 1
+    return _point(profile.counts, profile.rank, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))
 
 
 def tutte_restrict(

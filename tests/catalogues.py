@@ -8,6 +8,7 @@ checked against a second, independent route.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from greedoid_tutte import (
@@ -270,3 +271,14 @@ ATTACHMENT_POINTS = (
     (Fraction(4), Fraction(1, 2)),
     (Fraction(-2), Fraction(-1)),
 )
+
+
+def seeded_rooted_graph(vertices: int, edges: int, seed: int) -> RootedGraph:
+    """A random rooted graph: vertex v joined to a random earlier vertex, then
+    uniform random pairs of distinct vertices, rooted at 0.  The pairs may
+    repeat, so such graphs have classes of identical edges."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, vertices)]
+    while len(pairs) < edges:
+        pairs.append(tuple(rng.sample(range(vertices), 2)))
+    return RootedGraph(vertices, tuple(pairs), 0)

@@ -202,3 +202,15 @@ def test_singular_when_the_pivot_column_empties_before_a_later_column():
     assert det_exact(ExactMatrix(rows)) == 0
     with pytest.raises(SingularMatrixError):
         bareiss_solve(ExactMatrix(rows), [1, 2, 3])
+
+
+def test_vandermonde_52_nodes_exactly():
+    """The system of reduce's 12-vertex, 40-edge base: nodes b^k - 1 for
+    k = 1..52 at b = 3/2, exponents -11..40, every coefficient recovered."""
+    rng = random.Random(21)
+    lowest = -11
+    coeffs = {lowest + j: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for j in range(52)}
+    nodes = [Fraction(3, 2) ** k - 1 for k in range(1, 53)]
+    values = [sum(c * node**e for e, c in coeffs.items()) for node in nodes]
+    assert vandermonde_solve(nodes, values, lowest).terms == {e: c for e, c in coeffs.items() if c}
+

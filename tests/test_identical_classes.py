@@ -1,6 +1,7 @@
 """Profiles computed over classes of identical elements agree with brute force."""
 
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,16 +14,21 @@ from greedoid_tutte import (
     identity_matrix,
     path_graph,
     predicted_thickening,
+    predicted_thickening_eval,
     spanning_tree_count,
     thicken,
     to_greedoid,
     tutte_eval,
     tutte_polynomial,
 )
+from greedoid_tutte import greedoid as greedoid_module
 from greedoid_tutte import tutte as tutte_module
-from greedoid_tutte.carriers import merge_identical_elements
+from greedoid_tutte.carriers import carrier_elements, format_carrier, merge_identical_elements, with_elements
+from greedoid_tutte.cli import main
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.greedoid import rank_size_profile
+
+from catalogues import seeded_rooted_graph
 
 MAX_ELEMENTS = 12
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -112,9 +118,10 @@ def test_all_repeated_core_counts_in_small_tables():
     st.integers(2, 4),
 )
 def test_thickened_profile_matches_brute_force(carrier, k):
-    """A carrier without repeated elements thickens to classes of one size,
-    whose profile is read off the core's; one with them mostly thickens to
-    classes of several sizes, which keep the engines of any carrier."""
+    """A k-thickening's class sizes have gcd g >= k, so its profile is read
+    off the profile of the carrier it thins to: the core when its classes
+    are all of one size, and otherwise a carrier with classes of several
+    sizes, which takes the engines of any carrier."""
     thick = thicken(carrier, k)
     assert tutte_module._profile(thick, 16).counts == rank_size_profile(to_greedoid(thick), 16)
 
@@ -145,7 +152,21 @@ def test_one_enumeration_per_core(enumerations):
 def test_mixed_class_sizes_keep_the_class_route(enumerations):
     thick = thicken(RootedGraph(3, ((0, 1), (1, 0), (1, 2)), 0), 2)  # classes of 4 and 2
     assert tutte_polynomial(thick) == tutte_polynomial(to_greedoid(thick))
-    assert enumerations == [(2, (4, 2))]
+    assert enumerations == [(2, (2, 1))]
+    coprime = RootedGraph(3, ((0, 1), (1, 0), (0, 1), (1, 2), (2, 1)), 0)  # classes of 3 and 2
+    assert tutte_polynomial(coprime) == tutte_polynomial(to_greedoid(coprime))
+    assert enumerations == [(2, (2, 1)), (2, (3, 2))]
+
+
+def test_class_table_past_the_limit_takes_the_vertex_engine(enumerations):
+    """A 9-cycle with 3 chords, its 12 edges taken 20 or 21 times: 2^12 steps
+    by enumeration are fewer than the vertex-subset engine's 3^8 products,
+    but the enumeration's class products take about 2^26.9 bits."""
+    pairs = [(i, (i + 1) % 9) for i in range(9)] + [(0, 4), (2, 6), (3, 7)]
+    graph = RootedGraph(9, tuple(p for j, p in enumerate(pairs) for _ in range(20 + j % 2)), 0)
+    assert tutte_eval(graph, 2, 2, max_elements=246) == 2**246
+    assert tutte_eval(graph, 1, 1, max_elements=246) == spanning_tree_count(graph)
+    assert enumerations == []
 
 
 def test_thickened_path_beyond_the_vertex_engine():
@@ -174,3 +195,79 @@ def test_thickening_refused_by_its_own_figures():
         "these 306 elements take about 2^153 steps by enumeration, and about 2^26 products"
         " by the vertex-subset engine, past the limit of 2^26"
     )
+
+
+@st.composite
+def repeating_carriers(draw):
+    """A graph, digraph or matrix of at most 4 elements whose first element
+    is repeated, so most of its thickenings thin to a carrier that is not
+    their core."""
+    kinds = st.one_of(rooted_multigraphs(False, 3), rooted_multigraphs(True, 3), binary_matrices(3))
+    carrier = draw(kinds.filter(lambda c: c.edge_count))
+    elements = carrier_elements(carrier)
+    return with_elements(carrier, elements + elements[:1])
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def thickened_points(draw):
+    """k and (a, b): b = -1 with k even, b = 1, b = 0, a = 1, or any rationals."""
+    k = draw(st.integers(2, 3))
+    case = draw(st.sampled_from(("b=-1", "b=1", "b=0", "a=1", "any")))
+    a, b = draw(RATIONALS), draw(RATIONALS)
+    if case == "b=-1":
+        k, b = 2, Fraction(-1)
+    elif case == "a=1":
+        a = Fraction(1)
+    elif case != "any":
+        b = Fraction(case[-1])
+    return k, a, b
+
+
+@PROPERTY
+@given(repeating_carriers(), thickened_points())
+def test_point_route_matches_enumeration(carrier, point):
+    k, a, b = point
+    thick = thicken(carrier, k)
+    assert tutte_module._thinned(thick)[1] % k == 0
+    assert tutte_eval(thick, a, b, 16) == tutte_eval(to_greedoid(thick), a, b, 16)
+
+
+def test_point_queries_expand_no_profile(monkeypatch):
+    """reduce's top query on the 12-vertex, 40-edge base: 2080 elements, read
+    off the base's profile with no expansion."""
+    base = seeded_rooted_graph(12, 40, 7)
+    tutte_module._carrier_profile.cache_clear()
+
+    def refused(*args):
+        raise AssertionError("a point query expanded a profile")
+
+    monkeypatch.setattr(tutte_module, "_thickened", refused)
+    value = tutte_eval(thicken(base, 52), 3, Fraction(3, 2), max_elements=2080)
+    assert value == predicted_thickening_eval(tutte_polynomial(base, 40), 11, 52, 3, Fraction(3, 2))
+
+
+def test_class_table_refused_before_the_rank_table(monkeypatch, tmp_path, capsys):
+    """The 10-vertex, 30-edge base thickened 14 times, plus one more copy of
+    a single edge: 421 elements in 22 classes of gcd 1.  The vertex-subset
+    engine's 76.9M bits are past the limit; class enumeration's 2^22 steps
+    fit, but its class products take (421 + 1)(2^22 + 2^21 * 421) = 2^38.4 bits."""
+    base = seeded_rooted_graph(10, 30, 7)
+    single = next(e for e in base.edges if base.edges.count(e) + base.edges.count(e[::-1]) == 1)
+    carrier = with_elements(base, thicken(base, 14).edges + (single,))
+    assert carrier.edge_count == 421 and len(merge_identical_elements(carrier)[1]) == 22
+
+    def refused(*args):
+        raise AssertionError("the rank table was made")
+
+    monkeypatch.setattr(greedoid_module, "subset_ranks", refused)
+    tutte_module._carrier_profile.cache_clear()
+    with pytest.raises(GroundSetTooLargeError, match=r"about 2\^38 bits by class enumeration"):
+        tutte_eval(carrier, 3, Fraction(3, 2), max_elements=10**9)
+    path = tmp_path / "g421.graph"
+    path.write_text(format_carrier(carrier))
+    assert main(["eval", str(path), "--x", "3", "--y", "3/2", "--max-elements", "421"]) == 4
+    assert "2^38 bits by class enumeration" in capsys.readouterr().err
+

@@ -42,7 +42,7 @@ from greedoid_tutte.errors import (
     ProbabilityRangeError,
 )
 
-from catalogues import DIRECTED_TRIANGLE, TAILED_DIGON, TRIANGLE
+from catalogues import DIRECTED_TRIANGLE, TAILED_DIGON, TRIANGLE, seeded_rooted_graph
 
 GRAPH_CARRIERS = [path_graph(1), path_graph(2), star_graph(2), TRIANGLE, path_graph(3)]
 DIGRAPH_CARRIERS = [
@@ -255,3 +255,15 @@ def test_reliability_identity_on_a_thickening():
     for p in (Fraction(1, 3), Fraction(1, 2)):
         direct, reconstructed = reliability_identity(thick, p, max_elements=24)
         assert direct == reconstructed
+
+
+@pytest.mark.parametrize("vertices,edges", [(8, 20), (10, 30), (12, 40)])
+def test_curve_on_bases_with_repeated_edges(vertices, edges):
+    """Every query thins to the base's classes and reads one base profile;
+    the 12-vertex base's top query has 2080 elements."""
+    base = seeded_rooted_graph(vertices, edges, 7)
+    oracle = brute_force_oracle("graph", 3, Fraction(3, 2), 10**9)
+    recovered = interpolate_curve(oracle, base, 10**9)
+    assert oracle.calls == edges + vertices
+    assert recovered == tutte_restrict(base, HAlpha(Fraction(1)), edges)
+

@@ -1,0 +1,41 @@
+"""The verify suites check each identity against enumeration, not against the
+library's own coding of it."""
+
+import pytest
+
+from greedoid_tutte import constructions, path_graph, thicken, tutte_polynomial
+from greedoid_tutte import tutte as tutte_module
+from greedoid_tutte import verify
+from greedoid_tutte.cli import main
+
+
+@pytest.fixture
+def wrong_thickening_rule(monkeypatch):
+    """The thickening identity, in the library and in its prediction, wrong
+    the same way: every count of a k-thickening doubled for k > 1."""
+    thickened, predicted = tutte_module._thickened, constructions.predicted_thickening
+
+    def doubled_counts(counts, k, rank, size):
+        return {key: 2 * c for key, c in thickened(counts, k, rank, size).items()}
+
+    def doubled_prediction(tutte, rank, k, mode="generic"):
+        return predicted(tutte, rank, k, mode) * (2 if k > 1 else 1)
+
+    monkeypatch.setattr(tutte_module, "_thickened", doubled_counts)
+    monkeypatch.setattr(constructions, "predicted_thickening", doubled_prediction)
+    monkeypatch.setattr(verify, "predicted_thickening", doubled_prediction)
+    tutte_module._carrier_profile.cache_clear()
+    yield
+    tutte_module._carrier_profile.cache_clear()  # no profile from the wrong rule outlives the test
+
+
+def test_thickening_suite_fails_on_a_rule_wrong_in_both_codings(wrong_thickening_rule, capsys):
+    base = path_graph(2)
+    # the two codings agree with each other ...
+    assert tutte_polynomial(thicken(base, 2)) == verify.predicted_thickening(tutte_polynomial(base), 2, 2)
+    # ... but not with enumeration
+    rows = verify.run_suite("thickening")
+    assert rows and all(ok is False for _, ok, _ in rows)
+    assert main(["verify", "thickening"]) == 1
+    assert "thickening path-2: FAIL (k=2 generic rule)" in capsys.readouterr().out
+
