@@ -440,6 +440,14 @@ def row_add_isomorphism_check(
 # file formats
 
 
+def _content_lines(text: str):
+    """Each line's number, from 1, and its text before any ``#``, stripped, when that is not empty."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def _vertex_id(token: str, lineno: int) -> int:
     try:
         return int(token)
@@ -459,10 +467,7 @@ def parse_graph_text(text: str) -> RootedGraph | RootedDigraph | UnrootedGraph:
     root: int | None = None
     pairs: list[tuple[int, int]] = []
     kinds: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "root":
             if root is not None:
@@ -497,10 +502,7 @@ def parse_graph_text(text: str) -> RootedGraph | RootedDigraph | UnrootedGraph:
 def parse_matrix_text(text: str) -> BinaryMatrix:
     """Parse one row of contiguous 0/1 characters per line."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if set(line) - {"0", "1"}:
             raise ParseError(f"line {lineno}: matrix rows must be 0/1 strings")
         rows.append(tuple(int(ch) for ch in line))
@@ -513,13 +515,8 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
 
 def parse_carrier_text(text: str) -> Carrier | UnrootedGraph:
     """Sniff the format: 0/1 rows mean a binary matrix, otherwise edge lists."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if set(line) <= {"0", "1"}:
-            return parse_matrix_text(text)
-        return parse_graph_text(text)
+    for _, line in _content_lines(text):
+        return parse_matrix_text(text) if set(line) <= {"0", "1"} else parse_graph_text(text)
     raise ParseError("empty carrier file")
 
 

@@ -141,8 +141,6 @@ def _thinned(carrier: Carrier) -> tuple[Carrier, int]:
     g = gcd(*sizes)
     if g < 2:
         return carrier, 1
-    if max(sizes) == g:
-        return core, g
     return with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)]), g
 
 

@@ -33,11 +33,15 @@ is), and m_c its element count, the part at and below p is
         * product over c in S \\ p of P_c * product over c in B \\ S of (1+z)^m_c,
 
 with R_S and free(S) over B's elements only: a sum of 3^(|B|-1) products.
-The blocks are taken from the leaves of the block-cut tree up to the root,
-whose part times (1+z)^(elements in no block) is the profile (compare the
-multiplicativity of the greedoid polynomial over such joins: Gordon and
-McMahon, Proc. Amer. Math. Soc. 107, 1989).  Loops, repeated elements,
-arcs into the root and unreached vertices need no special case.
+The sums over S are kept by the cut vertices (those with something below)
+that S holds, and these are folded in one at a time: an entry holding c is
+multiplied by P_c, any other by (1+z)^m_c, and the two merge under the key
+without c, about 2^(cuts+1) products in all.  The blocks are taken from
+the leaves of the block-cut tree up to the root, whose part times
+(1+z)^(elements in no block) is the profile (compare the multiplicativity
+of the greedoid polynomial over such joins: Gordon and McMahon, Proc.
+Amer. Math. Soc. 107, 1989).  Loops, repeated elements, arcs into the root
+and unreached vertices need no special case.
 
 A block of 2 vertices, p and one other vertex q, needs no sum and no table.
 Let it hold d elements from p to q (every edge of a graph block) and u arcs
@@ -151,14 +155,11 @@ def _block_profile(
         free, into = (1 - member) @ pairs.sum(1), member @ pairs.T
     else:  # edges inside the complement of S
         free = inside[::-1]
-    counts_below = np.array([0] + [count for _, count in hanging])
-    free = free + (1 - member) @ counts_below  # c outside S leaves all below it free
-    size = sum(elements.values()) + int(counts_below.sum())
     cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
     inside_of, free_of = inside.tolist(), free.tolist()
 
     reaching = [0] * (1 << n)  # R_S
-    sums: dict[tuple[int, int], int] = {}  # (S's vertices with something below, |S| - 1) -> sum over S
+    sums: dict[int, int] = {}  # S's vertices with something below -> sum over S, in z and w
     # k[part] counts the elements inside S that cannot leave T = S \ part:
     # for a digraph the arcs with tail in part and head in S, filled in for
     # each S; for a graph the edges inside part, whatever S is, so their
@@ -180,13 +181,15 @@ def _block_profile(
                 part = (part - rest) & rest
                 total += reaching[s ^ part] * weight[part]
         reaching[s] = weight[s] - total
-        key = (s & cuts, s.bit_count() - 1)
-        sums[key] = sums.get(key, 0) + reaching[s] * powers[free_of[s]]
+        sums[s & cuts] = sums.get(s & cuts, 0) + (reaching[s] * powers[free_of[s]] << (s.bit_count() - 1) * stride)
 
-    profile = 0
-    for (met, rank), poly in sums.items():
-        for i, (hanging_profile, _) in enumerate(hanging, 1):
-            if met >> i & 1:
-                poly *= hanging_profile
-        profile += poly << rank * stride
-    return profile, size
+    # one cut vertex c at a time: P_c where c is in S, (1+z)^m_c where it is not
+    size = sum(elements.values())
+    for i, (hanging_profile, count) in enumerate(hanging, 1):
+        if count:
+            folded: dict[int, int] = {}
+            for met, poly in sums.items():
+                key = met & ~(1 << i)
+                folded[key] = folded.get(key, 0) + poly * (hanging_profile if met >> i & 1 else powers[count])
+            sums, size = folded, size + count
+    return sums[0], size

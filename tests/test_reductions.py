@@ -267,3 +267,13 @@ def test_curve_on_bases_with_repeated_edges(vertices, edges):
     assert oracle.calls == edges + vertices
     assert recovered == tutte_restrict(base, HAlpha(Fraction(1)), edges)
 
+
+def test_line_y_minus1_on_a_base_with_repeated_edges():
+    """The star attachments S_k, k <= 7, make every non-root vertex a cut
+    vertex with k edges below it; the largest query has 20 + 7 * 7 elements."""
+    base = seeded_rooted_graph(8, 20, 7)
+    oracle = brute_force_oracle("graph", 3, -1, 69)
+    recovered = interpolate_line_y_minus1(oracle, base, 69)
+    assert oracle.calls == 8
+    assert recovered == tutte_restrict(base, LineY(Fraction(-1)))
+

@@ -125,6 +125,36 @@ def test_two_vertex_blocks_match_enumeration(carrier):
     assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
 
 
+K4 = RootedGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)), 0)
+C3, C4 = (RootedGraph(n, tuple((i, (i + 1) % n) for i in range(n)), 0) for n in (3, 4))
+# a directed 3-cycle with an arc back along each of its arcs but the one into the root
+DIRECTED_CYCLE = RootedDigraph(3, ((0, 1), (1, 2), (2, 0)), 0)
+CYCLE_WITH_BACK_ARCS = RootedDigraph(3, (*DIRECTED_CYCLE.arcs, (1, 0), (2, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        # a 4-vertex block whose 3 other vertices each have a 2-edge star below
+        attach_graphs(K4, star_graph(2)),
+        # a 4-cycle with a 2-edge path hanging from each of its 3 cut vertices
+        attach_graphs(C4, path_graph(2)),
+        # two levels: a triangle below each cut vertex of a triangle, a pendant edge below each of its own
+        attach_graphs(C3, attach_graphs(C3, star_graph(1))),
+        # arcs both ways in a 3-vertex block, 2-arc stars below its cut vertices
+        attach_digraphs(CYCLE_WITH_BACK_ARCS, directed_star(2)),
+        # stars pointing into each cut vertex, so nothing below it is reached
+        attach_digraphs(CYCLE_WITH_BACK_ARCS, RootedDigraph(3, ((1, 0), (2, 0)), 0)),
+        # two levels of digraph blocks: directed triangles with an arc below each cut vertex
+        attach_digraphs(CYCLE_WITH_BACK_ARCS, attach_digraphs(DIRECTED_CYCLE, directed_star(1))),
+    ],
+)
+def test_blocks_with_several_hanging_parts_match_enumeration(carrier):
+    """Each block of 3 or more vertices folds in what hangs below its cut vertices one at a time."""
+    expected = rank_size_profile(to_greedoid(carrier))
+    assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
 @pytest.fixture
 def engines(monkeypatch):
     """Name the engine behind each carrier profile, starting from an empty cache."""
