@@ -14,10 +14,21 @@ so far, the column sets reaching it counted by size.  A class of c identical
 columns is one step: skipping it keeps the span and the counts, and taking
 it (any of its 2^c - 1 nonempty subsets) adds the column to the span and
 multiplies the counts by (1+z)^c - 1.  A column already in the span leaves
-it unchanged either way.  The states of one layer are distinct subspaces of
-GF(2)^R, so there are at most N(R), the number of such subspaces, of them
-(Hlineny, "The Tutte polynomial for matroids of bounded branch-width",
-Combin. Probab. Comput. 15 (2006), uses the same states).
+it unchanged either way.  So a step starts from a copy of the layer, which
+is every skip, and works only on the take of each state.  The states of one
+layer are distinct subspaces of GF(2)^R, so there are at most N(R), the
+number of such subspaces, of them (Hlineny, "The Tutte polynomial for
+matroids of bounded branch-width", Combin. Probab. Comput. 15 (2006), uses
+the same states).
+
+A state is one int.  Its low R bits are the pivot set; above them lie R
+slots of R bits, slot p holding the reduced row whose pivot is bit p (zero
+when p is no pivot).  A column is reduced by XORing in the slots its pivot
+bits select: a reduced row has no bit at another row's pivot, so one row
+never brings in another.  What is left, v, has no bit at a pivot; when it is
+nonzero its lowest bit p is a new pivot, and the rows holding bit p take v
+in one product, ``(state >> p & ONES) * v``, ONES being bit 0 of every slot:
+v < 2^R, so no slot carries into the next.
 
 Counts by size are packed into one int with m + 1 bits per coefficient, m
 being the number of elements, as :func:`.primitives.packed_powers` sets out:
@@ -50,36 +61,34 @@ def span_state_profile(
     """Subset counts keyed by (rank deficit, size surplus), as ``rank_size_profile`` gives them.
 
     ``core`` holds one column per class of identical columns, class i of
-    ``sizes[i]`` columns, and ``rank`` is the rank of the whole matrix.  A
-    state is the reduced echelon basis of a span, its rows in increasing
-    order.
+    ``sizes[i]`` columns, and ``rank`` is the rank R of the whole matrix.  A
+    state is the one-int reduced echelon basis of a span set out in the
+    module docstring; each step copies the layer for the skips and adds each
+    state's take to its own span, or to the span grown by the column.
     """
     width = sum(sizes) + 1
     window = (1 << rank) - 1
-    layer: dict[tuple[int, ...], int] = {(): 1}
+    ones = sum(1 << rank * (p + 1) for p in range(rank))
+    layer = {0: 1}
     for col, c in zip(core.column_bits(), sizes):
         col &= window
         take = packed_power(c, width) - 1
-        out: dict[tuple[int, ...], int] = {}
-        for rows, weight in layer.items():
-            vec = col
-            for row in rows:
-                if vec & row & -row:
-                    vec ^= row
-            if not vec:  # in the span: skip or take, the span stays
-                out[rows] = out.get(rows, 0) + weight * (take + 1)
-                continue
-            out[rows] = out.get(rows, 0) + weight
-            low = vec & -vec
-            grown = tuple(sorted([row ^ vec if row & low else row for row in rows] + [vec]))
-            out[grown] = out.get(grown, 0) + weight * take
+        out = dict(layer)
+        for state, weight in layer.items():
+            vec, pivots = col, col & state
+            while pivots:  # slot p lies at bits R(p + 1) and up
+                low = pivots & -pivots
+                vec ^= state >> rank * low.bit_length() & window
+                pivots ^= low
+            if vec:  # a new pivot p: the rows holding bit p take vec, slot p gets it
+                low = vec & -vec
+                state = state ^ (state >> low.bit_length() - 1 & ones) * vec | vec << rank * low.bit_length() | low
+            out[state] = out.get(state, 0) + weight * take
         layer = out
 
     by_rank = [0] * (rank + 1)
-    for rows, weight in layer.items():
-        pivots = 0
-        for row in rows:
-            pivots |= row & -row
+    for state, weight in layer.items():
+        pivots = state & window
         by_rank[(~pivots & (pivots + 1)).bit_length() - 1] += weight
 
     return unpack_profile(by_rank, width)

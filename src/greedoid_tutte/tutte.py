@@ -130,18 +130,21 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _thinned(carrier: Carrier) -> tuple[Carrier, int]:
-    """The carrier H and the gcd g of the class sizes, with the carrier the g-thickening of H.
+def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...]]:
+    """The carrier H and the gcd g of the class sizes, with the carrier the
+    g-thickening of H, then the carrier's core and class sizes.
 
     H keeps each class of identical elements with its size divided by g, so
     it is the core when g is every class size, and the carrier itself when
-    g = 1.  Kept per carrier, so repeated queries merge its classes once.
+    g = 1.  Kept per carrier, so repeated queries, and the profile's own
+    route, merge its classes once.
     """
     core, sizes = merge_identical_elements(carrier)
     g = gcd(*sizes)
     if g < 2:
-        return carrier, 1
-    return with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)]), g
+        return carrier, 1, core, sizes
+    thin = with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)])
+    return thin, g, core, sizes
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -157,7 +160,7 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     neither engine fits, ``GroundSetTooLargeError`` names every figure past
     the limit.
     """
-    thin, g = _thinned(carrier)
+    thin, g, core, sizes = _thinned(carrier)
     size = carrier.edge_count
     if g > 1 and (carrier_rank(thin) + 1) * (size + 1) ** 2 <= _MAX_WORK:
         try:
@@ -166,7 +169,6 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
             pass  # H is refused, so the carrier's own figures below refuse it too
         else:
             return SubsetProfile(_thickened(base.counts, g, base.rank, size), size, base.rank)
-    core, sizes = merge_identical_elements(carrier)
     steps = 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
@@ -277,7 +279,7 @@ def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMEN
         profile, g = source.profile(max_elements), 1
     else:
         _check_bound(source.edge_count, max_elements)
-        thin, g = _thinned(source)
+        thin, g, _, _ = _thinned(source)
         try:
             profile = _carrier_profile(thin)
         except GroundSetTooLargeError:

@@ -145,3 +145,22 @@ def test_warm_cache_matches_fresh_greedoid(carrier):
     assert values == [poly.evaluate(a, b) for a, b in POINTS]
     assert halpha == hyperbola_restriction(poly, ALPHA)
     assert line == line_y_restriction(poly, C)
+
+
+def test_classes_merged_once_per_profile(monkeypatch):
+    """A profile made from scratch merges its carrier's classes once: the
+    thinning and the carrier's own route share one merge."""
+    merged = []
+    merge = tutte_module.merge_identical_elements
+    monkeypatch.setattr(tutte_module, "merge_identical_elements", lambda c: merged.append(c) or merge(c))
+    tutte_module._carrier_profile.cache_clear()
+    tutte_module._thinned.cache_clear()
+    graph = RootedGraph(3, ((0, 1), (0, 1), (1, 2)), 0)  # classes of 2 and 1, so g = 1
+    matrix = BinaryMatrix(((1, 1, 0, 1), (0, 1, 1, 1)))  # no repeated column, so g = 1
+    for carrier in (graph, matrix):
+        nine_queries(carrier)
+        nine_queries(carrier)
+        assert merged.pop() == carrier and not merged
+    thick = thicken(path_graph(3), 2)  # its profile expands that of the path it thins to
+    nine_queries(thick)
+    assert merged[0] == thick and len(merged) == 2 and merged[1].edge_count == 3

@@ -1,7 +1,9 @@
 """The span-state profile engine agrees with subset enumeration on binary
 matrices, and a matrix's profile comes from whichever engine has less work."""
 
+import functools
 import itertools
+import operator
 import random
 import time
 
@@ -50,6 +52,40 @@ def matrices(draw):
 @PROPERTY
 @given(matrices())
 def test_engine_matches_enumeration(matrix):
+    core, sizes = merge_identical_elements(matrix)
+    expected = rank_size_profile(to_greedoid(matrix))
+    assert span_state_profile(core, sizes, carrier_rank(core)) == expected
+
+
+@st.composite
+def wide_matrices(draw):
+    """Binary matrices of 6 to 8 rows and at most 12 columns, most of rank 6 or more.
+
+    A state keeps one slot of R bits per pivot, R being the rank, so these
+    fill slots up to 8 bits wide.  The columns span a subspace of dimension d
+    from 6 to ``rows``, its basis unitriangular on the top d rows, so the rank
+    is d and the rows below it are not zero when d < rows; a quarter of the
+    matrices lose a few columns, and with them rank.  The other columns are
+    zero, repeated basis columns or sums of them.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.randint(6, 8)
+    basis = [1 << i | rng.randrange(2 ** (rows - i - 1)) << i + 1 for i in range(rng.randint(6, rows))]
+
+    def member():
+        return functools.reduce(operator.xor, (b for b in basis if rng.randrange(2)), 0)
+
+    pool = [0, *basis, *(member() for _ in range(3))]
+    columns = basis + [rng.choice(pool) for _ in range(12 - len(basis))]
+    rng.shuffle(columns)
+    if rng.randrange(4) == 0:
+        del columns[: rng.randint(1, 6)]
+    return BinaryMatrix(tuple(tuple(col >> r & 1 for col in columns) for r in range(rows)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(wide_matrices())
+def test_engine_matches_enumeration_at_wider_slots(matrix):
     core, sizes = merge_identical_elements(matrix)
     expected = rank_size_profile(to_greedoid(matrix))
     assert span_state_profile(core, sizes, carrier_rank(core)) == expected
