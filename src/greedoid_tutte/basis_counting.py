@@ -35,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import index
 
 from .errors import (
     GroundSetTooLargeError,
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
-from .primitives import find, gaussian_binomial
+from .primitives import find, gaussian_binomial, gf2_pack
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -179,9 +180,26 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 # rank and basis counting over a field
 
 
+def _integer(entry) -> int:
+    """A matrix entry as an int: what ``operator.index`` takes, or a Fraction of denominator 1."""
+    try:
+        return index(entry)
+    except TypeError:
+        if isinstance(entry, Fraction) and entry.denominator == 1:
+            return entry.numerator
+        raise PreconditionError(f"matrix entry {entry!r} is not an integer") from None
+
+
 def _field_columns(columns, p: int) -> list[tuple]:
-    """The columns as int tuples reduced mod p, refused unless all of one length."""
-    cols = [tuple(int(v) % p if p else int(v) for v in col) for col in columns]
+    """The columns as int tuples reduced mod p, refused unless every entry is
+    an integer and all columns have one length."""
+    cols = [tuple(col) for col in columns]
+    try:
+        cols = [tuple(map(index, col)) for col in cols]
+    except TypeError:  # a Fraction of denominator 1 is taken; any other entry is named
+        cols = [tuple(map(_integer, col)) for col in cols]
+    if p:
+        cols = [tuple(v % p for v in col) for col in cols]
     if len({len(col) for col in cols}) > 1:
         raise PreconditionError("columns must all have the same length")
     return cols
@@ -190,7 +208,8 @@ def _field_columns(columns, p: int) -> list[tuple]:
 def matrix_rank(columns, field: Field) -> int:
     """Rank of the given column vectors over the field."""
     p, rows = field.char, ()
-    for col in _field_columns(columns, p):
+    cols = _field_columns(columns, p)
+    for col in gf2_pack(cols) if p == 2 else cols:
         rows = _insert(rows, col, p) or rows
     return len(rows)
 
@@ -215,12 +234,27 @@ def _lead(vec: tuple) -> int:
     return vec.index(next(filter(None, vec)))  # the first nonzero value first occurs there
 
 
-def _insert(rows: tuple, vec: tuple, p: int) -> tuple | None:
+def _insert(rows: tuple, vec, p: int) -> tuple | None:
     """Canonical rows of span(rows) + <vec>, or None when vec lies in span(rows).
 
     Canonical rows are normalized, zero at each other's leading index and
     ordered by it, so equal spans have equal rows.  ``vec`` is reduced mod p.
+    Over GF(2) every row is one int, bit t holding coordinate t, led by its
+    lowest set bit: elimination is XOR, and the new row clears its lead
+    from the others in one pass.  Other fields take int tuples.
     """
+    if p == 2:
+        for row in rows:
+            if vec & row & -row:  # vec holds the row's lead
+                vec ^= row
+        if not vec:
+            return None
+        lead, out = vec & -vec, []
+        for at, row in enumerate(rows):
+            if not row & lead - 1:  # this row and the rest are led past the new lead, so zero there
+                return (*out, vec, *rows[at:])
+            out.append(row ^ vec if row & lead else row)
+        return (*out, vec)
     leads = [_lead(row) for row in rows]
     for row, lead in zip(rows, leads):
         if vec[lead]:
@@ -239,22 +273,26 @@ def _insert(rows: tuple, vec: tuple, p: int) -> tuple | None:
     return tuple(out)
 
 
-def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list[tuple], list[int]]:
+def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list, list[int]]:
     """Coordinates of each column, up to a scale per coordinate, in the basis B
     of columns picked greedily from the right, and B's indices in order:
     the columns of the canonical rows of the row space read right to left.
     Column j has no coordinate on B left of j, so the span U_i of the
-    columns from i on is spanned by the coordinates of B from i on.
+    columns from i on is spanned by the coordinates of B from i on.  The
+    coordinates are rows of the field's type, ints over GF(2).
     """
     n, rows = len(cols), ()
-    for r in range(len(cols[0]) if cols else 0):
-        rows = _insert(rows, tuple(cols[j][r] for j in reversed(range(n))), p) or rows
-    by_pivot = {n - 1 - _lead(row): row for row in rows}
-    pivots = sorted(by_pivot)
-    return [tuple(by_pivot[b][n - 1 - j] for b in pivots) for j in range(n)], pivots
+    matrix = list(zip(*cols[::-1]))  # the matrix rows, read right to left
+    for vec in gf2_pack(matrix) if p == 2 else matrix:
+        rows = _insert(rows, vec, p) or rows
+    if p == 2:
+        rows = [tuple(row >> t & 1 for t in range(n)) for row in rows]
+    rows = rows[::-1]  # led right to left, so by pivot column left to right
+    coords = list(zip(*rows))[::-1] if rows else [()] * n
+    return gf2_pack(coords) if p == 2 else coords, [n - 1 - _lead(row) for row in rows]
 
 
-def _state_bound(coords: list[tuple], pivots: list[int], need: int, p: int) -> int:
+def _state_bound(coords: list, pivots: list[int], need: int, p: int) -> int:
     """Upper bound on the states of any one layer of the span-state DP.
 
     After i columns S lies in a space of dimension w = r(first i) + r(rest) - r(all),
@@ -285,7 +323,7 @@ def _state_bound(coords: list[tuple], pivots: list[int], need: int, p: int) -> i
     return worst
 
 
-def _step(layer: dict, col: tuple, drop: int | None, need: int, rest: int, p: int) -> dict:
+def _step(layer: dict, col, drop: int | None, need: int, rest: int, p: int) -> dict:
     """One column of the DP: ``layer`` maps S = span(A) ∩ U_i, as canonical
     rows, to the number of independent A by size.  ``col`` may join A iff
     it lies outside S; skipping it leaves S ∩ U_(i+1), taking it gives
@@ -295,12 +333,16 @@ def _step(layer: dict, col: tuple, drop: int | None, need: int, rest: int, p: in
     ``need`` with ``rest`` = dim U_(i+1) is dropped.
     """
     out: dict = {}
+    bits = p == 2
     for rows, by_size in layer.items():
         for shift, new in ((0, rows), (1, _insert(rows, col, p))):
-            if new and drop is not None and new[0][drop]:
+            if new is None:
+                continue
+            if new and drop is not None and (new[0] >> drop & 1 if bits else new[0][drop]):
                 new = new[1:]
+            low, high = need - rest + len(new) - shift, need - shift
             for a, count in by_size.items():
-                if new is not None and need - rest + len(new) <= a + shift <= need:
+                if low <= a <= high:
                     bucket = out.setdefault(new, {})
                     bucket[a + shift] = bucket.get(a + shift, 0) + count
     return out
@@ -314,10 +356,13 @@ def count_bases(
     A dynamic programme over the columns after Hliněný (Combin. Probab.
     Comput. 15, 2006): after i columns the state of A is |A| and
     S = span(A) ∩ U_i, U_i the span of the columns not yet seen (see
-    :func:`_step`).  S is a canonical echelon basis, monic mod p or primitive
-    integer rows over the rationals, so counts are exact Python ints without
-    numpy.  ``max_subsets`` bounds the proven upper bound :func:`_state_bound`
-    on the states of one layer, checked before the first step.
+    :func:`_step`).  S is a canonical echelon basis: rows of one int each
+    over GF(2), monic int tuples mod p, primitive integer tuples over the
+    rationals, so counts are exact Python ints without numpy.
+    ``max_subsets`` bounds the proven upper bound :func:`_state_bound` on the
+    (state, size) pairs of one layer, checked before the first step.  No
+    layer holds more than the 2^n subsets of the n columns, and neither does
+    the bound, so it is only computed when 2^n exceeds ``max_subsets``.
     """
     if size is not None and size < 0:
         raise PreconditionError(f"cannot count subsets of negative size {size}")
@@ -325,7 +370,7 @@ def count_bases(
     cols = _field_columns(columns, p)
     coords, pivots = _suffix_coordinates(cols, p)
     need = len(pivots) if size is None else size
-    states = _state_bound(coords, pivots, need, p)
+    states = _state_bound(coords, pivots, need, p) if max_subsets < 1 << len(cols) else 0
     if states > max_subsets:
         raise GroundSetTooLargeError(
             len(cols),

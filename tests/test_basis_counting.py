@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -686,3 +688,91 @@ def test_recovery_interpolates_the_template_polynomial(monkeypatch):
     assert report.match and report.recovered == 2
     assert [nodes for nodes, _ in calls] == [[Fraction(13 * k + 3, k) for k in (1, 2, 3)]]
     assert not hasattr(basis_counting, "bareiss_solve")
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, "1"], ids=repr)
+@pytest.mark.parametrize("count", [matrix_rank, count_bases], ids=lambda f: f.__name__)
+def test_non_integer_entries_are_refused(count, entry):
+    """An entry that int() would truncate or parse is refused by name: read
+    as integers, the columns (1/2, 0), (0, 1/3) had rank 0 over the rationals."""
+    for field in ALL_FIELDS:
+        with pytest.raises(PreconditionError, match=re.escape(repr(entry))):
+            count([(entry, 0), (0, Fraction(1, 3))], field)
+
+
+def test_integer_entries_of_other_types_are_read_as_ints():
+    """Bools, numpy integers and Fractions of denominator 1 are integers."""
+    columns = [(1, 0, 2), (0, 1, 1), (1, 1, 3), (0, 0, 0)]
+    typed = [(True, np.int64(0), Fraction(2)), (False, np.uint8(1), 1), (Fraction(1), True, np.int32(3)), (0, 0, 0)]
+    for field in ALL_FIELDS:
+        assert matrix_rank(typed, field) == matrix_rank(columns, field)
+        for size in range(4):
+            assert count_bases(typed, field, size) == count_bases(columns, field, size)
+
+
+@st.composite
+def wide_columns(draw):
+    """6 to 10 rows and 4 to 12 columns of entries in -3..3; zero and repeated columns are common."""
+    rows, n = draw(st.integers(6, 10)), draw(st.integers(4, 12))
+    columns = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rows), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, n - 1))] = draw(st.sampled_from(columns))
+    if draw(st.booleans()):
+        columns[draw(st.integers(0, n - 1))] = (0,) * rows
+    return columns
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(wide_columns())
+def test_gf2_counts_match_combinations_on_wide_matrices(columns):
+    """The one-int rows over GF(2) against a plain count of full-rank column subsets."""
+    rank = _reference_rank(columns, 2)
+    assert matrix_rank(columns, GF2) == rank
+    for size in range(rank + 2):
+        direct = sum(1 for combo in itertools.combinations(columns, size) if _reference_rank(combo, 2) == size)
+        assert count_bases(columns, GF2, size) == direct, size
+
+
+def test_gadget_counts_match_the_kind_count():
+    """C4 at k = 3 (48 columns) against the closed form over the templates counted by kind."""
+    gm = build_gadget_matrix(C4, 3)
+    for field in (GF2, GF3):
+        counts = count_feasible_templates(C4, field.is_char_two)
+        predicted = sum(predicted_bases_per_template(4, 4, 3, b, field.is_char_two) * c for b, c in counts.items())
+        assert count_bases(gm.ground_columns(), field, gm.target_rank) == predicted, str(field)
+
+
+def test_subset_shortcut_refuses_exactly_as_the_state_bound():
+    """With 2^n on either side of max_subsets, count_bases refuses exactly when
+    the proven bound exceeds max_subsets."""
+    rng = random.Random(24)
+    for _ in range(30):
+        n = rng.randint(0, 12)
+        columns = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(n)]
+        for field in ALL_FIELDS:
+            p = field.char
+            coords, pivots = basis_counting._suffix_coordinates(basis_counting._field_columns(columns, p), p)
+            for size in (None, 2):
+                bound = basis_counting._state_bound(coords, pivots, len(pivots) if size is None else size, p)
+                for limit in {2**n - 1, 2**n, 2**n + 1, bound - 1, bound}:
+                    if bound > limit:
+                        with pytest.raises(GroundSetTooLargeError):
+                            count_bases(columns, field, size, max_subsets=limit)
+                    else:
+                        count_bases(columns, field, size, max_subsets=limit)
+
+
+def test_state_bound_is_skipped_when_every_subset_fits(monkeypatch):
+    """The 16 columns of C4 at k = 1 have 2^16 subsets: at max_subsets = 2^16
+    no layer can be over budget, so the bound is never computed."""
+
+    def never(*args):
+        raise AssertionError("state bound computed")
+
+    monkeypatch.setattr(basis_counting, "_state_bound", never)
+    columns = build_gadget_matrix(C4, 1).ground_columns()
+    for field, bases in ((GF2, 4064), (GF3, 4072), (RATIONALS, 4072)):
+        assert count_bases(columns, field, max_subsets=2**16) == bases
+        assert count_bases(columns, field) == bases
+        with pytest.raises(AssertionError, match="state bound computed"):
+            count_bases(columns, field, max_subsets=2**16 - 1)
