@@ -9,19 +9,22 @@ Exponential operations (enumerating feasible sets, whole-lattice rank
 tables, parallel classes, axiom verification) are guarded by a configurable
 ground-set bound.  The default of 20 elements keeps every guarded call near
 a million subsets; a rank table of more than 2^26 subsets is refused
-whatever the bound.
+whatever the bound.  numpy is imported only by the functions that build or
+read a rank table, so a run that makes none never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError
-from .primitives import find, packed_power, unpack_profile
+from .primitives import binomial_shift, find, packed_power, unpack_profile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -80,6 +83,27 @@ class SubsetProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    @cached_property
+    def expansion(self) -> Mapping[tuple[int, int], int]:
+        """The Tutte polynomial's integer coefficients, by :func:`expand`, made on first use and then kept."""
+        return MappingProxyType(expand(self.counts))
+
+
+def expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s.
+
+    One binomial shift in y per deficit, then one in x per power of y.
+    Integer arithmetic throughout; callers turn the result into rationals.
+    """
+    by_deficit: dict[int, dict[int, int]] = {}
+    for (d, s), count in counts.items():
+        by_deficit.setdefault(d, {})[s] = count
+    by_y: dict[int, dict[int, int]] = {}
+    for d, row in by_deficit.items():
+        for j, c in enumerate(binomial_shift(row, -1)):
+            by_y.setdefault(j, {})[d] = c
+    return {(i, j): c for j, col in by_y.items() for i, c in enumerate(binomial_shift(col, -1))}
 
 
 @dataclass(eq=False)
@@ -223,6 +247,8 @@ def enumerate_bases(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS
 
 
 def _popcounts(n: int) -> np.ndarray:
+    import numpy as np
+
     pc = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
         pc[1 << i : 1 << (i + 1)] = pc[: 1 << i] + 1
@@ -240,6 +266,8 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     ``_MAX_WORK`` subsets raises ``GroundSetTooLargeError`` before anything
     is allocated.
     """
+    import numpy as np
+
     _check_bound(greedoid.size, max_elements)
     n = greedoid.size
     _check_work(n, [(1 << n, "entries of a rank table")])
@@ -256,6 +284,8 @@ def subset_ranks(greedoid: Greedoid, max_elements: int = DEFAULT_MAX_ELEMENTS) -
 
 def feasible_of_ranks(ranks: np.ndarray) -> np.ndarray:
     """The feasible sets, ascending, read off a rank table: A is feasible exactly when rank(A) = |A|."""
+    import numpy as np
+
     return np.flatnonzero(ranks == _popcounts(len(ranks).bit_length() - 1))
 
 
@@ -308,6 +338,8 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     sets out, to its rank's.  With every class of size 1 this is the plain
     count of core subsets by (deficit, surplus).
     """
+    import numpy as np
+
     core = len(sizes)
     multi = [e for e, c in enumerate(sizes) if c > 1]
     t = len(multi)
@@ -356,6 +388,8 @@ def parallel_classes(
     for every subset A, which is decided here from the full rank table; the
     loops, the elements in no feasible set, are read off the same table.
     """
+    import numpy as np
+
     n = greedoid.size
     _check_bound(n, max_elements)
     ranks = subset_ranks(greedoid, max_elements)
@@ -451,6 +485,8 @@ def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
     set.  Monotonicity is verified on covering pairs (A, A+e), which implies
     it for all inclusions.
     """
+    import numpy as np
+
     total = 1 << size
     table = np.zeros(total, dtype=np.int64)
     table[:] = rank_table

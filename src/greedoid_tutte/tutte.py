@@ -8,12 +8,14 @@ by (rank deficit, size surplus).  The Tutte polynomial
 and all its curve restrictions are exact rearrangements of that profile, so
 every public operation here reads one profile, made once per greedoid or
 carrier and then shared, and does only polynomial algebra on its integer
-counts.  A greedoid's profile is enumerated subset by subset.  A carrier's
-comes from the cheaper of two engines: enumeration over its classes of
-identical elements, or a second engine of its family: for a rooted graph
-or digraph, the sum over the vertex sets the root reaches, block by block,
-in :mod:`.vertex_profile`, and for a binary matrix, the programme over the
-spans of column sets in :mod:`.span_profile`.
+counts.  The profile also keeps its expansion into the coefficients of
+T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) are its
+column and row sums.  A greedoid's profile is enumerated subset by subset.
+A carrier's comes from the cheaper of two engines: enumeration over its
+classes of identical elements, or a second engine of its family: for a
+rooted graph or digraph, the sum over the vertex sets the root reaches,
+block by block, in :mod:`.vertex_profile`, and for a binary matrix, the
+programme over the spans of column sets in :mod:`.span_profile`.
 
 A carrier whose class sizes have gcd g > 1 is the g-thickening H^g of the
 carrier H with each class size divided by g (the core, when g is every class
@@ -63,10 +65,11 @@ from .greedoid import (
     _check_bound,
     _check_work,
     class_table_bits,
+    expand,
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import binomial_shift, join_edges, packed_power, reach, renumber, unpack_profile
+from .primitives import join_edges, packed_power, reach, renumber, unpack_profile
 from .span_profile import span_state_cost, span_state_profile
 from .vertex_profile import vertex_subset_cost, vertex_subset_profile
 
@@ -201,22 +204,6 @@ def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: i
     return unpack_profile(by_rank, width)
 
 
-def _expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s.
-
-    One binomial shift in y per deficit, then one in x per power of y.
-    Integer arithmetic throughout; callers turn the result into rationals.
-    """
-    by_deficit: dict[int, dict[int, int]] = {}
-    for (d, s), count in counts.items():
-        by_deficit.setdefault(d, {})[s] = count
-    by_y: dict[int, dict[int, int]] = {}
-    for d, row in by_deficit.items():
-        for j, c in enumerate(binomial_shift(row, -1)):
-            by_y.setdefault(j, {})[d] = c
-    return {(i, j): c for j, col in by_y.items() for i, c in enumerate(binomial_shift(col, -1))}
-
-
 def _collect(
     counts: Mapping[tuple[int, int], int], key: Callable[[int, int], int], u: Fraction, v: Fraction
 ) -> dict[int, Fraction]:
@@ -237,15 +224,18 @@ def _collect(
     return {k: Fraction(n, denominator) for k, n in sums.items()}
 
 
-def _restrict_x1(counts: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    """T(1, y) as a polynomial in y: only deficit-zero subsets survive."""
-    spanning = {key: c for key, c in counts.items() if key[0] == 0}
-    return LaurentPoly({j: c for (_, j), c in _expand(spanning).items()})
+def _line_sums(expansion: Mapping[tuple[int, int], int], axis: int) -> LaurentPoly:
+    """The expansion's coefficients summed over the other variable set to 1:
+    T(x, 1) in x for axis 0, T(1, y) in y for axis 1."""
+    sums: dict[int, int] = {}
+    for key, c in expansion.items():
+        sums[key[axis]] = sums.get(key[axis], 0) + c
+    return LaurentPoly(sums)
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
-    """Exact Tutte polynomial from the subset profile."""
-    return BivariatePoly(_expand(_profile(source, max_elements).counts))
+    """Exact Tutte polynomial from the subset profile's kept expansion."""
+    return BivariatePoly(_profile(source, max_elements).expansion)
 
 
 def _point(counts: Mapping[tuple[int, int], int], rank: int, u: Fraction, v: Fraction, q: Fraction) -> Fraction:
@@ -301,14 +291,14 @@ def tutte_restrict(
     y = 1 only surplus-zero (feasible) subsets survive and the result is a
     polynomial in x; on y = c the result is a polynomial in z = x - 1.
     """
-    counts = _profile(source, max_elements).counts
+    profile = _profile(source, max_elements)
+    counts = profile.counts
     if isinstance(curve, HAlpha):
         return LaurentPoly(_collect(counts, lambda d, s: s - d, curve.alpha, Fraction(1)))
     if isinstance(curve, H0X):
-        return _restrict_x1(counts)
+        return _line_sums(profile.expansion, 1)
     if isinstance(curve, H0Y):
-        feasible = {key: c for key, c in counts.items() if key[1] == 0}
-        return LaurentPoly({i: c for (i, _), c in _expand(feasible).items()})
+        return _line_sums(profile.expansion, 0)
     if isinstance(curve, LineY):
         return LaurentPoly(_collect(counts, lambda d, s: d, Fraction(1), curve.c - 1))
     raise TypeError(f"unknown curve {curve!r}")
@@ -417,7 +407,7 @@ def unrooted_tutte_polynomial(
     graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> BivariatePoly:
     """Classical Tutte polynomial of an unrooted graph (debug evaluator)."""
-    return BivariatePoly(_expand(rank_size_profile(_forest_greedoid(graph), max_elements)))
+    return BivariatePoly(expand(rank_size_profile(_forest_greedoid(graph), max_elements)))
 
 
 def unrooted_tutte_x1(
@@ -430,4 +420,4 @@ def unrooted_tutte_x1(
     """
     if not graph_is_connected(graph):
         raise NotConnectedError("comparison evaluator needs a connected graph")
-    return _restrict_x1(rank_size_profile(_forest_greedoid(graph), max_elements))
+    return _line_sums(expand(rank_size_profile(_forest_greedoid(graph), max_elements)), 1)

@@ -63,8 +63,7 @@ Only a block's sum over S carries w; each R_S stays a polynomial in z.
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
+from operator import add
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
 from .primitives import blocks, packed_fields, packed_powers, unpack_profile
@@ -121,6 +120,14 @@ def vertex_subset_profile(
     return unpack_profile(packed_fields(total, stride, len(reached)), width)
 
 
+def _set_sums(values: list[int]) -> list[int]:
+    """The sum of ``values[v]`` over the v in S, for every vertex set S, indexed by bitmask."""
+    table = [0]
+    for value in values:
+        table += [t + value for t in table]
+    return table
+
+
 def _block_profile(
     vertices: list[int],
     elements: dict[tuple[int, int], int],
@@ -146,17 +153,18 @@ def _block_profile(
         return powers[up + below] + (both << stride), down + up + below
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    pairs = np.zeros((n, n), dtype=np.int64)  # elements by end (tail, head) indices
+    pairs = [[0] * n for _ in range(n)]  # elements by end (tail, head) indices
     for (u, v), count in elements.items():
-        pairs[index[u], index[v]] += count
-    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # [v in S] by S and v
-    inside = ((member @ pairs) * member).sum(1)  # elements with both ends in S
+        pairs[index[u]][index[v]] += count
+    # Tables by vertex set S: the sets holding vertex i are those of the first i vertices, each with i added.
+    inside = [0]  # elements with both ends in S
+    for i in range(n):
+        inside += map(add, inside, _set_sums([pairs[i][j] + pairs[j][i] for j in range(i)]))
     if directed:  # arcs with tail outside S; arcs out of each vertex with head in S
-        free, into = (1 - member) @ pairs.sum(1), member @ pairs.T
+        free, into = _set_sums([sum(row) for row in pairs])[::-1], [_set_sums(row) for row in pairs]
     else:  # edges inside the complement of S
         free = inside[::-1]
     cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
-    inside_of, free_of = inside.tolist(), free.tolist()
 
     reaching = [0] * (1 << n)  # R_S
     sums: dict[int, int] = {}  # S's vertices with something below -> sum over S, in z and w
@@ -165,12 +173,12 @@ def _block_profile(
     # each S; for a graph the edges inside part, whatever S is, so their
     # powers of 1+z are looked up once.
     k = [0] * (1 << n)
-    weight = [powers[c] for c in inside_of]
+    weight = [powers[c] for c in inside]
     for s in range(1, 1 << n, 2):
         rest = s ^ 1
         total = part = 0
         if directed:
-            row = into[s].tolist()
+            row = [arcs[s] for arcs in into]
             while part != rest:  # the subsets of rest in increasing order
                 part = (part - rest) & rest
                 low = part & -part
@@ -181,7 +189,7 @@ def _block_profile(
                 part = (part - rest) & rest
                 total += reaching[s ^ part] * weight[part]
         reaching[s] = weight[s] - total
-        sums[s & cuts] = sums.get(s & cuts, 0) + (reaching[s] * powers[free_of[s]] << (s.bit_count() - 1) * stride)
+        sums[s & cuts] = sums.get(s & cuts, 0) + (reaching[s] * powers[free[s]] << (s.bit_count() - 1) * stride)
 
     # one cut vertex c at a time: P_c where c is in S, (1+z)^m_c where it is not
     size = sum(elements.values())

@@ -1,0 +1,65 @@
+"""numpy is loaded only by a rank table: importing the package, counting
+bases and running either family engine leave it unloaded."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import greedoid_tutte
+
+CHILD = """
+import json, sys
+import greedoid_tutte, greedoid_tutte.cli
+from greedoid_tutte import (
+    BinaryMatrix, RootedDigraph, RootedGraph, SimpleGraph, recover_perfect_matchings, to_greedoid, tutte_polynomial,
+)
+from greedoid_tutte import tutte, vertex_profile
+from greedoid_tutte.basis_counting import GF2, GF3, RATIONALS
+from greedoid_tutte.greedoid import rank_size_profile
+
+calls = []
+
+
+def spy(module, name, note=None):
+    original = getattr(module, name)
+    setattr(module, name, lambda *args: calls.append(note(args) if note else name) or original(*args))
+
+
+spy(tutte, "vertex_subset_profile")
+spy(tutte, "span_state_profile")
+spy(vertex_profile, "_block_profile", lambda args: f"block of {len(args[0])}")
+
+out = {"before": "numpy" in sys.modules}
+C4 = SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+out["matchings"] = [recover_perfect_matchings(C4, field).t_values[-1] for field in (GF2, GF3, RATIONALS)]
+K4 = RootedGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)), 0)
+COMPLETE = RootedDigraph(4, tuple((i, j) for i in range(4) for j in range(4) if i != j), 0)
+# the first 12 3-sets of 6 rows, as columns
+supports = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)][:12]
+MATRIX = BinaryMatrix(tuple(tuple(int(r in s) for s in supports) for r in range(6)))
+polynomials = [tutte_polynomial(carrier) for carrier in (K4, COMPLETE, MATRIX)]
+out["engines"] = calls
+out["after"] = "numpy" in sys.modules
+out["enumerated"] = [tutte_polynomial(to_greedoid(c)) == p for c, p in zip((K4, COMPLETE, MATRIX), polynomials)]
+profile = rank_size_profile(to_greedoid(K4))
+out["profile"] = profile == dict(tutte._carrier_profile(K4).counts)
+out["loaded"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_numpy_unloaded_without_a_rank_table():
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["before"] is False and out["after"] is False
+    assert out["matchings"] == [2, 2, 2]
+    assert out["engines"] == [
+        "vertex_subset_profile", "block of 4", "vertex_subset_profile", "block of 4", "span_state_profile"
+    ]
+    # enumeration and the rank table still work in the same process, and load numpy
+    assert out["enumerated"] == [True, True, True] and out["profile"] is True and out["loaded"] is True

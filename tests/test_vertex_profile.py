@@ -155,6 +155,29 @@ def test_blocks_with_several_hanging_parts_match_enumeration(carrier):
     assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
 
 
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        # a 4-vertex block with the edge 1-2 three times, written both ways, and 2-3 twice
+        RootedGraph(4, ((0, 1), (1, 2), (2, 1), (1, 2), (2, 3), (3, 2), (3, 0), (0, 2)), 0),
+        # a 5-vertex block with the edge 3-4 three times the same way, and a triangle through the root
+        RootedGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 4), (3, 4), (4, 1), (1, 3)), 0),
+        # a 4-vertex digraph block with the arc 1 -> 2 three times, antiparallel arcs 2 <-> 3 and 3 <-> 1
+        RootedDigraph(4, ((0, 1), (1, 2), (1, 2), (1, 2), (2, 3), (3, 2), (3, 1), (1, 3), (3, 0), (2, 0)), 0),
+        # a triangle with a doubled edge; below its cut vertex 2 a 4-vertex block with the edge 3-4
+        # three times, and below that block's vertex 4 an edge to 6
+        RootedGraph(7, ((0, 1), (1, 2), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (3, 4), (4, 5), (5, 2), (3, 5), (4, 6)), 0),
+        # the digraph version: the arc 2 -> 3 three times and antiparallel arcs 3 <-> 4 below the cut
+        # vertex 2, and antiparallel arcs 5 <-> 6 below that block's vertex 5
+        RootedDigraph(7, ((0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (2, 3), (3, 4), (4, 3), (4, 5), (5, 2), (3, 5), (5, 6), (6, 5)), 0),
+    ],
+)
+def test_repeated_elements_in_blocks_match_enumeration(carrier):
+    """A block's tables count every element by its end pair with its multiplicity."""
+    expected = rank_size_profile(to_greedoid(carrier))
+    assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
 @pytest.fixture
 def engines(monkeypatch):
     """Name the engine behind each carrier profile, starting from an empty cache."""
