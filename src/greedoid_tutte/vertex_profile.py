@@ -63,7 +63,6 @@ Only a block's sum over S carries w; each R_S stays a polynomial in z.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add
 
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
 from .primitives import blocks, packed_fields, packed_powers, unpack_profile
@@ -159,7 +158,7 @@ def _block_profile(
     # Tables by vertex set S: the sets holding vertex i are those of the first i vertices, each with i added.
     inside = [0]  # elements with both ends in S
     for i in range(n):
-        inside += map(add, inside, _set_sums([pairs[i][j] + pairs[j][i] for j in range(i)]))
+        inside += [a + b for a, b in zip(inside, _set_sums([pairs[i][j] + pairs[j][i] for j in range(i)]))]
     if directed:  # arcs with tail outside S; arcs out of each vertex with head in S
         free, into = _set_sums([sum(row) for row in pairs])[::-1], [_set_sums(row) for row in pairs]
     else:  # edges inside the complement of S
