@@ -46,7 +46,7 @@ from .errors import (
 )
 from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
-from .primitives import find, gaussian_binomial, gf2_pack
+from .primitives import as_integer, find, gaussian_binomial, gf2_pack
 
 LETTERS = ("w", "x", "y", "z")
 
@@ -59,9 +59,10 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertex_count", as_integer(self.vertex_count, "vertex count"))
         pairs = []
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u, v = as_integer(u, "vertex"), as_integer(v, "vertex")
             if u == v:
                 raise NotSimpleError(f"loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -86,6 +87,7 @@ class Field:
     char: int
 
     def __post_init__(self):
+        object.__setattr__(self, "char", as_integer(self.char, "field characteristic"))
         if self.char == 0:
             return
         if self.char < 2 or any(self.char % d == 0 for d in range(2, int(self.char**0.5) + 1)):
@@ -180,16 +182,6 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 # rank and basis counting over a field
 
 
-def _integer(entry) -> int:
-    """A matrix entry as an int: what ``operator.index`` takes, or a Fraction of denominator 1."""
-    try:
-        return index(entry)
-    except TypeError:
-        if isinstance(entry, Fraction) and entry.denominator == 1:
-            return entry.numerator
-        raise PreconditionError(f"matrix entry {entry!r} is not an integer") from None
-
-
 def _field_columns(columns, p: int) -> list[tuple]:
     """The columns as int tuples reduced mod p, refused unless every entry is
     an integer and all columns have one length."""
@@ -197,7 +189,7 @@ def _field_columns(columns, p: int) -> list[tuple]:
     try:
         cols = [tuple(map(index, col)) for col in cols]
     except TypeError:  # a Fraction of denominator 1 is taken; any other entry is named
-        cols = [tuple(map(_integer, col)) for col in cols]
+        cols = [tuple(as_integer(v, "matrix entry") for v in col) for col in cols]
     if p:
         cols = [tuple(v % p for v in col) for col in cols]
     if len({len(col) for col in cols}) > 1:

@@ -28,18 +28,20 @@ from .errors import (
     PreconditionError,
 )
 from .greedoid import DEFAULT_MAX_ELEMENTS, Greedoid, enumerate_feasible_sets
-from .primitives import find, gf2_insert, gf2_pack, gf2_rank, join_edges, reach, renumber
+from .primitives import as_integer, find, gf2_insert, gf2_pack, gf2_rank, join_edges, reach, renumber
 
 
 def _check_vertices(carrier, attr: str, kind: str) -> None:
-    """Store the carrier's pairs as ints and check that the root, if any, and
-    every endpoint lie in its vertex range."""
-    pairs = tuple((int(u), int(v)) for u, v in getattr(carrier, attr))
+    """Store the carrier's vertex count, pairs and root, if any, as ints (see
+    :func:`.primitives.as_integer`) and check that they lie in its vertex range."""
+    pairs = tuple((as_integer(u, "vertex"), as_integer(v, "vertex")) for u, v in getattr(carrier, attr))
     object.__setattr__(carrier, attr, pairs)
-    n = carrier.vertex_count
-    root = getattr(carrier, "root", None)
-    if root is not None and not 0 <= root < n:
-        raise ElementOutOfRangeError(f"root {root} outside vertex range")
+    n = as_integer(carrier.vertex_count, "vertex count")
+    object.__setattr__(carrier, "vertex_count", n)
+    if hasattr(carrier, "root"):
+        object.__setattr__(carrier, "root", as_integer(carrier.root, "root"))
+        if not 0 <= carrier.root < n:
+            raise ElementOutOfRangeError(f"root {carrier.root} outside vertex range")
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ElementOutOfRangeError(f"{kind} ({u}, {v}) outside vertex range")
@@ -93,7 +95,7 @@ class BinaryMatrix:
     bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        table = tuple(tuple(int(b) for b in row) for row in self.bits)
+        table = tuple(tuple(as_integer(b, "matrix entry") for b in row) for row in self.bits)
         object.__setattr__(self, "bits", table)
         if table and any(len(row) != len(table[0]) for row in table):
             raise ValueError("ragged rows")

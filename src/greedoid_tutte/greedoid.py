@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -437,45 +438,39 @@ def verify_family_axioms(size: int, feasible_sets: Iterable[int]) -> AxiomReport
 
     Reports the empty-set axiom and, for every pair of feasible sets of
     different sizes, the existence of a single-element feasible extension of
-    the smaller inside the larger (with witnesses when it fails).  More than
-    ``_MAX_WORK`` such pairs are refused before the first is checked.
+    the smaller inside the larger (with witnesses when it fails), stopping at
+    ``_WITNESS_CAP`` violations.  More than ``_MAX_WORK`` such pairs are
+    refused before the first is checked.
     """
     family = set(feasible_sets)
-    violations: list[AxiomViolation] = []
-    if 0 not in family:
-        violations.append(AxiomViolation("G1", (), "empty set is not feasible"))
     by_size: dict[int, list[int]] = {}
     for f in family:
         by_size.setdefault(f.bit_count(), []).append(f)
     counts = [len(sets) for sets in by_size.values()]  # pairs of sets of different sizes, checked below
     _check_work(size, [((sum(counts) ** 2 - sum(c * c for c in counts)) // 2, "pairs of feasible sets")])
     sizes = sorted(by_size)
-    for big_size in sizes:
-        for small_size in sizes:
-            if small_size >= big_size:
-                break
-            for big in by_size[big_size]:
-                for small in by_size[small_size]:
-                    extra = big & ~small
-                    ok = False
-                    while extra:
-                        bit = extra & -extra
-                        if (small | bit) in family:
-                            ok = True
-                            break
-                        extra ^= bit
-                    if not ok:
-                        violations.append(
-                            AxiomViolation(
+
+    def violations():
+        if 0 not in family:
+            yield AxiomViolation("G1", (), "empty set is not feasible")
+        for i, big_size in enumerate(sizes):
+            for small_size in sizes[:i]:
+                for big in by_size[big_size]:
+                    for small in by_size[small_size]:
+                        extra = big & ~small
+                        while extra:
+                            bit = extra & -extra
+                            if (small | bit) in family:
+                                break
+                            extra ^= bit
+                        else:  # no element of the larger set extends the smaller
+                            yield AxiomViolation(
                                 "G2",
                                 (elements_of(big), elements_of(small)),
-                                "no single-element feasible extension of the smaller set "
-                                "inside the larger",
+                                "no single-element feasible extension of the smaller set inside the larger",
                             )
-                        )
-                        if len(violations) >= _WITNESS_CAP:
-                            return AxiomReport(tuple(violations))
-    return AxiomReport(tuple(violations))
+
+    return AxiomReport(tuple(islice(violations(), _WITNESS_CAP)))
 
 
 def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
@@ -483,7 +478,7 @@ def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
 
     The table is indexed by bitmask and must cover every subset of the ground
     set.  Monotonicity is verified on covering pairs (A, A+e), which implies
-    it for all inclusions.
+    it for all inclusions.  Checking stops at ``_WITNESS_CAP`` violations.
     """
     import numpy as np
 
@@ -492,46 +487,20 @@ def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
     table[:] = rank_table
     pc = _popcounts(size).astype(np.int64)
     masks = np.arange(total, dtype=np.int64)
-    violations: list[AxiomViolation] = []
 
-    bad = np.nonzero((table < 0) | (table > pc))[0]
-    for mask in bad[:_WITNESS_CAP]:
-        violations.append(
-            AxiomViolation("GR1", (elements_of(int(mask)),), f"rank {int(table[mask])} outside [0, |A|]")
-        )
-
-    for e in range(size):
-        be = 1 << e
-        up = table[masks | be]
-        bad = np.nonzero(up < table)[0]
-        for mask in bad[:_WITNESS_CAP]:
-            violations.append(
-                AxiomViolation(
-                    "GR2",
-                    (elements_of(int(mask)), e),
-                    "rank decreases when adding an element",
-                )
-            )
-        if len(violations) >= _WITNESS_CAP:
-            return AxiomReport(tuple(violations[:_WITNESS_CAP]))
-
-    for e in range(size):
-        be = 1 << e
-        re = table[masks | be]
-        for f in range(e + 1, size):
-            bf = 1 << f
-            rf = table[masks | bf]
-            both = table[masks | be | bf]
-            bad = np.nonzero((re == table) & (rf == table) & (both != table))[0]
-            for mask in bad[:_WITNESS_CAP]:
-                violations.append(
-                    AxiomViolation(
-                        "GR3",
-                        (elements_of(int(mask)), e, f),
-                        "two rank-preserving elements raise the rank together",
+    def violations():
+        for mask in np.nonzero((table < 0) | (table > pc))[0]:
+            yield AxiomViolation("GR1", (elements_of(int(mask)),), f"rank {int(table[mask])} outside [0, |A|]")
+        for e in range(size):
+            for mask in np.nonzero(table[masks | 1 << e] < table)[0]:
+                yield AxiomViolation("GR2", (elements_of(int(mask)), e), "rank decreases when adding an element")
+        for e in range(size):
+            re = table[masks | 1 << e]
+            for f in range(e + 1, size):
+                rf, both = table[masks | 1 << f], table[masks | 1 << e | 1 << f]
+                for mask in np.nonzero((re == table) & (rf == table) & (both != table))[0]:
+                    yield AxiomViolation(
+                        "GR3", (elements_of(int(mask)), e, f), "two rank-preserving elements raise the rank together"
                     )
-                )
-            if len(violations) >= _WITNESS_CAP:
-                return AxiomReport(tuple(violations[:_WITNESS_CAP]))
 
-    return AxiomReport(tuple(violations))
+    return AxiomReport(tuple(islice(violations(), _WITNESS_CAP)))

@@ -1,13 +1,30 @@
-"""Union-find (with one pass over an edge bitmask, and vertex renumbering for
-it), root reachability, GF(2) elimination, the binomial shift, polynomials
-packed into ints and the Gaussian binomial, shared by every module.
+"""Integers read from outside, union-find (with one pass over an edge bitmask,
+and vertex renumbering for it), root reachability, GF(2) elimination, the
+binomial shift, polynomials packed into ints and the Gaussian binomial,
+shared by every module.
 
-This module imports nothing from the package, so any module may import it.
+This module imports nothing from the package but its errors, so any module
+may import it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Sequence
+
+from .errors import PreconditionError
+
+
+def as_integer(value, what: str) -> int:
+    """An int read from outside: what ``operator.index`` takes, or a Fraction
+    of denominator 1; anything else is refused, naming it as ``what``."""
+    try:
+        return index(value)
+    except TypeError:
+        if isinstance(value, Fraction) and value.denominator == 1:
+            return value.numerator
+        raise PreconditionError(f"{what} {value!r} is not an integer") from None
 
 
 def find(parent: list[int], v: int) -> int:

@@ -116,7 +116,8 @@ def interpolate_curve(
     * otherwise: same k-range, interpolating the hyperbola restriction in
       z = y - 1 at the nodes b^k - 1.
 
-    The evaluation nodes are checked to be pairwise distinct before solving.
+    Outside the excluded points the nodes are pairwise distinct, and
+    :func:`.exact.vandermonde_solve` refuses any that are not.
     """
     a, b = oracle.a, oracle.b
     if (a, b) == (1, 1):
@@ -138,8 +139,6 @@ def interpolate_curve(
         ks = range(1, size + rank + 2)
         nodes = [b**k - 1 for k in ks]
         lowest = -rank
-    if len(set(nodes)) != len(nodes):
-        raise ForbiddenPointError("thickening evaluation points are not pairwise distinct")
     values = []
     for k in ks:
         s = k if b == 1 else (b**k - 1) / (b - 1)  # 1 + b + ... + b^(k-1)
@@ -186,8 +185,6 @@ def interpolate_line_y_minus1(
         attached = attach_carrier(carrier, _star_for(oracle.family, k))
         values.append(oracle(attached) / a ** (k * rank))
         nodes.append((a - 1) ** (k + 1) * Fraction(-1) ** k / a**k)
-    if len(set(nodes)) != len(nodes):
-        raise ForbiddenPointError("attachment evaluation points are not pairwise distinct")
     return vandermonde_solve(nodes, values, 0)
 
 

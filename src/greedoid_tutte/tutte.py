@@ -65,7 +65,6 @@ from .greedoid import (
     _check_bound,
     _check_work,
     class_table_bits,
-    expand,
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
@@ -166,11 +165,9 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     thin, g, core, sizes = _thinned(carrier)
     size = carrier.edge_count
     if g > 1 and (carrier_rank(thin) + 1) * (size + 1) ** 2 <= _MAX_WORK:
-        try:
-            base = _carrier_profile(thin)
-        except GroundSetTooLargeError:
-            pass  # H is refused, so the carrier's own figures below refuse it too
-        else:
+        route = _thin_route(carrier)
+        if route:
+            base, _ = route
             return SubsetProfile(_thickened(base.counts, g, base.rank, size), size, base.rank)
     steps = 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
@@ -189,6 +186,17 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 
+def _thin_route(carrier: Carrier) -> tuple[SubsetProfile, int] | None:
+    """H's profile and g when the carrier is H^g for some g > 1 (see
+    :func:`_thinned`) and H is not refused, else None: then the carrier takes
+    its own route, and so is refused by its own figures."""
+    thin, g, _, _ = _thinned(carrier)
+    try:
+        return (_carrier_profile(thin), g) if g > 1 else None
+    except GroundSetTooLargeError:
+        return None
+
+
 def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: int) -> dict[tuple[int, int], int]:
     """The profile of H's k-thickening from H's counts: a subset of H of
     deficit d and surplus s holds rank - d + s elements, and each is met in
@@ -205,22 +213,25 @@ def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: i
 
 
 def _collect(
-    counts: Mapping[tuple[int, int], int], key: Callable[[int, int], int], u: Fraction, v: Fraction
+    profile: SubsetProfile, key: Callable[[int, int], int], u: Fraction, v: Fraction, q: Fraction = Fraction(1)
 ) -> dict[int, Fraction]:
-    """Sums of counts[d, s] u^d v^s, grouped by key(d, s).
+    """Sums of counts[d, s] u^d v^s q^(rank - d) over the profile, grouped by key(d, s).
 
+    The empty set has deficit rank, so d runs from 0 to rank, and u^d
+    q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank.
     The terms are summed as integers over their common denominator, and one
-    rational per group is made at the end.
+    rational per group is made at the end.  Nothing is divided, so q may be 0.
     """
-    top_d = max(d for d, _ in counts)
+    counts, rank = profile.counts, profile.rank
     top_s = max(s for _, s in counts)
-    us = [u.numerator**d * u.denominator ** (top_d - d) for d in range(top_d + 1)]
+    up, down = u.numerator * q.denominator, u.denominator * q.numerator
+    us = [up**d * down ** (rank - d) for d in range(rank + 1)]
     vs = [v.numerator**s * v.denominator ** (top_s - s) for s in range(top_s + 1)]
     sums: dict[int, int] = {}
     for (d, s), c in counts.items():
         k = key(d, s)
         sums[k] = sums.get(k, 0) + c * us[d] * vs[s]
-    denominator = u.denominator**top_d * v.denominator**top_s
+    denominator = (u.denominator * q.denominator) ** rank * v.denominator**top_s
     return {k: Fraction(n, denominator) for k, n in sums.items()}
 
 
@@ -238,46 +249,22 @@ def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMEN
     return BivariatePoly(_profile(source, max_elements).expansion)
 
 
-def _point(counts: Mapping[tuple[int, int], int], rank: int, u: Fraction, v: Fraction, q: Fraction) -> Fraction:
-    """The sum of counts[d, s] u^d v^s q^(rank - d).
-
-    u^d q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank,
-    so the terms are summed as integers over one common denominator, and
-    one rational is made at the end.  Nothing is divided, so q may be 0.
-    """
-    top_s = max(s for _, s in counts)
-    up, down = u.numerator * q.denominator, u.denominator * q.numerator
-    us = [up**d * down ** (rank - d) for d in range(rank + 1)]
-    vs = [v.numerator**s * v.denominator ** (top_s - s) for s in range(top_s + 1)]
-    total = sum(c * us[d] * vs[s] for (d, s), c in counts.items())
-    return Fraction(total, (u.denominator * q.denominator) ** rank * v.denominator**top_s)
-
-
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
     """Exact T(a, b) from one subset profile.
 
-    A carrier that is the g-thickening of H (g > 1, see :func:`_thinned`)
+    A carrier that is the g-thickening of H (g > 1, see :func:`_thin_route`)
     reads H's profile, with no expansion: with q = 1 + b + ... + b^(g-1),
 
         T(H^g; a, b) = sum of count[d, s] (a-1)^d (b^g-1)^s q^(rank - d).
-
-    When H is refused, the carrier takes its own route, and so is refused by
-    its own figures.
     """
     a, b = rational(a), rational(b)
     if isinstance(source, Greedoid):
         profile, g = source.profile(max_elements), 1
     else:
         _check_bound(source.edge_count, max_elements)
-        thin, g, _, _ = _thinned(source)
-        try:
-            profile = _carrier_profile(thin)
-        except GroundSetTooLargeError:
-            if g == 1:
-                raise
-            profile, g = _carrier_profile(source), 1
+        profile, g = _thin_route(source) or (_carrier_profile(source), 1)
     v = b**g - 1
-    return _point(profile.counts, profile.rank, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))
+    return _collect(profile, lambda d, s: 0, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))[0]
 
 
 def tutte_restrict(
@@ -292,15 +279,14 @@ def tutte_restrict(
     polynomial in x; on y = c the result is a polynomial in z = x - 1.
     """
     profile = _profile(source, max_elements)
-    counts = profile.counts
     if isinstance(curve, HAlpha):
-        return LaurentPoly(_collect(counts, lambda d, s: s - d, curve.alpha, Fraction(1)))
+        return LaurentPoly(_collect(profile, lambda d, s: s - d, curve.alpha, Fraction(1)))
     if isinstance(curve, H0X):
         return _line_sums(profile.expansion, 1)
     if isinstance(curve, H0Y):
         return _line_sums(profile.expansion, 0)
     if isinstance(curve, LineY):
-        return LaurentPoly(_collect(counts, lambda d, s: d, Fraction(1), curve.c - 1))
+        return LaurentPoly(_collect(profile, lambda d, s: d, Fraction(1), curve.c - 1))
     raise TypeError(f"unknown curve {curve!r}")
 
 
@@ -324,7 +310,7 @@ def characteristic_polynomial(
     profile = _profile(source, max_elements)
     sign = (-1) ** profile.rank
     # (x-1)^d at x = 1-z is (-z)^d; (y-1)^s at y = 0 is (-1)^s.
-    terms = _collect(profile.counts, lambda d, s: d, Fraction(-1), Fraction(-1))
+    terms = _collect(profile, lambda d, s: d, Fraction(-1), Fraction(-1))
     return LaurentPoly({d: sign * c for d, c in terms.items()})
 
 
@@ -407,7 +393,7 @@ def unrooted_tutte_polynomial(
     graph: UnrootedGraph, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> BivariatePoly:
     """Classical Tutte polynomial of an unrooted graph (debug evaluator)."""
-    return BivariatePoly(expand(rank_size_profile(_forest_greedoid(graph), max_elements)))
+    return tutte_polynomial(_forest_greedoid(graph), max_elements)
 
 
 def unrooted_tutte_x1(
@@ -420,4 +406,4 @@ def unrooted_tutte_x1(
     """
     if not graph_is_connected(graph):
         raise NotConnectedError("comparison evaluator needs a connected graph")
-    return _line_sums(expand(rank_size_profile(_forest_greedoid(graph), max_elements)), 1)
+    return tutte_restrict(_forest_greedoid(graph), H0X(), max_elements)

@@ -284,7 +284,7 @@ def test_basis_characterization_sweep_path3_sampled():
 
 
 def test_template_of_basis_fibers_match_prediction():
-    for graph, k in [(K2, 1), (K2, 2)]:
+    for graph, k in [(K2, 1), (K2, 2), (SimpleGraph(3, ((0, 1), (1, 2))), 1), (PATH3, 1)]:
         gm = build_gadget_matrix(graph, k)
         cols = gm.ground_columns()
         r = gm.target_rank
@@ -303,6 +303,7 @@ def test_template_of_basis_fibers_match_prediction():
                     graph.vertex_count, graph.edge_count, k, template.bidirected_count, char_two
                 )
                 assert size == predicted
+            assert set(fibers) == set(feasible)  # every feasible template holds a basis
             total = sum(fibers.values())
             assert total == count_bases(cols, field, r)
 
@@ -708,6 +709,30 @@ def test_integer_entries_of_other_types_are_read_as_ints():
         assert matrix_rank(typed, field) == matrix_rank(columns, field)
         for size in range(4):
             assert count_bases(typed, field, size) == count_bases(columns, field, size)
+
+
+@pytest.mark.parametrize("entry", [0.9, "1", Fraction(1, 2)], ids=repr)
+def test_non_integer_vertices_and_characteristics_are_refused(entry):
+    """int() read the edge (0, 0.9) as a loop, and the characteristic 2.0 as
+    a prime, which count_bases then failed on with a bare TypeError."""
+    with pytest.raises(PreconditionError, match=re.escape(f"{entry!r} is not an integer")):
+        SimpleGraph(3, ((0, 1), (1, entry)))
+    with pytest.raises(PreconditionError, match=re.escape(f"{entry!r} is not an integer")):
+        SimpleGraph(entry, ((0, 1),))
+    for char in (entry, 2.0, 3.0):
+        with pytest.raises(PreconditionError, match=re.escape(f"{char!r} is not an integer")):
+            Field(char)
+
+
+def test_integer_vertices_and_characteristics_of_other_types_are_read_as_ints():
+    graph = SimpleGraph(np.int64(3), ((False, True), (np.uint8(2), Fraction(1))))
+    assert graph.edges == ((0, 1), (1, 2)) and type(graph.vertex_count) is int
+    assert all(type(v) is int for edge in graph.edges for v in edge)
+    for char, field in ((np.int64(2), GF2), (Fraction(3), GF3), (False, RATIONALS)):
+        assert Field(char) == field and type(Field(char).char) is int
+    gm = build_gadget_matrix(K2, 1)
+    columns, rank = gm.ground_columns(), gm.target_rank
+    assert count_bases(columns, Field(np.int64(2)), rank) == count_bases(columns, GF2, rank)
 
 
 @st.composite

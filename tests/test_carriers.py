@@ -1,5 +1,8 @@
+import re
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from greedoid_tutte import (
@@ -83,6 +86,39 @@ def test_vertex_validation():
         RootedGraph(2, ((0, 5),), 0)
     with pytest.raises(ElementOutOfRangeError):
         RootedDigraph(2, ((0, 1),), 7)
+
+
+@pytest.mark.parametrize("entry", [0.9, "1", Fraction(1, 2)], ids=repr)
+def test_non_integer_entries_are_refused_by_carriers(entry):
+    """An entry that int() would truncate or parse is refused by name: read
+    by int(), the edge (0, 1.9) became (0, 1) and the matrix entry 0.9 became 0."""
+    builds = [
+        lambda: RootedGraph(3, ((0, entry), (1, 2)), 0),
+        lambda: RootedGraph(3, ((0, 1), (1, 2)), entry),
+        lambda: RootedDigraph(3, ((entry, 1), (1, 2)), 0),
+        lambda: RootedDigraph(3, ((0, 1), (1, 2)), entry),
+        lambda: UnrootedGraph(3, ((0, 1), (entry, 2))),
+        lambda: BinaryMatrix(((entry, 1), (1, 0))),
+        lambda: UnrootedGraph(entry, ()),
+    ]
+    for build in builds:
+        with pytest.raises(PreconditionError, match=re.escape(f"{entry!r} is not an integer")):
+            build()
+
+
+def test_integer_entries_of_other_types_are_read_by_carriers():
+    """Bools, numpy integers and Fractions of denominator 1 are stored as ints."""
+    typed = [(False, np.int64(1)), (np.uint8(1), Fraction(2))]
+    carriers = (RootedGraph(3, typed, np.int32(0)), RootedDigraph(3, typed, False), UnrootedGraph(np.int64(3), typed))
+    for carrier in carriers:
+        pairs = carrier.arcs if isinstance(carrier, RootedDigraph) else carrier.edges
+        assert pairs == ((0, 1), (1, 2))
+        assert all(type(v) is int for pair in pairs for v in pair)
+        assert type(getattr(carrier, "root", 0)) is int and getattr(carrier, "root", 0) == 0
+        assert type(carrier.vertex_count) is int and carrier.vertex_count == 3
+    matrix = BinaryMatrix(((True, np.int8(0)), (Fraction(0), np.uint64(1))))
+    assert matrix.bits == ((1, 0), (0, 1))
+    assert all(type(b) is int for row in matrix.bits for b in row)
 
 
 def test_row_add_preserves_family():

@@ -209,6 +209,38 @@ def test_verify_rank_axioms_violations():
     assert any(v.axiom == "GR3" for v in report.violations)
 
 
+def test_axiom_checkers_stop_at_twenty_witnesses_in_axiom_order():
+    """Each checker returns the first 20 witnesses of its axioms in order,
+    by size of the larger set, then the smaller; by e, then f; by mask."""
+    full = tuple(range(5))
+    # no empty set; {3, 4} and every 3-set extend none of {0}, {1}, {2}: 1 + 3 + 30 violations
+    family = [mask_of([e]) for e in range(3)] + [mask_of([3, 4])]
+    family += [mask_of(c) for c in itertools.combinations(full, 3)]
+    report = verify_family_axioms(5, family)
+    bigs = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4), (0, 2, 4)]  # by mask
+    expected = [("G1", ())] + [("G2", ((3, 4), (s,))) for s in range(3)]
+    expected += [("G2", (big, (s,))) for big in bigs for s in range(3)][:16]
+    assert [(v.axiom, v.witness) for v in report.violations] == expected
+
+    # rank 1 on singletons but 0 on pairs, and 6 on the whole set: GR1 once, and GR2 for
+    # each element added to another's singleton, 20 times
+    table = np.array([int(m.bit_count() in (1, 3, 4)) for m in range(32)])
+    table[31] = 6
+    report = verify_rank_axioms(5, table)
+    expected = [("GR1", (full,))] + [("GR2", ((f,), e)) for e in full for f in full if f != e][:19]
+    assert [(v.axiom, v.witness) for v in report.violations] == expected
+
+    # rank 0 up to singletons and 1 above, and 6 on the whole set: GR1 once, and GR3 for
+    # each pair e < f at the empty set and at the other three elements, 20 times
+    table = np.array([int(m.bit_count() > 1) for m in range(32)])
+    table[31] = 6
+    report = verify_rank_axioms(5, table)
+    expected = [("GR1", (full,))] + [
+        ("GR3", (m, e, f)) for e, f in itertools.combinations(full, 2) for m in ((), tuple(sorted({*full} - {e, f})))
+    ][:19]
+    assert [(v.axiom, v.witness) for v in report.violations] == expected
+
+
 def test_enumeration_bound_guard():
     g = Greedoid(21, lambda mask: mask == 0)
     with pytest.raises(GroundSetTooLargeError):
