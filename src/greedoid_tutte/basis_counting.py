@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import index
 
+from .carriers import UnrootedGraph
 from .errors import (
     GroundSetTooLargeError,
     NotABasisError,
@@ -52,21 +53,15 @@ LETTERS = ("w", "x", "y", "z")
 
 
 @dataclass(frozen=True)
-class SimpleGraph:
-    """Simple graph without isolated vertices; edges stored with a < b."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+class SimpleGraph(UnrootedGraph):
+    """Unrooted graph without loops, parallel edges or isolated vertices; edges stored with a < b."""
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_count", as_integer(self.vertex_count, "vertex count"))
+        super().__post_init__()
         pairs = []
         for u, v in self.edges:
-            u, v = as_integer(u, "vertex"), as_integer(v, "vertex")
             if u == v:
                 raise NotSimpleError(f"loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise NotSimpleError(f"edge ({u}, {v}) outside vertex range")
             pairs.append((min(u, v), max(u, v)))
         if len(set(pairs)) != len(pairs):
             raise NotSimpleError("parallel edges are not allowed")
@@ -74,10 +69,6 @@ class SimpleGraph:
         if covered != set(range(self.vertex_count)):
             raise NotSimpleError("isolated vertices are not allowed")
         object.__setattr__(self, "edges", tuple(pairs))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)

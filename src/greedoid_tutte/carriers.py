@@ -98,9 +98,9 @@ class BinaryMatrix:
         table = tuple(tuple(as_integer(b, "matrix entry") for b in row) for row in self.bits)
         object.__setattr__(self, "bits", table)
         if table and any(len(row) != len(table[0]) for row in table):
-            raise ValueError("ragged rows")
+            raise PreconditionError("ragged rows")
         if any(b not in (0, 1) for row in table for b in row):
-            raise ValueError("entries must be 0 or 1")
+            raise PreconditionError("entries must be 0 or 1")
 
     @property
     def row_count(self) -> int:
@@ -305,10 +305,6 @@ def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]
 # connectivity helpers
 
 
-def root_component_vertices(graph: RootedGraph) -> frozenset[int]:
-    return frozenset(root_reach(graph))
-
-
 def graph_is_connected(graph: RootedGraph | UnrootedGraph) -> bool:
     if graph.vertex_count == 0:
         return True
@@ -316,12 +312,8 @@ def graph_is_connected(graph: RootedGraph | UnrootedGraph) -> bool:
     return len(reach(root, graph.edges, False)) == graph.vertex_count
 
 
-def reachable_from_root(digraph: RootedDigraph) -> frozenset[int]:
-    return frozenset(root_reach(digraph))
-
-
 def digraph_is_root_connected(digraph: RootedDigraph) -> bool:
-    return len(reachable_from_root(digraph)) == digraph.vertex_count
+    return len(root_reach(digraph)) == digraph.vertex_count
 
 
 def require_connected(graph: RootedGraph) -> None:

@@ -15,7 +15,7 @@ read a rank table, so a run that makes none never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
@@ -120,8 +120,6 @@ class Greedoid:
     size: int
     feasible_mask: Callable[[int], bool]
     name: str = ""
-    _rank: int | None = field(default=None, repr=False, compare=False)
-    _profile: SubsetProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
@@ -133,11 +131,9 @@ class Greedoid:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = len(elements_of(max_feasible_subset(self, self.full_mask)))
-        return self._rank
+        return rank_of(self, self.full_mask)
 
     def profile(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> SubsetProfile:
         """The subset profile, enumerated on first use and then kept.
@@ -146,9 +142,11 @@ class Greedoid:
         at, so a smaller ``max_elements`` still raises.
         """
         _check_bound(self.size, max_elements)
-        if self._profile is None:
-            self._profile = SubsetProfile(rank_size_profile(self, max_elements), self.size, self.rank)
         return self._profile
+
+    @cached_property
+    def _profile(self) -> SubsetProfile:
+        return SubsetProfile(rank_size_profile(self, self.size), self.size, self.rank)
 
     def _check_subset(self, subset: int) -> None:
         if subset < 0 or subset >> self.size:

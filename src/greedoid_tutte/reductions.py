@@ -30,7 +30,6 @@ from .carriers import (
     carrier_rank,
     directed_path,
     directed_star,
-    gf2_row_rank,
     graph_is_connected,
     identity_matrix,
     path_graph,
@@ -41,7 +40,6 @@ from .carriers import (
 from .constructions import attach_carrier, block_diag, digon_stretch, thicken
 from .errors import (
     ForbiddenPointError,
-    FullRowRankError,
     NotConnectedError,
     PreconditionError,
     ProbabilityRangeError,
@@ -309,9 +307,8 @@ def binary_identities_check(
 
     At every sampled a: T(M block I1; a, 0) = a * T(M; 1, 0) and
     (2a-1) * T(M; 1, -1) = T(M block I1; a, -1) + (a-1) * T(M; a, -1).
+    :func:`.constructions.block_diag` refuses any other matrix before any evaluation.
     """
-    if gf2_row_rank(matrix) != matrix.row_count:
-        raise FullRowRankError("identities need linearly independent rows")
     extended = block_diag(matrix, identity_matrix(1))
     t_m_10 = tutte_eval(matrix, 1, 0, max_elements)
     t_m_1m1 = tutte_eval(matrix, 1, -1, max_elements)

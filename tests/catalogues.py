@@ -100,9 +100,9 @@ def brute_rank(greedoid: Greedoid, subset: int) -> int:
 
 def spanning_trees_brute(graph: RootedGraph) -> list[int]:
     """Edge masks forming spanning trees of the root component."""
-    from greedoid_tutte.carriers import root_component_vertices
+    from greedoid_tutte.carriers import root_reach
 
-    component = root_component_vertices(graph)
+    component = root_reach(graph)
     masks = []
     m = graph.edge_count
     for mask in range(1 << m):
@@ -133,9 +133,9 @@ def spanning_trees_brute(graph: RootedGraph) -> list[int]:
 
 def arborescences_brute(digraph: RootedDigraph) -> list[int]:
     """Arc masks forming spanning arborescences of the root component."""
-    from greedoid_tutte.carriers import reachable_from_root
+    from greedoid_tutte.carriers import root_reach
 
-    component = reachable_from_root(digraph)
+    component = root_reach(digraph)
     masks = []
     m = digraph.edge_count
     for mask in range(1 << m):

@@ -13,10 +13,12 @@ from greedoid_tutte import (
     RATIONALS,
     Field,
     SimpleGraph,
+    UnrootedGraph,
     build_gadget_matrix,
     count_bases,
     count_feasible_templates,
     count_perfect_matchings,
+    count_subtrees,
     enumerate_feasible_templates,
     matrix_rank,
     predicted_bases_per_template,
@@ -30,7 +32,9 @@ from greedoid_tutte.basis_counting import (
     template_is_feasible,
 )
 from greedoid_tutte import basis_counting
+from greedoid_tutte.carriers import format_carrier, parse_carrier_text
 from greedoid_tutte.errors import (
+    ElementOutOfRangeError,
     GroundSetTooLargeError,
     NotABasisError,
     NotSimpleError,
@@ -53,6 +57,17 @@ def test_simple_graph_validation():
         SimpleGraph(2, ((0, 1), (1, 0)))
     with pytest.raises(NotSimpleError):
         SimpleGraph(3, ((0, 1),))
+
+
+def test_simple_graph_is_an_unrooted_graph():
+    """Its vertices are read and range-checked as an UnrootedGraph's, and it
+    goes wherever an UnrootedGraph goes."""
+    assert isinstance(C4, UnrootedGraph)
+    plain = UnrootedGraph(C4.vertex_count, C4.edges)
+    assert parse_carrier_text(format_carrier(C4)) == plain
+    assert count_subtrees(C4) == count_subtrees(plain) == 16  # 4 vertices, 4 paths of each length 1 to 3
+    with pytest.raises(ElementOutOfRangeError, match=re.escape("edge (0, 2) outside vertex range")):
+        SimpleGraph(2, ((0, 1), (0, 2)))
 
 
 def test_field_validation():

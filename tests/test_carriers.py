@@ -121,6 +121,14 @@ def test_integer_entries_of_other_types_are_read_by_carriers():
     assert all(type(b) is int for row in matrix.bits for b in row)
 
 
+@pytest.mark.parametrize(
+    "bits, message", [(((2, 0),), "entries must be 0 or 1"), (((1, 0), (1,)), "ragged rows")], ids=["entry 2", "ragged"]
+)
+def test_binary_matrix_refuses_other_entries_and_ragged_rows(bits, message):
+    with pytest.raises(PreconditionError, match=message):
+        BinaryMatrix(bits)
+
+
 def test_row_add_preserves_family():
     demo = demo_binary_matrix()
     for i in range(demo.row_count):

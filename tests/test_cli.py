@@ -205,6 +205,15 @@ def test_vertigan_template_bound_exit_code(tmp_path, capsys):
     assert "21 elements" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["edge 0 0\nedge 0 1\n", "edge 0 1\nedge 3 4\n"], ids=["loop", "isolated vertex"])
+def test_vertigan_refuses_a_graph_that_is_not_simple(tmp_path, capsys, text):
+    path = tmp_path / "not-simple.graph"
+    path.write_text(text)
+    assert main(["vertigan", str(path), "--field", "gf2"]) == 3
+    err = capsys.readouterr().err
+    assert "NotSimpleError" in err and "Traceback" not in err
+
+
 def test_rooted_file_to_unrooted_commands(tmp_path, capsys):
     """A rooted graph file given to an unrooted command is read as its underlying graph."""
     rooted, unrooted = tmp_path / "rooted.graph", tmp_path / "unrooted.graph"

@@ -1,6 +1,7 @@
 """One subset profile per carrier or greedoid, shared by every Tutte query."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,36 @@ def test_profile_is_read_only():
         with pytest.raises(dataclasses.FrozenInstanceError):
             source.rank = 0
     assert tutte_polynomial(path_graph(2)) == tutte_polynomial(to_greedoid(path_graph(2)))
+
+
+def test_greedoid_keeps_its_rank_and_profile():
+    """A second rank read or profile() call asks the oracle nothing, and the
+    bound is still checked on every call."""
+    calls = 0
+
+    def oracle(mask):
+        nonlocal calls
+        calls += 1
+        return mask.bit_count() <= 2
+
+    def calls_for(*reads):
+        nonlocal calls
+        greedoid = Greedoid(4, oracle)
+        calls = 0
+        for read in reads:
+            read(greedoid)
+        return calls
+
+    rank, profile = (lambda g: g.rank), (lambda g: g.profile())
+    assert calls_for(rank, rank) == calls_for(rank) > 0
+    assert calls_for(profile, profile) == calls_for(profile) > 0
+    assert calls_for(rank, profile, rank, profile) == calls_for(profile)
+    greedoid = Greedoid(4, oracle)
+    kept = greedoid.profile()
+    with pytest.raises(GroundSetTooLargeError):
+        greedoid.profile(max_elements=greedoid.size - 1)
+    assert greedoid.profile(max_elements=greedoid.size) is kept
+    assert list(inspect.signature(Greedoid).parameters) == ["size", "feasible_mask", "name"]
 
 
 def test_distinct_greedoids_never_share_a_profile():

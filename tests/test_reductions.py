@@ -34,6 +34,7 @@ from greedoid_tutte import (
     tutte_polynomial,
     tutte_restrict,
 )
+from greedoid_tutte import reductions
 from greedoid_tutte.errors import (
     ForbiddenPointError,
     FullRowRankError,
@@ -208,6 +209,15 @@ def test_binary_identities():
         report = binary_identities_check(matrix)
         assert report["ok"], report
         assert "1/2" in report["values"]  # the 2a-1 = 0 sample stays checkable
+    with pytest.raises(FullRowRankError):
+        binary_identities_check(BinaryMatrix(((1, 1), (1, 1))))
+
+
+def test_binary_identities_refuse_before_any_evaluation(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("evaluated before the full-row-rank check")
+
+    monkeypatch.setattr(reductions, "tutte_eval", evaluated)
     with pytest.raises(FullRowRankError):
         binary_identities_check(BinaryMatrix(((1, 1), (1, 1))))
 
