@@ -35,7 +35,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from operator import index
 
 from .carriers import UnrootedGraph
 from .errors import (
@@ -176,11 +175,7 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 def _field_columns(columns, p: int) -> list[tuple]:
     """The columns as int tuples reduced mod p, refused unless every entry is
     an integer and all columns have one length."""
-    cols = [tuple(col) for col in columns]
-    try:
-        cols = [tuple(map(index, col)) for col in cols]
-    except TypeError:  # a Fraction of denominator 1 is taken; any other entry is named
-        cols = [tuple(as_integer(v, "matrix entry") for v in col) for col in cols]
+    cols = [tuple(as_integer(v, "matrix entry") for v in col) for col in columns]
     if p:
         cols = [tuple(v % p for v in col) for col in cols]
     if len({len(col) for col in cols}) > 1:

@@ -372,7 +372,7 @@ def full_rank_attach(g1: Greedoid, g2: Greedoid) -> Greedoid:
 def block_diag(m1: BinaryMatrix, m2: BinaryMatrix) -> BinaryMatrix:
     """Block-diagonal matrix; realizes the full-rank attachment for binary greedoids."""
     if gf2_row_rank(m1) != m1.row_count:
-        raise FullRowRankError("first block must have linearly independent rows")
+        raise FullRowRankError("matrix must have linearly independent rows")
     r1, c1 = m1.row_count, m1.col_count
     r2, c2 = m2.row_count, m2.col_count
     rows = [tuple(m1.bits[i]) + (0,) * c2 for i in range(r1)]
