@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 from .carriers import UnrootedGraph
 from .errors import (
@@ -45,10 +45,12 @@ from .errors import (
     PreconditionError,
 )
 from .exact import vandermonde_solve
-from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound
+from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound, _check_work
 from .primitives import as_integer, find, gaussian_binomial, gf2_pack
 
 LETTERS = ("w", "x", "y", "z")
+# count_bases' default bound on one layer's states; n columns with 2^n within it need no state bound
+_MAX_SUBSETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class Field:
         object.__setattr__(self, "char", as_integer(self.char, "field characteristic"))
         if self.char == 0:
             return
-        if self.char < 2 or any(self.char % d == 0 for d in range(2, int(self.char**0.5) + 1)):
+        if self.char < 2 or any(self.char % d == 0 for d in range(2, isqrt(self.char) + 1)):
             raise PreconditionError(f"{self.char} is not prime")
 
     @property
@@ -327,7 +329,7 @@ def _step(layer: dict, col, drop: int | None, need: int, rest: int, p: int) -> d
 
 
 def count_bases(
-    columns, field: Field, size: int | None = None, max_subsets: int = 10_000_000
+    columns, field: Field, size: int | None = None, max_subsets: int = _MAX_SUBSETS
 ) -> int:
     """Number of independent column subsets of the given size (default: rank).
 
@@ -471,12 +473,14 @@ def enumerate_feasible_templates(
     """All feasible templates, in the order of a brute force over per-edge states.
 
     Each edge has 8 = 2^3 states, so the search is bounded like a ground set
-    of 3|E| elements.  A depth-first search over the edges cuts a prefix in
-    which a vertex is the head of two bidirected or directed edges, or whose
-    weight (2 per bidirected, 1 per other present edge) can no longer total
-    n; :func:`template_is_feasible` decides every complete template.
+    of 3|E| elements, and its 8^|E| templates by ``_MAX_WORK``.  A depth-first
+    search over the edges cuts a prefix in which a vertex is the head of two
+    bidirected or directed edges, or whose weight (2 per bidirected, 1 per
+    other present edge) can no longer total n; :func:`template_is_feasible`
+    decides every complete template.
     """
     _check_bound(3 * graph.edge_count, max_elements)
+    _check_work(3 * graph.edge_count, [(8**graph.edge_count, "templates")])
     n, m = graph.vertex_count, graph.edge_count
     options = [
         [(state, _heads(state, a, b), _WEIGHT[state and state.kind]) for state in _edge_options(a, b)]
@@ -519,9 +523,11 @@ def count_feasible_templates(
     number of wz edges) over fields other than GF(2), and none over GF(2).
     So an assignment with d directed and u undirected edges and h headless
     components gives 2^(d + u - h) feasible templates, or 0 over GF(2)
-    when h > 0.  Bounded like the listing, as 3 elements per edge.
+    when h > 0.  Bounded as 3 elements per edge, and its 5^m kind
+    assignments by ``_MAX_WORK``.
     """
     _check_bound(3 * graph.edge_count, max_elements)
+    _check_work(3 * graph.edge_count, [(5**graph.edge_count, "kind assignments")])
     n, m = graph.vertex_count, graph.edge_count
     # per edge and kind: heads as a bitmask, weight, undirected edges added, bidirected and labelled edges
     kinds = [
@@ -643,25 +649,21 @@ class RecoveryReport:
         return self.recovered == self.direct
 
 
-# b_k is counted directly while the subset space C(4mk, n + mk) is at most this
-_DIRECT_LIMIT = 100_000
-
-
 def recover_perfect_matchings(
     graph: SimpleGraph, field: Field, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> RecoveryReport:
     """Recover the perfect matching count from basis counts of the lifts.
 
     Basis counts b_k for k = 1 .. n/2 + 1 are counted directly while the
-    subset space stays at most ``_DIRECT_LIMIT`` and taken from the
-    per-template closed form otherwise (legitimized by the partition
-    property, which the test suite establishes on directly enumerable
-    cases), with the template counts from :func:`count_feasible_templates`.
-    The closed form for a template with j bidirected edges is c_k x_k^j, so
+    2^(4mk) subsets of the letter columns fit :func:`count_bases`' default
+    bound, where it needs no state bound, and taken from the per-template
+    closed form otherwise (legitimized by the partition property, which the
+    tests establish on directly enumerable cases), with the template counts
+    from :func:`count_feasible_templates`.  The closed form for a template with j bidirected edges is c_k x_k^j, so
     b_k = c_k sum over j of t_j x_k^j, and interpolating the template
     polynomial through the distinct nodes x_k then yields t_(n/2), the
-    number of perfect matchings.  The template count is bounded by
-    ``max_elements``, as 3 elements per edge, before any search.
+    number of perfect matchings.  The template count is bounded as
+    :func:`count_feasible_templates` sets out, before any search.
     """
     n, m = graph.vertex_count, graph.edge_count
     if n % 2:
@@ -674,7 +676,7 @@ def recover_perfect_matchings(
     b_values: list[int] = []
     sources: list[str] = []
     for k, (c, x) in enumerate(zip(scales, nodes), 1):
-        if comb(4 * m * k, n + m * k) <= _DIRECT_LIMIT:
+        if 1 << 4 * m * k <= _MAX_SUBSETS:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
             sources.append("enumerated")

@@ -120,7 +120,7 @@ def predicted_thickening(
         for (i, _), c in restricted.terms.items():
             out = out + c * (x + (k - 1)) ** i * Fraction(k) ** (rank - i)
         return out
-    raise ValueError(f"unknown mode {mode!r}")
+    raise PreconditionError(f"unknown mode {mode!r}")
 
 
 def predicted_thickening_eval(tutte: BivariatePoly, rank: int, k: int, a, b) -> Fraction:

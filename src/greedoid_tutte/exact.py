@@ -42,7 +42,7 @@ class ExactMatrix:
     def __init__(self, entries: Sequence[Sequence]):
         table = tuple(tuple(rational(v) for v in row) for row in entries)
         if table and any(len(row) != len(table[0]) for row in table):
-            raise ValueError("ragged rows")
+            raise PreconditionError("ragged rows")
         self.entries = table
         self.rows = len(table)
         self.cols = len(table[0]) if table else 0
@@ -67,7 +67,7 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
+            raise PreconditionError("dimension mismatch")
         return ExactMatrix(
             [
                 [
@@ -81,7 +81,7 @@ class ExactMatrix:
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = [rational(v) for v in vector]
         if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
+            raise PreconditionError("dimension mismatch")
         return tuple(
             sum((self.entries[i][j] * vec[j] for j in range(self.cols)), Fraction(0))
             for i in range(self.rows)

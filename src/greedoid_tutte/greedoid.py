@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import ElementOutOfRangeError, GroundSetTooLargeError
+from .errors import ElementOutOfRangeError, GroundSetTooLargeError, PreconditionError
 from .primitives import binomial_shift, find, packed_power, unpack_profile
 
 if TYPE_CHECKING:
@@ -123,9 +123,9 @@ class Greedoid:
 
     def __post_init__(self):
         if self.size < 0:
-            raise ValueError("ground set size must be non-negative")
+            raise PreconditionError("ground set size must be non-negative")
         if not self.feasible_mask(0):
-            raise ValueError("the empty set must be feasible")
+            raise PreconditionError("the empty set must be feasible")
 
     @property
     def full_mask(self) -> int:
@@ -309,7 +309,7 @@ def rank_size_profile(
     """
     sizes = (1,) * greedoid.size if class_sizes is None else tuple(class_sizes)
     if len(sizes) != greedoid.size or any(c < 1 for c in sizes):
-        raise ValueError("need one positive class size per core element")
+        raise PreconditionError("need one positive class size per core element")
     _check_bound(sum(sizes), max_elements)
     _check_work(sum(sizes), [(class_table_bits(sizes), "bits by class enumeration")])
     return _class_profile(subset_ranks(greedoid, max_elements), sizes)
@@ -345,17 +345,12 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
     top = int(ranks[-1])
     radix = core - t + 1  # singleton classes met: 0 to core - t
     # keys: ((deficit * radix + singleton classes met) << t) | larger classes met
-    keys = ranks.astype(np.int64)
-    np.subtract(top, keys, out=keys)
+    keys = np.subtract(top, ranks, dtype=np.int64)
     keys *= radix
     keys += _popcounts(core)
-    if multi:
-        keys <<= t
-        masks = np.arange(1 << core, dtype=np.int64)
-        for j, e in enumerate(multi):
-            bit = (masks >> e) & 1
-            keys -= bit << t
-            keys |= bit << j
+    keys <<= t
+    for j, e in enumerate(multi):  # a subset with e counts class j as met, not as a singleton
+        keys.reshape(-1, 2, 1 << e)[:, 1] += (1 << j) - (1 << t)
     counts = np.bincount(keys)
 
     width = sum(sizes) + 1
@@ -368,6 +363,14 @@ def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int,
         deficit, single = divmod(key >> t, radix)
         by_rank[top - deficit] += (int(counts[key]) * by_size[key & ((1 << t) - 1)]) << (single * width)
     return unpack_profile(by_rank, width)
+
+
+def _pair_views(table: np.ndarray):
+    """Yield (e, f, view) for e < f, by e and then f: quarters [:, 0, :, 0], [:, 0, :, 1], [:, 1, :, 0]
+    and [:, 1, :, 1] of the view hold A, A+e, A+f and A+e+f for the subsets A avoiding both,
+    the A at [high, :, mid, :, low] being high << f+1 | mid << e+1 | low.  Nothing is copied."""
+    for e, f in combinations(range(len(table).bit_length() - 1), 2):
+        yield e, f, table.reshape(-1, 2, 1 << f - e - 1, 2, 1 << e)
 
 
 @dataclass(frozen=True)
@@ -385,31 +388,26 @@ def parallel_classes(
 
     Elements e and f are parallel when rank(A+e) = rank(A+f) = rank(A+e+f)
     for every subset A, which is decided here from the full rank table; the
-    loops, the elements in no feasible set, are read off the same table.
+    loops, the elements in no feasible set, are read off the same table as
+    the elements whose addition never raises the rank.
     """
     import numpy as np
 
     n = greedoid.size
-    _check_bound(n, max_elements)
     ranks = subset_ranks(greedoid, max_elements)
-    masks = np.arange(1 << n, dtype=np.int64)
     parent = list(range(n))
-    for e in range(n):
-        for f in range(e + 1, n):
-            be, bf = 1 << e, 1 << f
-            re = ranks[masks | be]
-            rf = ranks[masks | bf]
-            if np.array_equal(re, rf) and np.array_equal(re, ranks[masks | be | bf]):
-                parent[find(parent, e)] = find(parent, f)
+    for e, f, view in _pair_views(ranks):
+        both = view[:, 1, :, 1]
+        if np.array_equal(view[:, 0, :, 1], both) and np.array_equal(view[:, 1, :, 0], both):
+            parent[find(parent, e)] = find(parent, f)
 
     groups: dict[int, list[int]] = {}
     for e in range(n):
         groups.setdefault(find(parent, e), []).append(e)
     classes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-    used = int(np.bitwise_or.reduce(feasible_of_ranks(ranks)))
-    loops = elements_of(greedoid.full_mask & ~used)
-    loop_class = loops if loops else None
-    return ParallelClasses(classes=classes, loop_class=loop_class)
+    halves = (ranks.reshape(-1, 2, 1 << e) for e in range(n))
+    loops = tuple(e for e, half in enumerate(halves) if np.array_equal(half[:, 0], half[:, 1]))
+    return ParallelClasses(classes=classes, loop_class=loops or None)
 
 
 @dataclass(frozen=True)
@@ -475,30 +473,29 @@ def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
     """Check the three rank-function axioms on an explicit rank table.
 
     The table is indexed by bitmask and must cover every subset of the ground
-    set.  Monotonicity is verified on covering pairs (A, A+e), which implies
-    it for all inclusions.  Checking stops at ``_WITNESS_CAP`` violations.
+    set; it is read in place, through views.  Monotonicity is verified on
+    covering pairs (A, A+e), which implies it for all inclusions.  Checking
+    stops at ``_WITNESS_CAP`` violations.
     """
     import numpy as np
 
-    total = 1 << size
-    table = np.zeros(total, dtype=np.int64)
-    table[:] = rank_table
-    pc = _popcounts(size).astype(np.int64)
-    masks = np.arange(total, dtype=np.int64)
+    table = np.asarray(rank_table).reshape(1 << size)
 
     def violations():
-        for mask in np.nonzero((table < 0) | (table > pc))[0]:
-            yield AxiomViolation("GR1", (elements_of(int(mask)),), f"rank {int(table[mask])} outside [0, |A|]")
+        for mask in np.flatnonzero((table < 0) | (table > _popcounts(size))).tolist():
+            yield AxiomViolation("GR1", (elements_of(mask),), f"rank {int(table[mask])} outside [0, |A|]")
         for e in range(size):
-            for mask in np.nonzero(table[masks | 1 << e] < table)[0]:
-                yield AxiomViolation("GR2", (elements_of(int(mask)), e), "rank decreases when adding an element")
-        for e in range(size):
-            re = table[masks | 1 << e]
-            for f in range(e + 1, size):
-                rf, both = table[masks | 1 << f], table[masks | 1 << e | 1 << f]
-                for mask in np.nonzero((re == table) & (rf == table) & (both != table))[0]:
-                    yield AxiomViolation(
-                        "GR3", (elements_of(int(mask)), e, f), "two rank-preserving elements raise the rank together"
-                    )
+            half = table.reshape(-1, 2, 1 << e)
+            high, low = np.nonzero(half[:, 1] < half[:, 0])
+            for mask in (high << e + 1 | low).tolist():
+                yield AxiomViolation("GR2", (elements_of(mask), e), "rank decreases when adding an element")
+        for e, f, view in _pair_views(table):
+            base = view[:, 0, :, 0]
+            raised = (view[:, 0, :, 1] == base) & (view[:, 1, :, 0] == base) & (view[:, 1, :, 1] != base)
+            high, mid, low = np.nonzero(raised)
+            for mask in (high << f + 1 | mid << e + 1 | low).tolist():
+                yield AxiomViolation(
+                    "GR3", (elements_of(mask), e, f), "two rank-preserving elements raise the rank together"
+                )
 
     return AxiomReport(tuple(islice(violations(), _WITNESS_CAP)))

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import DivisionByZeroError, ParseError
+from .errors import DivisionByZeroError, ParseError, PreconditionError
 from .primitives import binomial_shift
 
 
@@ -114,7 +114,7 @@ class _Poly:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            raise ValueError("negative powers of a polynomial are not defined")
+            raise PreconditionError("negative powers of a polynomial are not defined")
         result = self.constant(1)
         base = self
         e = exponent
@@ -163,7 +163,7 @@ class BivariatePoly(_Poly):
     @classmethod
     def monomial(cls, xexp: int, yexp: int, c=1) -> "BivariatePoly":
         if xexp < 0 or yexp < 0:
-            raise ValueError("bivariate exponents must be non-negative")
+            raise PreconditionError("bivariate exponents must be non-negative")
         return cls({(xexp, yexp): rational(c)})
 
     @classmethod
@@ -269,7 +269,7 @@ class LaurentPoly(_Poly):
     def compose_shift(self, offset) -> "LaurentPoly":
         """Substitute z -> z + offset; requires non-negative exponents."""
         if self.min_exponent() < 0:
-            raise ValueError("shift substitution needs non-negative exponents")
+            raise PreconditionError("shift substitution needs non-negative exponents")
         return LaurentPoly(dict(enumerate(binomial_shift(self.terms, rational(offset)))))
 
     def min_exponent(self) -> int:

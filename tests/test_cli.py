@@ -205,6 +205,17 @@ def test_vertigan_template_bound_exit_code(tmp_path, capsys):
     assert "21 elements" in capsys.readouterr().err
 
 
+def test_vertigan_refuses_the_grid_by_its_kind_assignments(tmp_path, capsys):
+    """The 3x4 grid's 17 edges fit 51 elements, but their 5^17 kind assignments pass 2^26."""
+    grid = tmp_path / "grid.graph"
+    edges = [(v, v + 1) for v in range(12) if v % 4 < 3] + [(v, v + 4) for v in range(8)]
+    grid.write_text("".join(f"edge {a} {b}\n" for a, b in edges))
+    started = time.perf_counter()
+    assert main(["vertigan", str(grid), "--field", "gf2", "--max-elements", "51"]) == 4
+    assert time.perf_counter() - started < 5
+    assert "about 2^39 kind assignments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["edge 0 0\nedge 0 1\n", "edge 0 1\nedge 3 4\n"], ids=["loop", "isolated vertex"])
 def test_vertigan_refuses_a_graph_that_is_not_simple(tmp_path, capsys, text):
     path = tmp_path / "not-simple.graph"

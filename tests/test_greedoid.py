@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     Greedoid,
@@ -21,8 +23,12 @@ from greedoid_tutte import (
     verify_family_axioms,
     verify_rank_axioms,
 )
-from greedoid_tutte.greedoid import rank_size_profile, subset_ranks, _check_work
-from greedoid_tutte.errors import ElementOutOfRangeError, GroundSetTooLargeError
+from greedoid_tutte.basis_counting import Field
+from greedoid_tutte.constructions import predicted_thickening
+from greedoid_tutte.exact import ExactMatrix
+from greedoid_tutte.greedoid import ParallelClasses, rank_size_profile, subset_ranks, _check_work
+from greedoid_tutte.errors import ElementOutOfRangeError, GroundSetTooLargeError, PreconditionError
+from greedoid_tutte.polynomials import BivariatePoly, LaurentPoly
 
 from catalogues import LOOP_GRAPH, TRIANGLE, brute_rank, greedoid_instances
 
@@ -263,3 +269,86 @@ def test_family_axioms_refuse_too_many_pairs_before_checking():
     with pytest.raises(GroundSetTooLargeError, match="2\\^30 pairs of feasible sets"):
         verify_family_axioms(16, range(1 << 16))
     assert verify_family_axioms(10, range(1 << 10)).ok
+
+
+def test_rank_table_passes_hold_no_copy_of_the_table():
+    """Both passes read a 16-edge path's 64 KiB rank table through views, so
+    neither peaks at 8 times the table's bytes."""
+    g = to_greedoid(path_graph(16))
+    ranks = subset_ranks(g)
+    for call in (lambda: verify_rank_axioms(16, ranks), lambda: parallel_classes(g)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ranks.nbytes, call
+
+
+@st.composite
+def rank_tables(draw):
+    """A family (with the empty set) on at most 6 elements, and its rank table with a few
+    entries replaced by any integer from -2 to 7."""
+    n = draw(st.integers(0, 6))
+    family = draw(st.sets(st.integers(0, (1 << n) - 1))) | {0}
+    table = [max(f.bit_count() for f in family if f & ~a == 0) for a in range(1 << n)]
+    for a in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4)):
+        table[a] = draw(st.integers(-2, 7))
+    return n, family, table
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rank_tables())
+def test_rank_table_passes_match_a_loop_over_every_mask(case):
+    """The witnesses, in order, and the parallel classes and loops, against one loop over every mask."""
+    n, family, table = case
+    masks = range(1 << n)
+    expected = [("GR1", (elements_of(a),)) for a in masks if not 0 <= table[a] <= a.bit_count()]
+    expected += [("GR2", (elements_of(a), e)) for e in range(n) for a in masks if table[a | 1 << e] < table[a]]
+    expected += [
+        ("GR3", (elements_of(a), e, f))
+        for e, f in itertools.combinations(range(n), 2)
+        for a in masks
+        if not a >> e & 1 and not a >> f & 1
+        and table[a | 1 << e] == table[a | 1 << f] == table[a] != table[a | 1 << e | 1 << f]
+    ]
+    report = verify_rank_axioms(n, np.array(table))
+    assert [(v.axiom, v.witness) for v in report.violations] == expected[:20]
+
+    g = Greedoid(n, family.__contains__)
+    ranks = subset_ranks(g).tolist()
+
+    def parallel(e, f):
+        return all(ranks[a | 1 << e] == ranks[a | 1 << f] == ranks[a | 1 << e | 1 << f] for a in masks)
+
+    classes: list[tuple[int, ...]] = []
+    for f in range(n):  # f joins every class with an element parallel to it
+        joined = [c for c in classes if any(parallel(e, f) for e in c)]
+        classes = [c for c in classes if c not in joined] + [tuple(sorted({f, *(e for c in joined for e in c)}))]
+    used = 0
+    for a in enumerate_feasible_sets(g):
+        used |= a
+    loops = tuple(e for e in range(n) if not used >> e & 1) or None
+    assert parallel_classes(g) == ParallelClasses(tuple(sorted(classes)), loops)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Greedoid(-1, lambda m: True), id="negative-size"),
+        pytest.param(lambda: Greedoid(2, lambda m: m != 0), id="infeasible-empty-set"),
+        pytest.param(lambda: rank_size_profile(Greedoid(2, lambda m: True), 20, (1,)), id="class-sizes"),
+        pytest.param(lambda: ExactMatrix([[1, 2], [3]]), id="ragged-rows"),
+        pytest.param(lambda: ExactMatrix([[1, 2]]) @ ExactMatrix([[1, 2]]), id="matmul-dimensions"),
+        pytest.param(lambda: ExactMatrix([[1, 2]]).apply([1]), id="apply-dimensions"),
+        pytest.param(lambda: BivariatePoly.x() ** -1, id="negative-power"),
+        pytest.param(lambda: BivariatePoly.monomial(-1, 0), id="negative-exponent"),
+        pytest.param(lambda: LaurentPoly.monomial(-1).compose_shift(1), id="laurent-shift"),
+        pytest.param(lambda: predicted_thickening(BivariatePoly.x(), 1, 2, mode="other"), id="thickening-mode"),
+        pytest.param(lambda: Field(10**400), id="huge-characteristic"),
+    ],
+)
+def test_bad_arguments_raise_precondition_errors(call):
+    with pytest.raises(PreconditionError):
+        call()
