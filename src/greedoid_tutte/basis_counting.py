@@ -659,11 +659,12 @@ def recover_perfect_matchings(
     bound, where it needs no state bound, and taken from the per-template
     closed form otherwise (legitimized by the partition property, which the
     tests establish on directly enumerable cases), with the template counts
-    from :func:`count_feasible_templates`.  The closed form for a template with j bidirected edges is c_k x_k^j, so
-    b_k = c_k sum over j of t_j x_k^j, and interpolating the template
-    polynomial through the distinct nodes x_k then yields t_(n/2), the
-    number of perfect matchings.  The template count is bounded as
-    :func:`count_feasible_templates` sets out, before any search.
+    from :func:`count_feasible_templates`.  The closed form for a template
+    with j bidirected edges is c_k x_k^j, so b_k = c_k sum over j of t_j
+    x_k^j, and interpolating the template polynomial through the distinct
+    nodes x_k then yields t_(n/2), the number of perfect matchings.  The
+    template count is bounded as :func:`count_feasible_templates` sets out,
+    before any search.
     """
     n, m = graph.vertex_count, graph.edge_count
     if n % 2:
