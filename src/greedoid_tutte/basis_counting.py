@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .carriers import UnrootedGraph
 from .errors import (
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS, _check_bound, _check_work
-from .primitives import as_integer, find, gaussian_binomial, gf2_pack
+from .primitives import as_integer, find, gaussian_binomial
 
 LETTERS = ("w", "x", "y", "z")
 # count_bases' default bound on one layer's states; n columns with 2^n within it need no state bound
@@ -82,7 +82,7 @@ class Field:
         object.__setattr__(self, "char", as_integer(self.char, "field characteristic"))
         if self.char == 0:
             return
-        if self.char < 2 or any(self.char % d == 0 for d in range(2, isqrt(self.char) + 1)):
+        if self.char < 2 or not _is_prime(self.char):
             raise PreconditionError(f"{self.char} is not prime")
 
     @property
@@ -91,6 +91,35 @@ class Field:
 
     def __str__(self):
         return "rationals" if self.char == 0 else f"GF({self.char})"
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n >= 2 is prime, by Miller-Rabin with the 13 primes 2 .. 41 as
+    bases, which no composite below psi_13 = 3,317,044,064,679,887,385,961,981
+    passes (Sorenson and Webster, Math. Comp. 86, 2017).  From psi_13 on no
+    answer is proven, so n is refused."""
+    bound = 3_317_044_064_679_887_385_961_981
+    if n >= bound:
+        raise PreconditionError(
+            f"cannot prove a characteristic of {n.bit_length()} bits prime: primality is decided below {bound} only"
+        )
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n in bases or any(n % b == 0 for b in bases):
+        return n in bases
+    odd, halvings = n - 1, 0
+    while not odd & 1:
+        odd, halvings = odd >> 1, halvings + 1
+    for b in bases:
+        x = pow(b, odd, n)
+        if x == 1:
+            continue
+        for _ in range(halvings):  # for a prime n, b^(odd * 2^j) = -1 for some j < halvings
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 GF2 = Field(2)
@@ -188,10 +217,42 @@ def _field_columns(columns, p: int) -> list[tuple]:
 def matrix_rank(columns, field: Field) -> int:
     """Rank of the given column vectors over the field."""
     p, rows = field.char, ()
-    cols = _field_columns(columns, p)
-    for col in gf2_pack(cols) if p == 2 else cols:
+    for col in _pack(_field_columns(columns, p), p):
         rows = _insert(rows, col, p) or rows
     return len(rows)
+
+
+def _pack(vectors, p: int) -> list:
+    """Vectors with entries reduced mod p as rows of the field's type: over
+    GF(2) one int, bit t holding entry t; over GF(3) two bit planes (pos, neg),
+    bit t of pos set when entry t is 1 and of neg when it is 2; int tuples
+    otherwise."""
+    if p != 2 and p != 3:
+        return list(vectors)
+    out = []
+    for vec in vectors:
+        pos = neg = 0
+        for t, v in enumerate(vec):
+            if v == 1:
+                pos |= 1 << t
+            elif v:
+                neg |= 1 << t
+        out.append(pos if p == 2 else (pos, neg))
+    return out
+
+
+def _transpose(rows, width: int, p: int) -> list:
+    """The ``width`` columns of rows of the field's type, as rows of that type."""
+    if p != 2 and p != 3:
+        return list(zip(*rows)) if rows else [()] * width
+    pos, neg = [0] * width, [0] * width
+    for r, row in enumerate(rows):
+        for plane, bits in ((pos, row),) if p == 2 else ((pos, row[0]), (neg, row[1])):
+            while bits:
+                low = bits & -bits
+                plane[low.bit_length() - 1] |= 1 << r
+                bits ^= low
+    return pos if p == 2 else list(zip(pos, neg))
 
 
 def _eliminate(vec: tuple, row: tuple, lead: int, p: int) -> tuple:
@@ -210,8 +271,12 @@ def _normalize(vec: tuple, p: int) -> tuple:
     return tuple(x // g for x in vec)
 
 
-def _lead(vec: tuple) -> int:
-    return vec.index(next(filter(None, vec)))  # the first nonzero value first occurs there
+def _lead(row, p: int) -> int:
+    """Index of the first nonzero coordinate of a nonzero row of the field's type."""
+    if p == 2 or p == 3:
+        low = row if p == 2 else row[0]  # a canonical GF(3) row is monic, so led in its first plane
+        return (low & -low).bit_length() - 1
+    return row.index(next(filter(None, row)))  # the first nonzero value first occurs there
 
 
 def _insert(rows: tuple, vec, p: int) -> tuple | None:
@@ -221,7 +286,11 @@ def _insert(rows: tuple, vec, p: int) -> tuple | None:
     ordered by it, so equal spans have equal rows.  ``vec`` is reduced mod p.
     Over GF(2) every row is one int, bit t holding coordinate t, led by its
     lowest set bit: elimination is XOR, and the new row clears its lead
-    from the others in one pass.  Other fields take int tuples.
+    from the others in one pass.  Over GF(3) every row is two bit planes
+    (pos, neg), led by the lowest set bit of pos | neg and monic, so its
+    lead lies in pos: negation swaps the planes, and x + y is
+    t = (x.pos | y.neg) ^ (x.neg | y.pos), ((x.neg | y.neg) ^ t, (x.pos | y.pos) ^ t).
+    Other fields take int tuples.
     """
     if p == 2:
         for row in rows:
@@ -235,14 +304,39 @@ def _insert(rows: tuple, vec, p: int) -> tuple | None:
                 return (*out, vec, *rows[at:])
             out.append(row ^ vec if row & lead else row)
         return (*out, vec)
-    leads = [_lead(row) for row in rows]
+    if p == 3:
+        vp, vn = vec
+        for rp, rn in rows:
+            lead = rp & -rp
+            if vp & lead:  # subtract the row: add its negation
+                rp, rn = rn, rp
+            elif not vn & lead:
+                continue
+            t = (vp | rn) ^ (vn | rp)
+            vp, vn = (vn | rn) ^ t, (vp | rp) ^ t
+        support = vp | vn
+        if not support:
+            return None
+        lead = support & -support
+        new, out = (vp, vn) if vp & lead else (vn, vp), []  # monic
+        for at, row in enumerate(rows):
+            rp, rn = row
+            if not rp & lead - 1:  # this row and the rest are led past the new lead, so zero there
+                return (*out, new, *rows[at:])
+            if (rp | rn) & lead:  # add the new row's negation where the row holds 1, the new row where 2
+                yp, yn = new[::-1] if rp & lead else new
+                t = (rp | yn) ^ (rn | yp)
+                row = (rn | yn) ^ t, (rp | yp) ^ t
+            out.append(row)
+        return (*out, new)
+    leads = [_lead(row, p) for row in rows]
     for row, lead in zip(rows, leads):
         if vec[lead]:
             vec = _eliminate(vec, row, lead, p)
     if not any(vec):
         return None
     new = _normalize(vec, p)
-    lead = _lead(new)
+    lead = _lead(new, p)
     out = []
     for row in rows:
         if row[lead]:
@@ -259,17 +353,13 @@ def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list, list[int]]:
     the columns of the canonical rows of the row space read right to left.
     Column j has no coordinate on B left of j, so the span U_i of the
     columns from i on is spanned by the coordinates of B from i on.  The
-    coordinates are rows of the field's type, ints over GF(2).
+    coordinates are rows of the field's type (see :func:`_pack`).
     """
     n, rows = len(cols), ()
-    matrix = list(zip(*cols[::-1]))  # the matrix rows, read right to left
-    for vec in gf2_pack(matrix) if p == 2 else matrix:
+    for vec in _pack(zip(*cols[::-1]), p):  # the matrix rows, read right to left
         rows = _insert(rows, vec, p) or rows
-    if p == 2:
-        rows = [tuple(row >> t & 1 for t in range(n)) for row in rows]
     rows = rows[::-1]  # led right to left, so by pivot column left to right
-    coords = list(zip(*rows))[::-1] if rows else [()] * n
-    return gf2_pack(coords) if p == 2 else coords, [n - 1 - _lead(row) for row in rows]
+    return _transpose(rows, n, p)[::-1], [n - 1 - _lead(row, p) for row in rows]
 
 
 def _state_bound(coords: list, pivots: list[int], need: int, p: int) -> int:
@@ -313,12 +403,14 @@ def _step(layer: dict, col, drop: int | None, need: int, rest: int, p: int) -> d
     ``need`` with ``rest`` = dim U_(i+1) is dropped.
     """
     out: dict = {}
-    bits = p == 2
     for rows, by_size in layer.items():
         for shift, new in ((0, rows), (1, _insert(rows, col, p))):
             if new is None:
                 continue
-            if new and drop is not None and (new[0] >> drop & 1 if bits else new[0][drop]):
+            # the first row is led at ``drop`` iff it is nonzero there; a GF(3) row is led in its first plane
+            if new and drop is not None and (
+                new[0] >> drop & 1 if p == 2 else new[0][0] >> drop & 1 if p == 3 else new[0][drop]
+            ):
                 new = new[1:]
             low, high = need - rest + len(new) - shift, need - shift
             for a, count in by_size.items():
@@ -337,8 +429,10 @@ def count_bases(
     Comput. 15, 2006): after i columns the state of A is |A| and
     S = span(A) ∩ U_i, U_i the span of the columns not yet seen (see
     :func:`_step`).  S is a canonical echelon basis: rows of one int each
-    over GF(2), monic int tuples mod p, primitive integer tuples over the
-    rationals, so counts are exact Python ints without numpy.
+    over GF(2), of two bit planes (the coordinates equal to 1, and those
+    equal to 2) over GF(3), monic int tuples mod any larger prime p and
+    primitive integer tuples over the rationals, so counts are exact Python
+    ints without numpy.
     ``max_subsets`` bounds the proven upper bound :func:`_state_bound` on the
     (state, size) pairs of one layer, checked before the first step.  No
     layer holds more than the 2^n subsets of the n columns, and neither does

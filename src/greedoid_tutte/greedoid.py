@@ -479,7 +479,12 @@ def verify_rank_axioms(size: int, rank_table: np.ndarray) -> AxiomReport:
     """
     import numpy as np
 
-    table = np.asarray(rank_table).reshape(1 << size)
+    table = np.asarray(rank_table)
+    if size < 0:
+        raise PreconditionError("ground set size must be non-negative")
+    if table.size != 1 << size:
+        raise PreconditionError(f"a rank table on a ground set of size {size} has 2^{size} entries, not {table.size}")
+    table = table.reshape(1 << size)
 
     def violations():
         for mask in np.flatnonzero((table < 0) | (table > _popcounts(size))).tolist():

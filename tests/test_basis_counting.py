@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -816,3 +817,101 @@ def test_state_bound_is_skipped_when_every_subset_fits(monkeypatch):
         assert count_bases(columns, field) == bases
         with pytest.raises(AssertionError, match="state bound computed"):
             count_bases(columns, field, max_subsets=2**16 - 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(wide_columns())
+def test_gf3_counts_match_combinations_on_wide_matrices(columns):
+    """The two-plane rows over GF(3) against a plain count of full-rank column subsets."""
+    rank = _reference_rank(columns, 3)
+    assert matrix_rank(columns, GF3) == rank
+    for size in range(rank + 2):
+        direct = sum(1 for combo in itertools.combinations(columns, size) if _reference_rank(combo, 3) == size)
+        assert count_bases(columns, GF3, size) == direct, size
+
+
+def _reference_echelon(vectors, p: int) -> list[tuple]:
+    """Reduced row echelon rows of span(vectors) mod p: monic, led by their
+    first nonzero entry, zero at each other's leads and ordered by lead."""
+    rows = []
+    for vec in vectors:
+        vec = [v % p for v in vec]
+        for row in rows:
+            lead = next(t for t, v in enumerate(row) if v)
+            vec = [(a - vec[lead] * b) % p for a, b in zip(vec, row)]
+        if any(vec):
+            lead = next(t for t, v in enumerate(vec) if v)
+            vec = [v * pow(vec[lead], -1, p) % p for v in vec]
+            rows = [[(a - row[lead] * b) % p for a, b in zip(row, vec)] for row in rows] + [vec]
+    return sorted((tuple(row) for row in rows), key=lambda row: next(t for t, v in enumerate(row) if v))
+
+
+def test_gf3_rows_are_canonical_in_every_insertion_order():
+    """The DP keys on the rows of a span, so over GF(3) the same vectors
+    inserted in any order give the same two-plane rows: the reduced row
+    echelon form, plane by plane."""
+    rng = random.Random(29)
+    for _ in range(60):
+        width = rng.randint(1, 9)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(width)) for _ in range(rng.randint(1, 8))]
+        vectors += rng.sample(vectors, min(2, len(vectors)))  # repeats lie in the span
+        want = basis_counting._pack(_reference_echelon(vectors, 3), 3)
+        for _ in range(4):
+            rng.shuffle(vectors)
+            rows = ()
+            for vec in basis_counting._pack([[v % 3 for v in vec] for vec in vectors], 3):
+                rows = basis_counting._insert(rows, vec, 3) or rows
+            assert rows == tuple(want), vectors
+
+
+def _grid(rows: int, cols: int) -> SimpleGraph:
+    """The rows x cols grid graph, its edges in sorted order."""
+    edges = []
+    for v in range(rows * cols):
+        if v % cols < cols - 1:
+            edges.append((v, v + 1))
+        if v < (rows - 1) * cols:
+            edges.append((v, v + cols))
+    return SimpleGraph(rows * cols, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize(
+    "rows, gf3, gf2",
+    [
+        (3, 3_184_527_959_654_400, 3_177_322_047_864_832),
+        (4, 7_500_528_077_611_953_291_264, 7_479_326_970_503_170_621_440),
+    ],
+)
+def test_grid_gadget_counts_pinned(rows, gf3, gf2):
+    """The k = 1 gadgets of the 3x4 and 4x4 grids (68 and 96 columns) over GF(3) and GF(2)."""
+    gm = build_gadget_matrix(_grid(rows, 4), 1)
+    assert count_bases(gm.ground_columns(), GF3, gm.target_rank) == gf3
+    assert count_bases(gm.ground_columns(), GF2, gm.target_rank) == gf2
+
+
+def test_field_decides_primality_by_miller_rabin():
+    """Every characteristic below 10^4 agrees with a sieve; strong pseudoprimes
+    to many bases are refused; a 61-bit prime is accepted at once; and from
+    psi_13 on, where the 13 bases prove nothing, every characteristic is refused."""
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for d in range(2, 100):
+        sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    for n in range(1, 10**4):
+        if sieve[n]:
+            assert Field(n).char == n
+        else:
+            with pytest.raises(PreconditionError, match="is not prime"):
+                Field(n)
+    start = time.perf_counter()
+    assert Field(2**61 - 1).char == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+    assert Field(4294967311).char == 4294967311
+    # a Carmichael number, strong pseudoprimes to base 2, to 2 .. 7, to 2 .. 31 and to 2 .. 37,
+    # and 3 * 768614336404564651
+    for n in (561, 2047, 3215031751, 3825123056546413051, 318665857834031151167461, 2**61 + 1):
+        with pytest.raises(PreconditionError, match="is not prime"):
+            Field(n)
+    # psi_13 itself passes all 13 bases; 2^89 - 1 is prime but past the bound
+    for n in (3_317_044_064_679_887_385_961_981, 2**89 - 1, 10**400):
+        with pytest.raises(PreconditionError, match="decided below 3317044064679887385961981 only"):
+            Field(n)

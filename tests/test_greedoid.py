@@ -352,3 +352,16 @@ def test_rank_table_passes_match_a_loop_over_every_mask(case):
 def test_bad_arguments_raise_precondition_errors(call):
     with pytest.raises(PreconditionError):
         call()
+
+
+@pytest.mark.parametrize(
+    "size, table, message",
+    [
+        (3, np.zeros(4), r"a rank table on a ground set of size 3 has 2\^3 entries, not 4"),
+        (1, np.zeros(4), r"a rank table on a ground set of size 1 has 2\^1 entries, not 4"),
+        (-1, np.zeros(4), "ground set size must be non-negative"),
+    ],
+)
+def test_rank_table_of_the_wrong_size_is_refused_before_any_reshape(size, table, message):
+    with pytest.raises(PreconditionError, match=message):
+        verify_rank_axioms(size, table)
