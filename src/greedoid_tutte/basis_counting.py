@@ -164,9 +164,9 @@ class GadgetMatrix:
 
 
 def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
-    if copies < 1:
+    n, m, k = graph.vertex_count, graph.edge_count, as_integer(copies, "copy count")
+    if k < 1:
         raise PreconditionError("need at least one copy block per edge")
-    n, m, k = graph.vertex_count, graph.edge_count, copies
     row_labels = (
         [("v", i) for i in range(n)]
         + [("e", i) for i in range(m)]
@@ -206,9 +206,10 @@ def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
 def _field_columns(columns, p: int) -> list[tuple]:
     """The columns as int tuples reduced mod p, refused unless every entry is
     an integer and all columns have one length."""
-    cols = [tuple(as_integer(v, "matrix entry") for v in col) for col in columns]
     if p:
-        cols = [tuple(v % p for v in col) for col in cols]
+        cols = [tuple([as_integer(v, "matrix entry") % p for v in col]) for col in columns]
+    else:
+        cols = [tuple([as_integer(v, "matrix entry") for v in col]) for col in columns]
     if len({len(col) for col in cols}) > 1:
         raise PreconditionError("columns must all have the same length")
     return cols
@@ -258,7 +259,9 @@ def _transpose(rows, width: int, p: int) -> list:
 def _eliminate(vec: tuple, row: tuple, lead: int, p: int) -> tuple:
     """A nonzero multiple of ``vec`` minus one of ``row``, zero at ``lead``."""
     a, b = row[lead], vec[lead]
-    return tuple((a * x - b * y) % p if p else a * x - b * y for x, y in zip(vec, row))
+    if p:
+        return tuple((a * x - b * y) % p for x, y in zip(vec, row))
+    return tuple(x - b * y for x, y in zip(vec, row)) if a == 1 else tuple(a * x - b * y for x, y in zip(vec, row))
 
 
 def _normalize(vec: tuple, p: int) -> tuple:
@@ -268,7 +271,7 @@ def _normalize(vec: tuple, p: int) -> tuple:
         inv = pow(lead, -1, p)
         return tuple(x * inv % p for x in vec)
     g = gcd(*vec) if lead > 0 else -gcd(*vec)
-    return tuple(x // g for x in vec)
+    return vec if g == 1 else tuple(x // g for x in vec)
 
 
 def _lead(row, p: int) -> int:
@@ -329,8 +332,9 @@ def _insert(rows: tuple, vec, p: int) -> tuple | None:
                 row = (rn | yn) ^ t, (rp | yp) ^ t
             out.append(row)
         return (*out, new)
-    leads = [_lead(row, p) for row in rows]
-    for row, lead in zip(rows, leads):
+    leads = []
+    for row in rows:
+        leads.append(lead := row.index(next(filter(None, row))))
         if vec[lead]:
             vec = _eliminate(vec, row, lead, p)
     if not any(vec):
@@ -438,7 +442,7 @@ def count_bases(
     layer holds more than the 2^n subsets of the n columns, and neither does
     the bound, so it is only computed when 2^n exceeds ``max_subsets``.
     """
-    if size is not None and size < 0:
+    if size is not None and (size := as_integer(size, "subset size")) < 0:
         raise PreconditionError(f"cannot count subsets of negative size {size}")
     p = field.char
     cols = _field_columns(columns, p)
@@ -453,10 +457,12 @@ def count_bases(
             f"in one layer but the bound is {max_subsets}; pass a larger max_subsets "
             "to override",
         )
+    at, ahead = {b: j for j, b in enumerate(pivots)}, len(pivots)  # each pivot's coordinate; pivots from i on
     layer: dict = {(): {0: 1}}
     for i, col in enumerate(coords):
-        drop = pivots.index(i) if i in pivots else None
-        layer = _step(layer, col, drop, need, sum(b > i for b in pivots), p)
+        drop = at.get(i)
+        ahead -= drop is not None
+        layer = _step(layer, col, drop, need, ahead, p)
     return layer.get((), {}).get(need, 0)
 
 
@@ -516,21 +522,22 @@ def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool)
 
     (b) is necessary: each edge of U(C) points into one vertex of C, and
     exactly the vertices of C outside H need one.  Since C is connected,
-    |U(C)| >= |C| - 1, so (b) with the heads counted with multiplicity
-    also gives (a), and leaves two cases, both of which can be oriented:
-    a tree with one head, directed away from it, or a unicyclic component
-    without a head, directed around its circuit and then out along the
-    trees.  So (c) speaks of the headless components, and each has one
-    circuit.  Its parity is read from the double cover on 2n vertices,
-    where an xy edge ab joins a-b and a'-b' and a wz edge joins a-b' and
-    a'-b: a vertex v of a headless component is joined to its twin
+    |U(C)| >= |C| - 1, so (b) leaves two cases, both of which can be
+    oriented: a tree with one head, directed away from it, or a unicyclic
+    component without a head, directed around its circuit and then out
+    along the trees.  So (c) speaks of the headless components, and each
+    has one circuit.  Its parity is read from the double cover on 2n
+    vertices, where an xy edge ab joins a-b and a'-b' and a wz edge joins
+    a-b' and a'-b: a vertex v of a headless component is joined to its twin
     v' = v + n exactly when the circuit has an odd number of wz edges.
-    One union-find over n vertices and one over 2n decide all three.
+    The heads as a bitmask decide (a), the components as bitmasks (b), and
+    one union-find over 2n vertices (c).
     """
     n, states = graph.vertex_count, template.states
     heads = [h for (a, b), state in zip(graph.edges, states) for h in _heads(state, a, b)]
     undirected = [(a, b, s.label) for (a, b), s in zip(graph.edges, states) if s and s.kind == "undirected"]
-    headless = _headless_roots(n, heads, [(a, b) for a, b, _ in undirected])
+    mask = sum(1 << h for h in heads)  # a repeated head carries, leaving fewer bits than heads
+    headless = _headless_roots(n, mask, [(a, b) for a, b, _ in undirected]) if mask.bit_count() == len(heads) else None
     if headless is None:
         return False
     if char_two or not headless:
@@ -540,22 +547,32 @@ def template_is_feasible(graph: SimpleGraph, template: Template, char_two: bool)
         twist = n if label == "wz" else 0  # a wz edge crosses between the two copies
         cover[find(cover, a)] = find(cover, b + twist)
         cover[find(cover, a + n)] = find(cover, b + n - twist)
-    return all(find(cover, r) == find(cover, r + n) for r in headless)
+    return all(find(cover, v) == find(cover, v + n) for v in headless)
 
 
-def _headless_roots(n: int, heads, undirected) -> set[int] | None:
-    """Rules (a) and (b) of :func:`template_is_feasible` for the given heads
-    and undirected edges (a, b): the union-find roots of the components of
-    (V, U) without a head, or None when a rule fails.
-    """
-    parent = list(range(n))
+def _headless_roots(n: int, heads: int, undirected) -> list[int] | None:
+    """Rules (a) and (b) of :func:`template_is_feasible` for distinct heads,
+    as a bitmask, and undirected edges (a, b): the lowest vertex of each
+    component of (V, U) without a head, or None when a rule fails.  Each
+    component with an edge is a bitmask of its vertices and an edge count."""
+    components: list[tuple[int, int]] = []
     for a, b in undirected:
-        parent[find(parent, a)] = find(parent, b)
-    # (a) and (b) as multisets: each component's root once per vertex, and once per undirected edge or head
-    roots = [find(parent, v) for v in range(n)]
-    if sorted(roots) != sorted([roots[a] for a, _ in undirected] + [roots[h] for h in heads]):
-        return None
-    return set(roots).difference(roots[h] for h in heads)
+        joined, edges, apart = 1 << a | 1 << b, 1, []
+        for vertices, count in components:
+            if vertices & joined:
+                joined, edges = joined | vertices, edges + count
+            else:
+                apart.append((vertices, count))
+        components = apart + [(joined, edges)]
+    covered, headless = 0, []
+    for vertices, edges in components:
+        held = vertices & heads
+        if edges + held.bit_count() != vertices.bit_count():
+            return None
+        if not held:
+            headless.append((vertices & -vertices).bit_length() - 1)
+        covered |= vertices
+    return headless if covered | heads == (1 << n) - 1 else None  # every other vertex is a head
 
 
 _WEIGHT = {None: 0, "bidirected": 2, "directed": 1, "undirected": 1}
@@ -640,7 +657,7 @@ def count_feasible_templates(
         if weight > n or weight + 2 * (m - i) < n:
             return
         if i == m:
-            headless = _headless_roots(n, [v for v in range(n) if heads >> v & 1], undirected)
+            headless = _headless_roots(n, heads, undirected)
             if headless is not None and not (char_two and headless):
                 counts[bidirected] = counts.get(bidirected, 0) + (1 << labelled - len(headless))
             return
@@ -654,6 +671,7 @@ def count_feasible_templates(
 
 def predicted_bases_per_template(n: int, m: int, k: int, bidirected: int, char_two: bool) -> Fraction:
     """Closed-form basis count of one feasible template with b bidirected edges."""
+    n, m, k, bidirected = (as_integer(v, "template parameter") for v in (n, m, k, bidirected))
     if k < 1:
         raise PreconditionError("need k >= 1")
     per_bidirected = 12 * k + 4 if char_two else 13 * k + 3  # k times the factor per bidirected edge
@@ -670,7 +688,7 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
     doubled copy's letters give the label.
     """
     ground = gm.ground_labels()
-    chosen = sorted(int(i) for i in basis_indices)
+    chosen = sorted(as_integer(i, "ground column index") for i in basis_indices)
     if len(set(chosen)) != len(chosen) or any(not 0 <= i < len(ground) for i in chosen):
         raise NotABasisError("invalid ground column indices")
     ground_cols = gm.ground_columns()
@@ -766,23 +784,24 @@ def recover_perfect_matchings(
     char_two = field.is_char_two
     t_true = count_feasible_templates(graph, char_two, max_elements)
     top = n // 2
-    scales = [predicted_bases_per_template(n, m, k, 0, char_two) for k in range(1, top + 2)]
-    nodes = [predicted_bases_per_template(n, m, k, 1, char_two) / c for k, c in enumerate(scales, 1)]
-    b_values: list[int] = []
-    sources: list[str] = []
-    for k, (c, x) in enumerate(zip(scales, nodes), 1):
+    nodes = [Fraction(12 * k + 4 if char_two else 13 * k + 3, k) for k in range(1, top + 2)]
+    scales = [4 ** (k * m) * k**n for k in range(1, top + 2)]  # 4^n c_k, c_k the closed form at j = 0
+    b_values, sources = [], []
+    for k, (x, scale) in enumerate(zip(nodes, scales), 1):
         if 1 << 4 * m * k <= _MAX_SUBSETS:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
             sources.append("enumerated")
         else:
-            total = c * sum(t_true.get(j, 0) * x**j for j in range(top + 1))
-            if total.denominator != 1:
+            # with x = a/q in lowest terms, b_k = c_k sum_j t_j x^j is one integer over 4^n q^top
+            a, q = x.numerator, x.denominator
+            total = scale * sum(t_true.get(j, 0) * a**j * q ** (top - j) for j in range(top + 1))
+            b_k, left = divmod(total, 4**n * q**top)
+            if left:
                 raise AssertionError("template sum must be an integer")
-            b_k = int(total)
             sources.append("template-sum")
         b_values.append(b_k)
-    solution = vandermonde_solve(nodes, [b / c for b, c in zip(b_values, scales)])
+    solution = vandermonde_solve(nodes, [Fraction(b * 4**n, scale) for b, scale in zip(b_values, scales)])
     t_values = []
     for value in (solution.terms.get(j, Fraction(0)) for j in range(top + 1)):
         if value.denominator != 1 or value < 0:

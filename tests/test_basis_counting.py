@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -915,3 +916,96 @@ def test_field_decides_primality_by_miller_rabin():
     for n in (3_317_044_064_679_887_385_961_981, 2**89 - 1, 10**400):
         with pytest.raises(PreconditionError, match="decided below 3317044064679887385961981 only"):
             Field(n)
+
+
+def test_integer_parameters_are_refused_by_name():
+    """A subset size, basis index, copy count or template parameter that is
+    not an integer is refused by name: size 2.5 counted 0 subsets, index
+    i + 0.5 was read as i, and copies or k of 1.5 raised a bare TypeError."""
+    gm = build_gadget_matrix(K2, 1)
+    columns = gm.ground_columns()
+    basis = next(c for c in itertools.combinations(range(4), 3) if matrix_rank([columns[i] for i in c], GF2) == 3)
+    for call, value in (
+        (lambda: count_bases(columns, GF2, size=2.5), 2.5),
+        (lambda: template_of_basis(gm, GF2, [i + 0.5 for i in basis]), basis[0] + 0.5),
+        (lambda: build_gadget_matrix(K2, 1.5), 1.5),
+        (lambda: predicted_bases_per_template(4, 4, 1.5, 0, True), 1.5),
+    ):
+        with pytest.raises(PreconditionError, match=re.escape(f"{value!r} is not an integer")):
+            call()
+    assert count_bases(columns, GF2, size=np.int64(3)) == count_bases(columns, GF2, size=3)
+    assert template_of_basis(gm, GF2, [np.int64(i) for i in basis]) == template_of_basis(gm, GF2, basis)
+    assert build_gadget_matrix(K2, Fraction(2)) == build_gadget_matrix(K2, 2)
+    assert predicted_bases_per_template(4, 4, np.int64(2), True, False) == predicted_bases_per_template(4, 4, 2, 1, False)
+
+
+def _reference_tuple_rows(vectors, p: int) -> tuple:
+    """Canonical rows of span(vectors) as the counter keys them: the reduced
+    row echelon rows mod p, or over the rationals those rows scaled to
+    primitive integer vectors with a positive lead."""
+    if p:
+        return tuple(_reference_echelon(vectors, p))
+    rows = []
+    for vec in vectors:
+        vec = [Fraction(v) for v in vec]
+        for row in rows:
+            lead = next(t for t, v in enumerate(row) if v)
+            vec = [a - vec[lead] * b for a, b in zip(vec, row)]
+        if any(vec):
+            lead = next(t for t, v in enumerate(vec) if v)
+            vec = [v / vec[lead] for v in vec]
+            rows = [[a - row[lead] * b for a, b in zip(row, vec)] for row in rows] + [vec]
+    scaled = []
+    for row in sorted(rows, key=lambda row: next(t for t, v in enumerate(row) if v)):
+        common = math.lcm(*(v.denominator for v in row))
+        ints = [int(v * common) for v in row]
+        scaled.append(tuple(v // math.gcd(*ints) for v in ints))
+    return tuple(scaled)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(wide_columns())
+def test_tuple_row_counts_match_combinations_on_wide_matrices(columns):
+    """The int-tuple rows of the rationals and of a prime past 2^32: the
+    canonical rows of the span of each prefix of the columns, and counts
+    against a plain count of full-rank column subsets.  Over the rationals
+    the reference ranks are taken mod 2^61 - 1, which is exact here: every
+    minor of at most 10 rows with entries in -3..3 is below
+    (3 sqrt(10))^10 < 6 * 10^9 in size (Hadamard), so it vanishes mod
+    2^61 - 1 only if it is 0."""
+    for field, ref in ((RATIONALS, 2**61 - 1), (Field(4294967311), 4294967311)):
+        rows = ()
+        for i, vec in enumerate(basis_counting._field_columns(columns, field.char)):
+            rows = basis_counting._insert(rows, vec, field.char) or rows
+            assert rows == _reference_tuple_rows(columns[: i + 1], field.char), (str(field), i)
+        rank = _reference_rank(columns, ref)
+        assert matrix_rank(columns, field) == rank
+        for size in range(rank + 2):
+            direct = sum(1 for combo in itertools.combinations(columns, size) if _reference_rank(combo, ref) == size)
+            assert count_bases(columns, field, size) == direct, (str(field), size)
+
+
+def test_template_sums_equal_the_fraction_formula():
+    """Each b_k the recovery sums over templates, in integers, equals the
+    closed form summed in Fractions over the templates counted by kind, on
+    20 seeded simple graphs with 4 to 8 vertices and at most 6 edges."""
+    rng = random.Random(30)
+    graphs = []
+    while len(graphs) < 20:
+        n = rng.choice((4, 6, 8))
+        edges = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(n // 2, 6))
+        if len({v for edge in edges for v in edge}) == n:
+            graphs.append(SimpleGraph(n, tuple(edges)))
+    summed = 0
+    for graph in graphs:
+        n, m = graph.vertex_count, graph.edge_count
+        for field in (GF2, GF3):
+            char_two = field.is_char_two
+            counts = count_feasible_templates(graph, char_two)
+            report = recover_perfect_matchings(graph, field)
+            for k, (b_k, source) in enumerate(zip(report.b_values, report.b_sources), 1):
+                if source == "template-sum":
+                    summed += 1
+                    assert b_k == sum(predicted_bases_per_template(n, m, k, j, char_two) * t for j, t in counts.items())
+            assert report.match, (graph, str(field))
+    assert summed >= 40
