@@ -43,12 +43,19 @@ from .carriers import BinaryMatrix
 from .primitives import gaussian_binomial, packed_power, unpack_profile
 
 
+# Microseconds per span, the engine's one figure, fitted with class
+# enumeration's constants (:data:`.greedoid.CLASS_STEP_US`) on a 2-core x86-64
+# host under CPython 3.11: the router compares the two in this unit.
+SPAN_US = 0.15
+
+
 def span_state_cost(rank: int, classes: int) -> list[tuple[int, str]]:
     """The engine's one figure for a matrix of rank R and ``classes`` distinct columns.
 
     That is N(R), the most spans a layer can hold.  N(R) >= [R choose
     R//2]_2 >= 2^(R*R//4), so when that already reaches the 2^classes
-    subsets of enumeration it stands in for N(R), which is then never summed.
+    subsets of enumeration it stands in for N(R), which is then never summed:
+    no layer holds more spans than the 2^classes column sets.
     """
     low = rank * rank // 4
     spans = 1 << low if low >= classes else sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1))

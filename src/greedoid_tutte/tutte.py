@@ -11,11 +11,14 @@ carrier and then shared, and does only polynomial algebra on its integer
 counts.  The profile also keeps its expansion into the coefficients of
 T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) are its
 column and row sums.  A greedoid's profile is enumerated subset by subset.
-A carrier's comes from the cheaper of two engines: enumeration over its
-classes of identical elements, or a second engine of its family: for a
-rooted graph or digraph, the sum over the vertex sets the root reaches,
-block by block, in :mod:`.vertex_profile`, and for a binary matrix, the
-programme over the spans of column sets in :mod:`.span_profile`.
+A carrier's comes from one of two engines: enumeration over its classes of
+identical elements, or a second engine of its family: for a rooted graph or
+digraph, the sum over the vertex sets the root reaches, block by block, in
+:mod:`.vertex_profile`, and for a binary matrix, the programme over the spans
+of column sets in :mod:`.span_profile`.  Of the engines whose figures fit,
+the one of least calibrated cost runs: each engine's first figure times its
+microseconds per step, plus enumeration's fixed cost per call, so a small
+core never pays for enumeration's rank table.
 
 A carrier whose class sizes have gcd g > 1 is the g-thickening H^g of the
 carrier H with each class size divided by g (the core, when g is every class
@@ -59,6 +62,8 @@ from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import det_integer
 from .greedoid import (
     _MAX_WORK,
+    CLASS_CALL_US,
+    CLASS_STEP_US,
     DEFAULT_MAX_ELEMENTS,
     Greedoid,
     SubsetProfile,
@@ -69,8 +74,8 @@ from .greedoid import (
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
 from .primitives import join_edges, packed_power, reach, renumber, unpack_profile
-from .span_profile import span_state_cost, span_state_profile
-from .vertex_profile import vertex_subset_cost, vertex_subset_profile
+from .span_profile import SPAN_US, span_state_cost, span_state_profile
+from .vertex_profile import PRODUCT_US, vertex_subset_cost, vertex_subset_profile
 
 
 @dataclass(frozen=True)
@@ -151,16 +156,18 @@ def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...]]:
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
-    """Profile of a carrier, by the engine with fewer steps.
+    """Profile of a carrier, by the engine of least calibrated cost.
 
     A g-thickening of H (g > 1, see :func:`_thinned`) expands H's cached
     profile when H is not refused and the expansion's (rank + 1)(size + 1)^2
     bits fit.  Otherwise: enumeration over the classes of identical elements
-    takes 2^classes steps; the family's own engine states its figures, steps
-    first, and runs when they all fit and its steps are fewer, or when the
-    enumeration's :func:`.greedoid.class_table_bits` do not fit.  When
-    neither engine fits, ``GroundSetTooLargeError`` names every figure past
-    the limit.
+    takes 2^classes steps, and costs ``CLASS_CALL_US`` plus ``CLASS_STEP_US``
+    per step, in microseconds; the family's own engine states its figures,
+    steps first, and costs ``PRODUCT_US`` or ``SPAN_US`` per step.  The
+    family's engine runs when its figures all fit and its cost is less, or
+    when the enumeration's steps or :func:`.greedoid.class_table_bits` do not
+    fit.  When neither engine fits, ``GroundSetTooLargeError`` names every
+    figure past the limit.
     """
     thin, g, core, sizes = _thinned(carrier)
     size = carrier.edge_count
@@ -172,13 +179,16 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     steps = 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
-        figures, engine = span_state_cost(rank, len(sizes)), lambda: span_state_profile(core, sizes, rank)
+        figures, step_us = span_state_cost(rank, len(sizes)), SPAN_US
+        engine = lambda: span_state_profile(core, sizes, rank)
     else:
         reached = root_reach(core)
         rank = len(reached) - 1
-        figures, engine = vertex_subset_cost(core, reached, size), lambda: vertex_subset_profile(carrier, reached)
+        figures, step_us = vertex_subset_cost(core, reached, size), PRODUCT_US
+        engine = lambda: vertex_subset_profile(carrier, reached)
+    enumeration_fits = steps <= _MAX_WORK and class_table_bits(sizes) <= _MAX_WORK
     if all(figure <= _MAX_WORK for figure, _ in figures) and (
-        figures[0][0] < steps or class_table_bits(sizes) > _MAX_WORK
+        not enumeration_fits or step_us * figures[0][0] < CLASS_CALL_US + CLASS_STEP_US * steps
     ):
         return SubsetProfile(engine(), size, rank)
     if steps > _MAX_WORK:  # so neither engine fits

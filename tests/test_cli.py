@@ -165,13 +165,13 @@ def test_tutte_of_thickened_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "thick.graph"
     path.write_text(format_carrier(carrier))
     sizes = []
-    original = tutte_module.rank_size_profile
+    original = tutte_module.vertex_subset_profile
 
-    def counted(greedoid, *rest):
-        sizes.append(greedoid.size)
-        return original(greedoid, *rest)
+    def counted(carrier, reached):
+        sizes.append(carrier.edge_count)
+        return original(carrier, reached)
 
-    monkeypatch.setattr(tutte_module, "rank_size_profile", counted)
+    monkeypatch.setattr(tutte_module, "vertex_subset_profile", counted)
     tutte_module._carrier_profile.cache_clear()
     assert main(["tutte", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == tutte_polynomial(carrier).to_json_obj()

@@ -141,21 +141,44 @@ def enumerations(monkeypatch):
     return calls
 
 
-def test_one_enumeration_per_core(enumerations):
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The engine, core size and class sizes of each profile computed for a carrier, from an empty cache."""
+    calls = []
+
+    def counted(name, sizes_of):
+        original = getattr(tutte_module, name)
+
+        def wrapper(*args):
+            sizes = tuple(sizes_of(*args))
+            calls.append((name, len(sizes), sizes))
+            return original(*args)
+
+        monkeypatch.setattr(tutte_module, name, wrapper)
+
+    counted("rank_size_profile", lambda greedoid, size, sizes: sizes)
+    counted("vertex_subset_profile", lambda carrier, reached: merge_identical_elements(carrier)[1])
+    counted("span_state_profile", lambda core, sizes, rank: sizes)
+    tutte_module._carrier_profile.cache_clear()
+    return calls
+
+
+def test_one_enumeration_per_core(engine_runs):
+    """Each 3-element core takes its family engine once: 3 products, or N(3) = 16 spans."""
     for base in (path_graph(3), identity_matrix(3)):  # both of rank 3
         for k in range(1, 8):
             expected = predicted_thickening(tutte_polynomial(base), 3, k)
             assert tutte_polynomial(thicken(base, k), max_elements=21) == expected
-    assert enumerations == [(3, (1, 1, 1)), (3, (1, 1, 1))]
+    assert engine_runs == [("vertex_subset_profile", 3, (1, 1, 1)), ("span_state_profile", 3, (1, 1, 1))]
 
 
-def test_mixed_class_sizes_keep_the_class_route(enumerations):
+def test_mixed_class_sizes_keep_the_class_route(engine_runs):
     thick = thicken(RootedGraph(3, ((0, 1), (1, 0), (1, 2)), 0), 2)  # classes of 4 and 2
     assert tutte_polynomial(thick) == tutte_polynomial(to_greedoid(thick))
-    assert enumerations == [(2, (2, 1))]
+    assert engine_runs == [("vertex_subset_profile", 2, (2, 1))]
     coprime = RootedGraph(3, ((0, 1), (1, 0), (0, 1), (1, 2), (2, 1)), 0)  # classes of 3 and 2
     assert tutte_polynomial(coprime) == tutte_polynomial(to_greedoid(coprime))
-    assert enumerations == [(2, (2, 1)), (2, (3, 2))]
+    assert engine_runs == [("vertex_subset_profile", 2, (2, 1)), ("vertex_subset_profile", 2, (3, 2))]
 
 
 def test_class_table_past_the_limit_takes_the_vertex_engine(enumerations):

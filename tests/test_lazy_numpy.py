@@ -63,3 +63,52 @@ def test_numpy_unloaded_without_a_rank_table():
     ]
     # enumeration and the rank table still work in the same process, and load numpy
     assert out["enumerated"] == [True, True, True] and out["profile"] is True and out["loaded"] is True
+
+
+REDUCE_CHILD = """
+import contextlib, io, json, os, sys, tempfile
+from fractions import Fraction
+from greedoid_tutte import (
+    BinaryMatrix, H0X, HAlpha, LineY, RootedDigraph, RootedGraph, brute_force_oracle, interpolate_curve,
+    interpolate_line_y_minus1, tutte_restrict,
+)
+from greedoid_tutte.cli import main
+
+# what a reduce-curve op asks of a 3-element tree, a 3-element digraph tree and a 3-column matrix
+carriers = {
+    "graph": RootedGraph(4, ((1, 0), (1, 2), (3, 1)), 2),
+    "digraph": RootedDigraph(4, ((0, 1), (1, 2), (1, 3)), 0),
+    "binary": BinaryMatrix(((1, 1, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1))),
+}
+out = {"match": []}
+for family, carrier in carriers.items():
+    for a, b in ((Fraction(3), Fraction(3, 2)), (Fraction(1), Fraction(2))):
+        curve = interpolate_curve(brute_force_oracle(family, a, b, 22), carrier, max_elements=22)
+        direct = tutte_restrict(carrier, H0X() if a == 1 else HAlpha((a - 1) * (b - 1)))
+        out["match"].append(curve == direct)
+    if family != "binary":
+        line = interpolate_line_y_minus1(brute_force_oracle(family, 3, -1, 22), carrier, max_elements=22)
+        out["match"].append(line == tutte_restrict(carrier, LineY(-1)))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "c4.graph")
+    with open(path, "w") as f:
+        f.write("root 0\\nedge 0 1\\nedge 1 2\\nedge 2 3\\nedge 3 0\\n")
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        out["cli"] = main(["tutte", path])
+out["terms"] = len(json.loads(printed.getvalue()))
+out["loaded"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_numpy_unloaded_by_reductions_over_small_carriers():
+    """Thickenings and star attachments of 3-element carriers, and a rooted
+    C4, take the family engines, so no rank table is made."""
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", REDUCE_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["match"] == [True] * 8
+    assert out["cli"] == 0 and out["terms"] > 0
+    assert out["loaded"] is False

@@ -67,20 +67,21 @@ def carriers(draw):
 
 @pytest.fixture
 def profile_count(monkeypatch):
-    """Count the profiles enumerated, starting from an empty carrier cache."""
+    """The engine and element count of each profile computed, starting from an empty carrier cache."""
     calls = []
 
-    def counted(module):
-        original = module.rank_size_profile
+    def counted(module, name, size_of):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(args[0].size)
+            calls.append((name, size_of(args[0])))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "rank_size_profile", wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted(tutte_module)
-    counted(greedoid_module)
+    counted(tutte_module, "rank_size_profile", lambda greedoid: greedoid.size)
+    counted(greedoid_module, "rank_size_profile", lambda greedoid: greedoid.size)
+    counted(tutte_module, "vertex_subset_profile", lambda carrier: carrier.edge_count)
     tutte_module._carrier_profile.cache_clear()
     return calls
 
@@ -159,11 +160,11 @@ def test_one_profile_per_source(profile_count):
     carrier = thicken(path_graph(3), 2)
     nine_queries(carrier)
     nine_queries(dataclasses.replace(carrier))  # an equal carrier shares the entry
-    assert profile_count == [3]  # one enumeration, of the 3-element core
+    assert profile_count == [("vertex_subset_profile", 3)]  # one profile, of the 3-element core
     greedoid = to_greedoid(carrier)
     nine_queries(greedoid)
     nine_queries(greedoid)
-    assert profile_count == [3, 6]
+    assert profile_count == [("vertex_subset_profile", 3), ("rank_size_profile", 6)]
 
 
 @PROPERTY

@@ -118,7 +118,7 @@ def random_matrix(rows: int, cols: int, seed: int) -> BinaryMatrix:
     [
         (weight_three(6, 12), "span_state_profile"),  # N(6) = 2825 spans against 2^12 subsets
         (identity_matrix(12), "rank_size_profile"),  # N(12) against 2^12
-        (thicken(identity_matrix(3), 3), "rank_size_profile"),  # N(3) = 16 against 2^3 classes
+        (thicken(identity_matrix(3), 3), "span_state_profile"),  # N(3) = 16 spans against 2^3 classes
     ],
 )
 def test_engine_choice(engines, matrix, engine):

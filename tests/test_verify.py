@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from greedoid_tutte import constructions, path_graph, thicken, tutte_polynomial
+from greedoid_tutte import constructions, path_graph, thicken, to_greedoid, tutte_polynomial
 from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte import verify
 from greedoid_tutte.cli import main
@@ -65,9 +65,11 @@ def wrong_vertex_engine(monkeypatch):
 
 def test_attachment_suite_fails_on_an_engine_wrong_like_its_prediction(wrong_vertex_engine, capsys):
     base, patch = path_graph(2), path_graph(2)
-    # the attachment takes the vertex-subset engine, so the two agree with each other ...
+    # the attachment takes the vertex-subset engine, and so does path_graph(2)
+    # itself, so its polynomials come from enumeration; the two agree with each other ...
     attached = tutte_polynomial(constructions.attach_graphs(base, patch))
-    prediction = verify.predicted_attachment(tutte_polynomial(base), tutte_polynomial(patch), 2, 2, 2)
+    base_poly, patch_poly = tutte_polynomial(to_greedoid(base)), tutte_polynomial(to_greedoid(patch))
+    prediction = verify.predicted_attachment(base_poly, patch_poly, 2, 2, 2)
     assert attached.evaluate(3, 2) == prediction.evaluate(3, 2)
     # ... but not with enumeration
     rows = verify.run_suite("attachment")

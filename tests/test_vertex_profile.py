@@ -206,7 +206,7 @@ WHEEL = RootedGraph(7, tuple((0, i) for i in range(1, 7)) + tuple((i, i % 6 + 1)
     [
         (WHEEL, "vertex_subset_profile"),  # 3^6 products against 2^12 subsets
         (attach_graphs(path_graph(3), star_graph(3)), "vertex_subset_profile"),  # 12 blocks of 2 vertices: 36 against 2^12
-        (thicken(path_graph(3), 3), "rank_size_profile"),  # 3 blocks of 2 vertices: 9 against 2^3 = 8 classes
+        (thicken(path_graph(3), 3), "vertex_subset_profile"),  # 3 blocks of 2 vertices: 3 products against 2^3 classes
     ],
 )
 def test_engine_choice(engines, carrier, engine):
@@ -218,7 +218,7 @@ def test_engine_choice(engines, carrier, engine):
     "carrier, engine",
     [
         (attach_digraphs(directed_path(3), directed_star(3)), "vertex_subset_profile"),  # 36 against 2^12
-        (thicken(path_graph(3), 3), "rank_size_profile"),  # 3 blocks of 2 vertices: 9 against 2^3 classes
+        (thicken(path_graph(3), 3), "vertex_subset_profile"),  # 3 blocks of 2 vertices: 3 against 2^3 classes
     ],
 )
 def test_block_engine_choice(engines, carrier, engine):
@@ -300,9 +300,10 @@ def test_refusal_names_every_figure_past_the_limit():
     assert "bits" not in message
 
 
-def test_cost_counts_a_two_vertex_block_as_three_products():
-    """thicken(path_graph(3), 3): 3 blocks of 2 vertices, 9 elements, rank 3."""
+def test_cost_counts_a_two_vertex_block_as_one_product():
+    """thicken(path_graph(3), 3): 3 blocks of 2 vertices, each the one product
+    of its closed form; 9 elements, rank 3."""
     core, sizes = merge_identical_elements(thicken(path_graph(3), 3))
     (products, _), (bits, _) = vertex_subset_cost(core, root_reach(core), sum(sizes))
-    assert products == 9
+    assert products == 3
     assert bits == (9 + 3 + 2) * 10**2
