@@ -362,8 +362,13 @@ def _suffix_coordinates(cols: list[tuple], p: int) -> tuple[list, list[int]]:
     n, rows = len(cols), ()
     for vec in _pack(zip(*cols[::-1]), p):  # the matrix rows, read right to left
         rows = _insert(rows, vec, p) or rows
-    rows = rows[::-1]  # led right to left, so by pivot column left to right
-    return _transpose(rows, n, p)[::-1], [n - 1 - _lead(row, p) for row in rows]
+    return _coordinates(rows, n, p), [n - 1 - _lead(row, p) for row in reversed(rows)]
+
+
+def _coordinates(rows: tuple, n: int, p: int) -> list:
+    """The coordinates of :func:`_suffix_coordinates`, from the canonical
+    rows of the row space of ``n`` columns read right to left."""
+    return _transpose(rows[::-1], n, p)[::-1]  # rows led right to left, so by pivot column left to right
 
 
 def _state_bound(coords: list, pivots: list[int], need: int, p: int) -> int:

@@ -190,7 +190,14 @@ def packed_powers(m: int) -> list[int]:
 
 
 def packed_power(k: int, width: int) -> int:
-    """(1+z)^k packed ``width`` bits per coefficient, as in :func:`packed_powers`."""
+    """(1+z)^k packed ``width`` bits per coefficient, as in :func:`packed_powers`.
+
+    No coefficient reaches 2^width, so that is the int (1 + 2^width)^k.  Up
+    to a few thousand bits one int power is the faster way to it; past them,
+    packing the binomials.
+    """
+    if k * width < 4096:
+        return (1 + (1 << width)) ** k
     return pack_fields(binomial_shift({k: 1}, 1), width)
 
 

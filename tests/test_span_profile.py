@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from greedoid_tutte import (
     GF2,
     BinaryMatrix,
+    block_diag,
     count_bases,
     identity_matrix,
     thicken,
@@ -23,8 +24,11 @@ from greedoid_tutte import (
 from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.carriers import carrier_rank, merge_identical_elements
+from greedoid_tutte.basis_counting import _suffix_coordinates
 from greedoid_tutte.greedoid import rank_size_profile
+from greedoid_tutte.primitives import gf2_rank, packed_power
 from greedoid_tutte.span_profile import span_state_profile, span_state_cost
+from greedoid_tutte.span_profile import spanning_sets
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -153,3 +157,53 @@ def test_cost_is_the_subspace_count_or_its_lower_bound():
     start = time.perf_counter()
     assert span_state_cost(600, 600)[0][0] == 2**90000
     assert time.perf_counter() - start < 0.1
+
+
+@PROPERTY
+@given(matrices())
+def test_spanning_sets_count_the_sets_whose_top_rows_span(matrix):
+    """Each level's count, on the core's classes in suffix coordinates,
+    against the column sets of the whole matrix whose top k rows have rank k."""
+    core, sizes = merge_identical_elements(matrix)
+    columns, m = list(zip(*matrix.bits)), matrix.col_count
+    width = m + 1
+    powers = [packed_power(c, width) for c in sizes]
+    for k in range(1, carrier_rank(core) + 1):
+        coords, _ = _suffix_coordinates([col[:k] for col in zip(*core.bits)], 2)
+        expected = sum(
+            1 << size * width
+            for size in range(m + 1)
+            for chosen in itertools.combinations(columns, size)
+            if gf2_rank(col[:k] for col in chosen) == k
+        )
+        assert spanning_sets(coords, powers) == expected
+
+
+def full_row_rank_block(rng: random.Random, rows: int, cols: int) -> BinaryMatrix:
+    while True:
+        bits = tuple(tuple(rng.randrange(2) for _ in range(cols)) for _ in range(rows))
+        if gf2_rank(bits) == rows:
+            return BinaryMatrix(bits)
+
+
+def assert_profile_invariants(matrix: BinaryMatrix) -> None:
+    """The counts sum to 2^m, and the bases, the sets of rank R and size R,
+    are the column sets whose top R rows are nonsingular."""
+    core, sizes = merge_identical_elements(matrix)
+    rank = carrier_rank(core)
+    counts = span_state_profile(core, sizes, rank)
+    assert sum(counts.values()) == 2**matrix.col_count
+    assert counts[(0, 0)] == count_bases([col[:rank] for col in zip(*matrix.bits)], GF2, rank)
+
+
+def test_profiles_past_enumeration_by_their_invariants():
+    """Matrices far past class enumeration, checked by what needs none.  The
+    block-diagonal matrix of three full-row-rank 5x10 blocks has the figure
+    2^56, so the router refuses it; called directly, the engine sees the
+    states of each level collapse once a block's columns have passed."""
+    rng = random.Random(11)
+    blocks = [full_row_rank_block(rng, 5, 10) for _ in range(3)]
+    start = time.perf_counter()
+    assert_profile_invariants(block_diag(block_diag(blocks[0], blocks[1]), blocks[2]))
+    assert time.perf_counter() - start < 1.0
+    assert_profile_invariants(random_matrix(9, 27, 5))
