@@ -24,9 +24,9 @@ the 3x7 block
   v_b    0    1    1    0     0     1     1
   f_ij   0    0    0    1     1     1     1
 
-into an otherwise-zero matrix with rows (vertices, edges, copy rows f_ij)
-and columns (vertices, edges, four letter columns per edge copy).  The
-matroid actually counted lives on the letter columns only.
+into an otherwise-zero matrix with rows ("v", i), ("e", i), then ("f", i, j),
+and columns ("v", i), ("e", i), then ("w"|"x"|"y"|"z", i, j) for each edge
+and copy.  The matroid actually counted lives on the letter columns only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import cached_property
+from math import comb, gcd, prod
 
 from .carriers import UnrootedGraph
 from .errors import (
@@ -133,70 +134,66 @@ RATIONALS = Field(0)
 
 @dataclass(frozen=True)
 class GadgetMatrix:
-    """The lifted matrix, with labelled rows and columns.
+    """The lift of ``graph`` with ``copies`` letter blocks per edge, laid out as the module docstring says.
 
-    Row labels: ("v", i), ("e", i), ("f", i, j).  Column labels: ("v", i),
-    ("e", i) and ("w"|"x"|"y"|"z", i, j).  The letter columns are the ground
-    set of the counted matroid; the vertex and edge columns only take part
-    in closure computations.
+    Row f_ij sits at n + m + i·k + j.  :meth:`ground_columns` builds the letter columns alone; the labels
+    and the full matrix, read only for closures, are made on first read and kept.
     """
 
     graph: SimpleGraph
     copies: int
-    row_labels: tuple
-    col_labels: tuple
-    columns: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "copies", as_integer(self.copies, "copy count"))
+        if self.copies < 1:
+            raise PreconditionError("need at least one copy block per edge")
 
     @property
     def target_rank(self) -> int:
         return self.graph.vertex_count + self.graph.edge_count * self.copies
 
     def ground_labels(self) -> tuple:
-        return tuple(lbl for lbl in self.col_labels if lbl[0] in LETTERS)
+        return tuple((c, i, j) for i in range(self.graph.edge_count) for j in range(self.copies) for c in LETTERS)
 
     def ground_columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            col for lbl, col in zip(self.col_labels, self.columns) if lbl[0] in LETTERS
-        )
+        """The 4mk letter columns in :meth:`ground_labels` order: the 3x7 block's w, x, y, z."""
+        n, m, k = self.graph.vertex_count, self.graph.edge_count, self.copies
+        out = []
+        for i, (a, b) in enumerate(self.graph.edges):
+            for f in range(n + m + i * k, n + m + i * k + k):
+                w = [0] * (n + m + m * k)
+                w[f] = 1
+                x, y, z = w.copy(), w.copy(), w.copy()
+                x[a] = y[b] = z[a] = z[b] = 1
+                out += (tuple(w), tuple(x), tuple(y), tuple(z))
+        return tuple(out)
+
+    @cached_property
+    def row_labels(self) -> tuple:
+        n, m = self.graph.vertex_count, self.graph.edge_count
+        return (*self.col_labels[: n + m], *(("f", i, j) for i in range(m) for j in range(self.copies)))
+
+    @cached_property
+    def col_labels(self) -> tuple:
+        n, m = self.graph.vertex_count, self.graph.edge_count
+        return (*(("v", i) for i in range(n)), *(("e", i) for i in range(m)), *self.ground_labels())
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Unit vertex columns, edge columns holding both ends, then the letter columns; every e row is zero."""
+        height = len(self.row_labels)
+        ends = [(v,) for v in range(self.graph.vertex_count)] + list(self.graph.edges)
+        return (*(tuple(int(r in e) for r in range(height)) for e in ends), *self.ground_columns())
 
     def column(self, label) -> tuple[int, ...]:
-        return self.columns[self.col_labels.index(label)]
+        try:
+            return self.columns[self.col_labels.index(label)]
+        except ValueError:
+            raise PreconditionError(f"{label!r} is not a column of this gadget") from None
 
 
 def build_gadget_matrix(graph: SimpleGraph, copies: int) -> GadgetMatrix:
-    n, m, k = graph.vertex_count, graph.edge_count, as_integer(copies, "copy count")
-    if k < 1:
-        raise PreconditionError("need at least one copy block per edge")
-    row_labels = (
-        [("v", i) for i in range(n)]
-        + [("e", i) for i in range(m)]
-        + [("f", i, j) for i in range(m) for j in range(k)]
-    )
-    row_index = {lbl: r for r, lbl in enumerate(row_labels)}
-    col_labels: list = [("v", i) for i in range(n)] + [("e", i) for i in range(m)]
-    for i in range(m):
-        for j in range(k):
-            col_labels += [(letter, i, j) for letter in LETTERS]
-    total_rows = len(row_labels)
-    columns = []
-    for lbl in col_labels:
-        col = [0] * total_rows
-        if lbl[0] == "v":
-            col[row_index[lbl]] = 1
-        elif lbl[0] == "e":
-            a, b = graph.edges[lbl[1]]
-            col[row_index[("v", a)]] = 1
-            col[row_index[("v", b)]] = 1
-        else:
-            letter, i, j = lbl
-            a, b = graph.edges[i]
-            if letter in ("x", "z"):
-                col[row_index[("v", a)]] = 1
-            if letter in ("y", "z"):
-                col[row_index[("v", b)]] = 1
-            col[row_index[("f", i, j)]] = 1
-        columns.append(tuple(col))
-    return GadgetMatrix(graph, k, tuple(row_labels), tuple(col_labels), tuple(columns))
+    return GadgetMatrix(graph, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +671,18 @@ def count_feasible_templates(
     return counts
 
 
+def _closed_form(n: int, m: int, k: int, char_two: bool) -> tuple[int, Fraction]:
+    """(4^n c_k, x_k): a feasible template with j bidirected edges has c_k x_k^j bases in the k-th lift."""
+    return 4 ** (k * m) * k**n, Fraction(12 * k + 4 if char_two else 13 * k + 3, k)
+
+
 def predicted_bases_per_template(n: int, m: int, k: int, bidirected: int, char_two: bool) -> Fraction:
     """Closed-form basis count of one feasible template with b bidirected edges."""
     n, m, k, bidirected = (as_integer(v, "template parameter") for v in (n, m, k, bidirected))
-    if k < 1:
-        raise PreconditionError("need k >= 1")
-    per_bidirected = 12 * k + 4 if char_two else 13 * k + 3  # k times the factor per bidirected edge
-    return Fraction(4 ** (k * m) * k**n * per_bidirected**bidirected, 4**n * k**bidirected)
+    if k < 1 or min(n, m, bidirected) < 0:
+        raise PreconditionError("need k >= 1" if k < 1 else "template parameters must be non-negative")
+    scale, x = _closed_form(n, m, k, char_two)
+    return scale * x**bidirected / 4**n
 
 
 def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template:
@@ -697,20 +699,15 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
     if len(set(chosen)) != len(chosen) or any(not 0 <= i < len(ground) for i in chosen):
         raise NotABasisError("invalid ground column indices")
     ground_cols = gm.ground_columns()
-    if len(chosen) != gm.target_rank or matrix_rank(
-        [ground_cols[i] for i in chosen], field
-    ) != gm.target_rank:
+    if len(chosen) != gm.target_rank or matrix_rank([ground_cols[i] for i in chosen], field) != gm.target_rank:
         raise NotABasisError("column set is not a basis")
     graph, k = gm.graph, gm.copies
     states: list[EdgeState | None] = []
     for i, (a, b) in enumerate(graph.edges):
         block = [t for t in chosen if ground[t][1] == i]
         size = len(block)
-        if size == k:
-            states.append(None)
-            continue
-        if size == k + 2:
-            states.append(EdgeState("bidirected"))
+        if size in (k, k + 2):
+            states.append(None if size == k else EdgeState("bidirected"))
             continue
         if size != k + 1:
             raise NotABasisError(f"edge {i} meets the basis in {size} columns")
@@ -727,12 +724,8 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
         has_a, has_b = (matrix_rank(block_cols + [gm.column(("v", v))], field) == base_rank for v in (a, b))
         if has_a and has_b:
             raise NotABasisError(f"edge {i} closure captures both endpoints at size k+1")
-        if has_a:
-            states.append(EdgeState("directed", a, label))
-        elif has_b:
-            states.append(EdgeState("directed", b, label))
-        else:
-            states.append(EdgeState("undirected", None, label))
+        head = a if has_a else b if has_b else None
+        states.append(EdgeState("undirected" if head is None else "directed", head, label))
     return Template(tuple(states))
 
 
@@ -741,15 +734,23 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
 
 
 def count_perfect_matchings(graph: SimpleGraph) -> int:
-    """Brute-force perfect matching count."""
+    """Brute-force perfect matching count, refused past ``_MAX_WORK`` edge scans before it searches.
 
-    def recurse(uncovered: frozenset[int]) -> int:
+    Each step scans the m edges and branches over at most the d+(v) edges (v, u), u > v, of the
+    least uncovered vertex v, and over at most the uncovered vertices but one.  Along one branch
+    those v are distinct, so there are L = min(prod of max(1, d+(v)), (n - 1)!!) leaves; the figure is m·L."""
+    lows = [a for a, _ in graph.edges]  # each edge (v, u) is stored at v < u
+    leaves = min(prod(map(lows.count, set(lows))), prod(range(graph.vertex_count - 1, 0, -2)))
+    _check_work(len(lows), [(len(lows) * leaves, "edge scans")])
+    matchings, stack = 0, [frozenset(range(graph.vertex_count))]
+    while stack:  # depth first on a list, so a long path does not meet Python's recursion limit
+        uncovered = stack.pop()
         if not uncovered:
-            return 1
+            matchings += 1
+            continue
         v = min(uncovered)
-        return sum(recurse(uncovered - {a, b}) for a, b in graph.edges if v in (a, b) and {a, b} <= uncovered)
-
-    return recurse(frozenset(range(graph.vertex_count)))
+        stack += (uncovered - {a, b} for a, b in graph.edges if v in (a, b) and {a, b} <= uncovered)
+    return matchings
 
 
 @dataclass(frozen=True)
@@ -789,10 +790,9 @@ def recover_perfect_matchings(
     char_two = field.is_char_two
     t_true = count_feasible_templates(graph, char_two, max_elements)
     top = n // 2
-    nodes = [Fraction(12 * k + 4 if char_two else 13 * k + 3, k) for k in range(1, top + 2)]
-    scales = [4 ** (k * m) * k**n for k in range(1, top + 2)]  # 4^n c_k, c_k the closed form at j = 0
+    forms = [_closed_form(n, m, k, char_two) for k in range(1, top + 2)]
     b_values, sources = [], []
-    for k, (x, scale) in enumerate(zip(nodes, scales), 1):
+    for k, (scale, x) in enumerate(forms, 1):
         if 1 << 4 * m * k <= _MAX_SUBSETS:
             gm = build_gadget_matrix(graph, k)
             b_k = count_bases(gm.ground_columns(), field, gm.target_rank)
@@ -806,7 +806,7 @@ def recover_perfect_matchings(
                 raise AssertionError("template sum must be an integer")
             sources.append("template-sum")
         b_values.append(b_k)
-    solution = vandermonde_solve(nodes, [Fraction(b * 4**n, scale) for b, scale in zip(b_values, scales)])
+    solution = vandermonde_solve([x for _, x in forms], [Fraction(b * 4**n, c) for b, (c, _) in zip(b_values, forms)])
     t_values = []
     for value in (solution.terms.get(j, Fraction(0)) for j in range(top + 1)):
         if value.denominator != 1 or value < 0:

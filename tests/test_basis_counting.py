@@ -28,6 +28,7 @@ from greedoid_tutte import (
     template_of_basis,
 )
 from greedoid_tutte.basis_counting import (
+    LETTERS,
     Template,
     _edge_options,
     template_counts_by_bidirected,
@@ -115,6 +116,60 @@ def test_ground_rank_target():
         for field in ALL_FIELDS:
             assert matrix_rank(gm.ground_columns(), field) == gm.target_rank
             assert matrix_rank(gm.columns, field) == gm.target_rank
+
+
+def _seeded_simple_graphs(seed: int, count: int, max_vertices: int) -> list[SimpleGraph]:
+    """``count`` seeded simple graphs on 2 to ``max_vertices`` vertices, none isolated."""
+    rng, graphs = random.Random(seed), []
+    while len(graphs) < count:
+        pairs = list(itertools.combinations(range(n := rng.randint(2, max_vertices)), 2))
+        edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+        if len({v for edge in edges for v in edge}) == n:
+            graphs.append(SimpleGraph(n, tuple(edges)))
+    return graphs
+
+
+def test_gadget_layout_on_seeded_graphs():
+    """On 16 seeded graphs of up to 7 vertices at k = 1..3: each letter column holds exactly
+    the rows of its 3x7 block, vertex columns are units, edge columns hold both ends, every e
+    row is zero, the ground columns are the letter columns of the full matrix in ground-label
+    order, and gadgets built from equal inputs are equal and hash alike."""
+    for graph in _seeded_simple_graphs(34, 16, 7):
+        n, m = graph.vertex_count, graph.edge_count
+        for k in (1, 2, 3):
+            gm = build_gadget_matrix(graph, k)
+            support = lambda lbl: {gm.row_labels[r] for r, x in enumerate(gm.column(lbl)) if x}
+            assert all(set(col) <= {0, 1} and len(col) == n + m + m * k for col in gm.columns)
+            for v in range(n):
+                assert support(("v", v)) == {("v", v)}
+            for i, (a, b) in enumerate(graph.edges):
+                assert support(("e", i)) == {("v", a), ("v", b)}
+                assert not any(col[gm.row_labels.index(("e", i))] for col in gm.columns)
+                for j in range(k):
+                    assert gm.row_labels.index(("f", i, j)) == n + m + i * k + j
+                    for letter, ends in zip(LETTERS, ((), (a,), (b,), (a, b))):
+                        assert support((letter, i, j)) == {("f", i, j), *(("v", u) for u in ends)}
+            letters = [(lbl, col) for lbl, col in zip(gm.col_labels, gm.columns) if lbl[0] in LETTERS]
+            assert len(letters) == 4 * m * k
+            assert (gm.ground_labels(), gm.ground_columns()) == tuple(map(tuple, zip(*letters)))
+            twin = build_gadget_matrix(SimpleGraph(n, graph.edges), k)
+            assert twin == gm and hash(twin) == hash(gm)
+
+
+@pytest.mark.parametrize("label", [("v", 5), ("q", 0, 0), ("w", 0, 1)], ids=repr)
+def test_unknown_gadget_labels_are_refused_by_name(label):
+    """A vertex out of range, an unknown letter and a copy index >= k raised a bare ValueError."""
+    with pytest.raises(PreconditionError, match=re.escape(repr(label))):
+        build_gadget_matrix(K2, 1).column(label)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=str)
+def test_recovery_builds_only_letter_columns(monkeypatch, field):
+    """No gadget the recovery builds makes its vertex or edge columns, its labels or its full matrix."""
+    built, original = [], basis_counting.build_gadget_matrix
+    monkeypatch.setattr(basis_counting, "build_gadget_matrix", lambda *args: built.append(original(*args)) or built[-1])
+    assert recover_perfect_matchings(C4, field).recovered == 2
+    assert built and not any({"row_labels", "col_labels", "columns"} & vars(gm).keys() for gm in built)
 
 
 def test_count_bases_k2():
@@ -361,11 +416,53 @@ def test_predicted_counts_k2_examples():
     assert predicted_bases_per_template(2, 1, 1, 1, False) == 4
 
 
+def test_negative_template_parameters_are_refused():
+    """A negative vertex, edge or bidirected count raised a bare TypeError from Fraction."""
+    for args in ((-1, 1, 1, 0), (2, -1, 1, 0), (2, 1, 1, -1)):
+        with pytest.raises(PreconditionError, match="template parameters must be non-negative"):
+            predicted_bases_per_template(*args, True)
+
+
 def test_count_perfect_matchings():
     assert count_perfect_matchings(K2) == 1
     assert count_perfect_matchings(C4) == 2
     assert count_perfect_matchings(C3) == 0
     assert count_perfect_matchings(PATH3) == 1
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_perfect_matching_count_is_bounded_before_it_recurses(monkeypatch):
+    """K16 is refused at once: 120 edges times 15!! leaves is about 2^27 edge scans.  K14 (about
+    2^23) is admitted, and a 60-vertex path takes 59 scans to count its one matching.  A path of
+    2,002 vertices, past Python's recursion limit, counts 1 as well."""
+    k16 = SimpleGraph(16, tuple(itertools.combinations(range(16), 2)))
+    start = time.perf_counter()
+    with pytest.raises(GroundSetTooLargeError, match=re.escape("2^27 edge scans")):
+        count_perfect_matchings(k16)
+    assert time.perf_counter() - start < 1
+    for n in (60, 2002):
+        assert count_perfect_matchings(SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))) == 1
+    check = basis_counting._check_work
+
+    def admit(*args):
+        check(*args)
+        raise _Admitted
+
+    monkeypatch.setattr(basis_counting, "_check_work", admit)
+    with pytest.raises(_Admitted):
+        count_perfect_matchings(SimpleGraph(14, tuple(itertools.combinations(range(14), 2))))
+
+
+def test_perfect_matching_count_matches_edge_subsets():
+    """On 30 seeded simple graphs of up to 8 vertices, the count equals the number of n/2-edge
+    subsets that cover every vertex."""
+    for graph in _seeded_simple_graphs(35, 30, 8):
+        n = graph.vertex_count
+        covers = (len({v for edge in sub for v in edge}) == n for sub in itertools.combinations(graph.edges, n // 2))
+        assert count_perfect_matchings(graph) == (sum(covers) if n % 2 == 0 else 0), graph
 
 
 def test_recover_perfect_matchings_k2():
