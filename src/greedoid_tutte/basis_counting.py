@@ -736,20 +736,25 @@ def template_of_basis(gm: GadgetMatrix, field: Field, basis_indices) -> Template
 def count_perfect_matchings(graph: SimpleGraph) -> int:
     """Brute-force perfect matching count, refused past ``_MAX_WORK`` edge scans before it searches.
 
-    Each step scans the m edges and branches over at most the d+(v) edges (v, u), u > v, of the
-    least uncovered vertex v, and over at most the uncovered vertices but one.  Along one branch
-    those v are distinct, so there are L = min(prod of max(1, d+(v)), (n - 1)!!) leaves; the figure is m·L."""
-    lows = [a for a, _ in graph.edges]  # each edge (v, u) is stored at v < u
-    leaves = min(prod(map(lows.count, set(lows))), prod(range(graph.vertex_count - 1, 0, -2)))
-    _check_work(len(lows), [(len(lows) * leaves, "edge scans")])
-    matchings, stack = 0, [frozenset(range(graph.vertex_count))]
+    Each step branches over at most the d+(v) edges (v, u), u > v, of the least uncovered vertex
+    v, and over at most the uncovered vertices but one.  Along one branch those v are distinct, so
+    there are L = min(prod of max(1, d+(v)), (n - 1)!!) leaves; the figure is m·L, though each step
+    scans only the d+(v) edges, from a list per vertex made once.  The vertices below v are all
+    covered, so no edge (u, v), u < v, can cover v."""
+    ups: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for v, u in graph.edges:  # each edge (v, u) is stored at v < u
+        ups[v].append(1 << v | 1 << u)
+    m = len(graph.edges)
+    leaves = min(prod(len(pairs) for pairs in ups if pairs), prod(range(graph.vertex_count - 1, 0, -2)))
+    _check_work(m, [(m * leaves, "edge scans")])
+    matchings, stack = 0, [(1 << graph.vertex_count) - 1]  # the uncovered vertices, as a bitmask
     while stack:  # depth first on a list, so a long path does not meet Python's recursion limit
         uncovered = stack.pop()
         if not uncovered:
             matchings += 1
             continue
-        v = min(uncovered)
-        stack += (uncovered - {a, b} for a, b in graph.edges if v in (a, b) and {a, b} <= uncovered)
+        v = (uncovered & -uncovered).bit_length() - 1
+        stack += (uncovered ^ pair for pair in ups[v] if pair & uncovered == pair)
     return matchings
 
 

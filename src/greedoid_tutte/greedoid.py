@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
+from operator import lshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import ElementOutOfRangeError, GroundSetTooLargeError, PreconditionError
-from .primitives import binomial_shift, find, packed_power, unpack_profile
+from .primitives import find, horner_minus_one, packed_power, signed_fields, unpack_profile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,25 +87,70 @@ class SubsetProfile:
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The counts as dense rows by deficit, by :func:`deficit_rows`, made on first use and then kept."""
+        return deficit_rows(self.counts)
+
+    @cached_property
     def expansion(self) -> Mapping[tuple[int, int], int]:
         """The Tutte polynomial's integer coefficients, by :func:`expand`, made on first use and then kept."""
         return MappingProxyType(expand(self.counts))
 
 
-def expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s.
-
-    One binomial shift in y per deficit, then one in x per power of y.
-    Integer arithmetic throughout; callers turn the result into rationals.
-    """
-    by_deficit: dict[int, dict[int, int]] = {}
+def deficit_rows(counts: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """counts[d, s] as one dense row per deficit d = 0 .. D, each holding
+    s = 0 .. S, with D and S the largest deficit and surplus counted, and 0
+    where no count is given."""
+    if not counts:
+        return ()
+    deficits, surpluses = zip(*counts)
+    n = max(surpluses) + 1
+    flat = [0] * ((max(deficits) + 1) * n)
     for (d, s), count in counts.items():
-        by_deficit.setdefault(d, {})[s] = count
-    by_y: dict[int, dict[int, int]] = {}
-    for d, row in by_deficit.items():
-        for j, c in enumerate(binomial_shift(row, -1)):
-            by_y.setdefault(j, {})[d] = c
-    return {(i, j): c for j, col in by_y.items() for i, c in enumerate(binomial_shift(col, -1))}
+        flat[d * n + s] = count
+    return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+
+
+# Columns of the expansion made by one fold of the second shift.  Every
+# column at once would fold ints of (rank + 1)(surplus + 1) fields, megabytes
+# at a few hundred elements, which leave the cache; 16 keep each fold a few
+# hundred KiB there, and hold every column of a profile of up to 15 surplus.
+_FOLD_COLUMNS = 16
+
+
+def expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s; zero
+    coefficients get no key.
+
+    Two Taylor shifts by -1 on packed ints (:func:`.primitives.horner_minus_one`).
+    Each of the :func:`deficit_rows` becomes one int, its polynomial in y at
+    y = 2^W, split into blocks of m = ``_FOLD_COLUMNS`` fields (or all n of
+    its fields, when fewer).  Then for each block the rows fold into one int
+    at x = 2^(W m): a block's polynomial has degree below m, so the fold is
+    the sum of T_ij 2^(W (i m + j - j0)) over the block's columns j0 <= j <
+    j0 + m, read back field by field with a bias of 2^(W-1).  W is fixed
+    before packing: (t - 1)^k has coefficients of absolute sum 2^k, so no
+    coefficient of any partial sum of either shift, nor of the result,
+    exceeds B = sum of |counts[d, s]| 2^(d+s), and W is one bit more than B
+    takes, so 2^(W-1) > B.  A row's blocks are read as signed fields of W m
+    bits, since each lies within 2^(W m - 1).  Integer arithmetic throughout;
+    callers turn the result into rationals.
+    """
+    rows = deficit_rows(counts)
+    if not rows:
+        return {}
+    n = len(rows[0])
+    width = sum(map(lshift, map(abs, counts.values()), map(sum, counts))).bit_length() + 1
+    m = min(n, _FOLD_COLUMNS)
+    blocks = [signed_fields(horner_minus_one(row, width), width * m, -(-n // m)) for row in rows]
+    expansion: dict[tuple[int, int], int] = {}
+    for b, block in enumerate(zip(*blocks)):
+        folded = signed_fields(horner_minus_one(block, width * m), width, len(rows) * m)
+        for k, c in enumerate(folded):
+            if c:
+                i, j = divmod(k, m)
+                expansion[i, b * m + j] = c
+    return expansion
 
 
 @dataclass(eq=False)

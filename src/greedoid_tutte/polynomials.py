@@ -37,7 +37,8 @@ def rational(value) -> Fraction:
 
 
 def _clean(terms: Mapping) -> dict:
-    return {key: Fraction(c) for key, c in terms.items() if c != 0}
+    """The nonzero terms, each a Fraction; one that is exactly a Fraction is kept as it is."""
+    return {key: c if type(c) is Fraction else Fraction(c) for key, c in terms.items() if c != 0}
 
 
 class _Poly:

@@ -1,7 +1,7 @@
 """Integers read from outside, union-find (with one pass over an edge bitmask,
 and vertex renumbering for it), root reachability, GF(2) elimination, the
-binomial shift, polynomials packed into ints and the Gaussian binomial,
-shared by every module.
+binomial shift, polynomials packed into ints (with their Taylor shift by -1)
+and the Gaussian binomial, shared by every module.
 
 This module imports nothing from the package but its errors, so any module
 may import it.
@@ -10,7 +10,7 @@ may import it.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from operator import index, lshift
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -218,6 +218,47 @@ def packed_fields(packed: int, width: int, count: int) -> list[int]:
     half = count // 2
     low = packed_fields(packed & (1 << half * width) - 1, width, half)
     return low + packed_fields(packed >> half * width, width, count - half)
+
+
+def horner_minus_one(values: Sequence[int], shift: int) -> int:
+    """The sum of values[k] (X - 1)^k at X = 2^shift, by Horner's rule: each
+    step multiplies by X - 1 as one shift and one subtraction.
+
+    With the values polynomials packed at 2^shift (ints, or ints packed
+    narrower), this is the Taylor shift by -1 on packed ints (von zur Gathen
+    and Gerhard, "Fast algorithms for Taylor shifts and certain difference
+    equations", ISSAC 1997).
+    """
+    acc = 0
+    for c in reversed(values):
+        acc = (acc << shift) - acc + c
+    return acc
+
+
+def signed_fields(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` ints a_k with ``packed`` the sum of a_k 2^(k width), when
+    every |a_k| < 2^(width - 1): a bias of 2^(width - 1) per field makes each
+    field nonnegative, so :func:`packed_fields` splits them by halves.  The
+    bias is made by doubling, then cut to ``count`` fields."""
+    half = bias = 1 << width - 1
+    copies = 1
+    while copies < count:
+        bias |= bias << copies * width
+        copies *= 2
+    bias &= (1 << count * width) - 1
+    return [f - half for f in packed_fields(packed + bias, width, count)]
+
+
+def shift_minus_one(coeffs: Sequence[int]) -> list[int]:
+    """Coefficients of the sum of coeffs[k] (t - 1)^k, lowest power of t first:
+    ``binomial_shift`` by -1 for ints, as one packed Horner pass.
+
+    (t - 1)^k has coefficients of absolute sum 2^k, so no coefficient of the
+    result, or of a partial sum of the pass, exceeds B = sum of |coeffs[k]| 2^k;
+    fields of width bits with 2^(width - 1) > B hold each one.
+    """
+    width = sum(map(lshift, map(abs, coeffs), range(len(coeffs)))).bit_length() + 1
+    return signed_fields(horner_minus_one(coeffs, width), width, len(coeffs))
 
 
 def unpack_profile(by_rank: Sequence[int], width: int) -> dict[tuple[int, int], int]:

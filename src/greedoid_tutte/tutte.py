@@ -9,10 +9,11 @@ and all its curve restrictions are exact rearrangements of that profile, so
 every public operation here reads one profile, made once per greedoid or
 carrier and then shared, and does only polynomial algebra on its integer
 counts.  The profile also keeps its expansion into the coefficients of
-T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) are its
-column and row sums.  A greedoid's profile is enumerated subset by subset.
-A carrier's comes from one of two engines: enumeration over its classes of
-identical elements, or a second engine of its family: for a rooted graph or
+T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) need
+only one row or column of the profile, each expanded by one packed shift.
+A greedoid's profile is enumerated subset by subset.  A carrier's comes
+from one of two engines: enumeration over its classes of identical
+elements, or a second engine of its family: for a rooted graph or
 digraph, the sum over the vertex sets the root reaches, block by block, in
 :mod:`.vertex_profile`, and for a binary matrix, the programme over the spans
 of column sets in :mod:`.span_profile`.  Of the engines whose figures fit,
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Mapping, Union
+from operator import mul
+from typing import Mapping, Sequence, Union
 
 from .carriers import (
     BinaryMatrix,
@@ -73,7 +75,7 @@ from .greedoid import (
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import join_edges, packed_power, reach, renumber, unpack_profile
+from .primitives import join_edges, packed_power, reach, renumber, shift_minus_one, unpack_profile
 from .span_profile import SPAN_US, span_state_cost, span_state_profile
 from .vertex_profile import PRODUCT_US, vertex_subset_cost, vertex_subset_profile
 
@@ -222,36 +224,56 @@ def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: i
     return unpack_profile(by_rank, width)
 
 
+def _powers(a: int, b: int, n: int) -> list[int]:
+    """a^k b^(n - k) for k = 0 .. n, by successive products."""
+    ups, downs = [1], [1]
+    for _ in range(n):
+        ups.append(ups[-1] * a)
+        downs.append(downs[-1] * b)
+    return list(map(mul, ups, reversed(downs)))
+
+
 def _collect(
-    profile: SubsetProfile, key: Callable[[int, int], int], u: Fraction, v: Fraction, q: Fraction = Fraction(1)
-) -> dict[int, Fraction]:
-    """Sums of counts[d, s] u^d v^s q^(rank - d) over the profile, grouped by key(d, s).
+    profile: SubsetProfile, u: Fraction, v: Fraction, q: Fraction = Fraction(1)
+) -> tuple[list[int], int]:
+    """Sums of counts[d, s] u^d v^s q^(rank - d), one per deficit d, as integer
+    numerators over one common denominator.
 
     The empty set has deficit rank, so d runs from 0 to rank, and u^d
     q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank.
-    The terms are summed as integers over their common denominator, and one
-    rational per group is made at the end.  Nothing is divided, so q may be 0.
+    Each deficit's sum is one pass over its dense row of the profile.
+    Nothing is divided, so q may be 0.
     """
-    counts, rank = profile.counts, profile.rank
-    top_s = max(s for _, s in counts)
-    up, down = u.numerator * q.denominator, u.denominator * q.numerator
-    us = [up**d * down ** (rank - d) for d in range(rank + 1)]
-    vs = [v.numerator**s * v.denominator ** (top_s - s) for s in range(top_s + 1)]
-    sums: dict[int, int] = {}
-    for (d, s), c in counts.items():
-        k = key(d, s)
-        sums[k] = sums.get(k, 0) + c * us[d] * vs[s]
+    rows, rank = profile.rows, profile.rank
+    top_s = len(rows[0]) - 1
+    us = _powers(u.numerator * q.denominator, u.denominator * q.numerator, rank)
+    vs = _powers(v.numerator, v.denominator, top_s)
     denominator = (u.denominator * q.denominator) ** rank * v.denominator**top_s
-    return {k: Fraction(n, denominator) for k, n in sums.items()}
+    return [w * sum(map(mul, row, vs)) for w, row in zip(us, rows)], denominator
 
 
-def _line_sums(expansion: Mapping[tuple[int, int], int], axis: int) -> LaurentPoly:
-    """The expansion's coefficients summed over the other variable set to 1:
-    T(x, 1) in x for axis 0, T(1, y) in y for axis 1."""
-    sums: dict[int, int] = {}
-    for key, c in expansion.items():
-        sums[key[axis]] = sums.get(key[axis], 0) + c
-    return LaurentPoly(sums)
+def _hyperbola(profile: SubsetProfile, alpha: Fraction) -> LaurentPoly:
+    """The sum of counts[d, s] alpha^d z^(s - d): alpha^d is alpha_n^d
+    alpha_d^(rank - d) over alpha_d^rank, and the sums are kept in one list
+    from z^-rank up, filled in one pass over the rows."""
+    rows, rank = profile.rows, profile.rank
+    sums = [0] * (rank + len(rows[0]))
+    for d, (w, row) in enumerate(zip(_powers(alpha.numerator, alpha.denominator, rank), rows)):
+        for i, c in enumerate(row, rank - d):
+            if c:
+                sums[i] += w * c
+    denominator = alpha.denominator**rank
+    return LaurentPoly({i - rank: Fraction(n, denominator) for i, n in enumerate(sums) if n})
+
+
+def _by_deficit(sums: list[int], denominator: int, sign: int = 1) -> LaurentPoly:
+    """The polynomial with coefficient sign * sums[d] / denominator at z^d."""
+    return LaurentPoly({d: Fraction(sign * n, denominator) for d, n in enumerate(sums) if n})
+
+
+def _shifted_line(coeffs: Sequence[int]) -> LaurentPoly:
+    """The sum of coeffs[k] (t - 1)^k as a polynomial in t."""
+    return LaurentPoly(dict(enumerate(shift_minus_one(coeffs))))
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
@@ -274,7 +296,8 @@ def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMEN
         _check_bound(source.edge_count, max_elements)
         profile, g = _thin_route(source) or (_carrier_profile(source), 1)
     v = b**g - 1
-    return _collect(profile, lambda d, s: 0, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))[0]
+    sums, denominator = _collect(profile, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))
+    return Fraction(sum(sums), denominator)
 
 
 def tutte_restrict(
@@ -284,19 +307,21 @@ def tutte_restrict(
 
     On the hyperbola the substitution x = 1 + alpha/z, y = 1 + z turns the
     (deficit d, surplus s) subset class into alpha^d z^(s-d); on x = 1 only
-    deficit-zero subsets survive and the result is a polynomial in y; on
-    y = 1 only surplus-zero (feasible) subsets survive and the result is a
-    polynomial in x; on y = c the result is a polynomial in z = x - 1.
+    deficit-zero subsets survive, so T(1, y) is the sum of counts[0, s]
+    (y-1)^s; on y = 1 only surplus-zero (feasible) subsets survive, so
+    T(x, 1) is the sum of counts[d, 0] (x-1)^d; on y = c the result is a
+    polynomial in z = x - 1.  The two lines read one row or column of the
+    profile with one packed shift, never its whole expansion.
     """
     profile = _profile(source, max_elements)
     if isinstance(curve, HAlpha):
-        return LaurentPoly(_collect(profile, lambda d, s: s - d, curve.alpha, Fraction(1)))
+        return _hyperbola(profile, curve.alpha)
     if isinstance(curve, H0X):
-        return _line_sums(profile.expansion, 1)
+        return _shifted_line(profile.rows[0])
     if isinstance(curve, H0Y):
-        return _line_sums(profile.expansion, 0)
+        return _shifted_line([row[0] for row in profile.rows])
     if isinstance(curve, LineY):
-        return LaurentPoly(_collect(profile, lambda d, s: d, Fraction(1), curve.c - 1))
+        return _by_deficit(*_collect(profile, Fraction(1), curve.c - 1))
     raise TypeError(f"unknown curve {curve!r}")
 
 
@@ -318,10 +343,8 @@ def characteristic_polynomial(
 ) -> LaurentPoly:
     """(-1)^rank T(1 - z, 0) as a polynomial in z."""
     profile = _profile(source, max_elements)
-    sign = (-1) ** profile.rank
     # (x-1)^d at x = 1-z is (-z)^d; (y-1)^s at y = 0 is (-1)^s.
-    terms = _collect(profile, lambda d, s: d, Fraction(-1), Fraction(-1))
-    return LaurentPoly({d: sign * c for d, c in terms.items()})
+    return _by_deficit(*_collect(profile, Fraction(-1), Fraction(-1)), (-1) ** profile.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ def test_no_zero_terms_stored():
     assert not p
 
 
+class _Half(Fraction):
+    pass
+
+
+def test_exact_fractions_are_kept_and_others_converted():
+    third = Fraction(1, 3)
+    terms = LaurentPoly({0: third, 1: 2, 2: _Half(1, 2), 3: Fraction(0), 4: 0}).terms
+    assert terms[0] is third
+    assert terms == {0: third, 1: Fraction(2), 2: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in terms.values())
+
+
 def test_arithmetic_and_power():
     x, y = BivariatePoly.x(), BivariatePoly.y()
     assert x * x * y - 2 * x * y + x + y == P2
