@@ -22,6 +22,7 @@ from typing import Callable, Union
 
 from .errors import (
     ElementOutOfRangeError,
+    FullRowRankError,
     NotConnectedError,
     NotRootConnectedError,
     ParseError,
@@ -324,6 +325,11 @@ def require_connected(graph: RootedGraph) -> None:
 def require_root_connected(digraph: RootedDigraph) -> None:
     if not digraph_is_root_connected(digraph):
         raise NotRootConnectedError("digraph is not root-connected")
+
+
+def require_full_row_rank(matrix: BinaryMatrix) -> None:
+    if gf2_row_rank(matrix) != matrix.row_count:
+        raise FullRowRankError("matrix must have linearly independent rows")
 
 
 def digraph_has_directed_cycle(digraph: RootedDigraph) -> bool:

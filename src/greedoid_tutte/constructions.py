@@ -31,8 +31,8 @@ from .carriers import (
     UnrootedGraph,
     branching_greedoid,
     carrier_elements,
-    gf2_row_rank,
     require_connected,
+    require_full_row_rank,
     require_root_connected,
     with_elements,
 )
@@ -40,7 +40,6 @@ from .errors import (
     AttachmentInvariantError,
     DenominatorVanishesError,
     DivisionByZeroError,
-    FullRowRankError,
     PreconditionError,
 )
 from .greedoid import (
@@ -371,8 +370,7 @@ def full_rank_attach(g1: Greedoid, g2: Greedoid) -> Greedoid:
 
 def block_diag(m1: BinaryMatrix, m2: BinaryMatrix) -> BinaryMatrix:
     """Block-diagonal matrix; realizes the full-rank attachment for binary greedoids."""
-    if gf2_row_rank(m1) != m1.row_count:
-        raise FullRowRankError("matrix must have linearly independent rows")
+    require_full_row_rank(m1)
     r1, c1 = m1.row_count, m1.col_count
     r2, c2 = m2.row_count, m2.col_count
     rows = [tuple(m1.bits[i]) + (0,) * c2 for i in range(r1)]

@@ -363,8 +363,8 @@ def rank_size_profile(
 
 # Microseconds class enumeration takes per call (the greedoid, its rank
 # table and arrays, numpy's import aside) and per subset of the classes, its
-# figure: fitted on a 2-core x86-64 host under CPython 3.11, with the family
-# engines' PRODUCT_US and SPAN_US, so the router compares costs in one unit.
+# figure: fitted on a 2-core x86-64 host under CPython 3.11, with the
+# vertex-subset engine's PRODUCT_US, so the router compares costs in one unit.
 CLASS_CALL_US = 50
 CLASS_STEP_US = 0.75
 

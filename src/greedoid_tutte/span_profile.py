@@ -58,25 +58,21 @@ from .carriers import BinaryMatrix
 from .primitives import gaussian_binomial, packed_power, unpack_profile
 
 
-# Microseconds per span, the engine's one figure, fitted with class
-# enumeration's constants (:data:`.greedoid.CLASS_STEP_US`) on a 2-core x86-64
-# host under CPython 3.11: the router compares the two in this unit.
-SPAN_US = 0.15
-
-
 def span_state_cost(rank: int, classes: int) -> list[tuple[int, str]]:
     """The engine's one figure for a matrix of rank R and ``classes`` distinct columns.
 
-    That is N(R), the number of subspaces of GF(2)^R.  A layer of level k
-    holds distinct subspaces S of GF(2)^k, k <= R, and GF(2)^k embeds in
-    GF(2)^R, so no layer holds more than N(k) <= N(R) states.  N(R) >= [R
-    choose R//2]_2 >= 2^(R*R//4), so when that already reaches the
-    2^classes subsets of enumeration it stands in for N(R), which is then
-    never summed: the states of a layer come from distinct sets of classes,
-    so no layer holds more than 2^classes of them either.
+    That is min(N(R), 2^classes), N(R) being the number of subspaces of
+    GF(2)^R, and it bounds every layer.  A layer of level k holds distinct
+    subspaces S of GF(2)^k, k <= R, and GF(2)^k embeds in GF(2)^R, so no
+    layer holds more than N(k) <= N(R) states.  Each state is span(A) ∩ U_i
+    for a set A of the classes seen so far, so distinct states come from
+    distinct sets of classes, and no layer holds more than 2^classes of
+    them.  N(R) >= [R choose R//2]_2 >= 2^(R*R//4), so when that already
+    reaches 2^classes the figure is 2^classes and N(R) is never summed.
     """
-    low = rank * rank // 4
-    spans = 1 << low if low >= classes else sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1))
+    spans = 1 << classes
+    if rank * rank // 4 < classes:
+        spans = min(spans, sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1)))
     return [(spans, "spans by the span-state engine")]
 
 

@@ -11,13 +11,13 @@ carrier and then shared, and does only polynomial algebra on its integer
 counts.  The profile also keeps its expansion into the coefficients of
 T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) need
 only one row or column of the profile, each expanded by one packed shift.
-A greedoid's profile is enumerated subset by subset.  A carrier's comes
+A greedoid's profile is enumerated subset by subset.  A binary matrix's
+comes from the programme over the spans of column sets in
+:mod:`.span_profile`, its one engine.  A rooted graph's or digraph's comes
 from one of two engines: enumeration over its classes of identical
-elements, or a second engine of its family: for a rooted graph or
-digraph, the sum over the vertex sets the root reaches, block by block, in
-:mod:`.vertex_profile`, and for a binary matrix, the programme over the spans
-of column sets in :mod:`.span_profile`.  Of the engines whose figures fit,
-the one of least calibrated cost runs: each engine's first figure times its
+elements, or the sum over the vertex sets the root reaches, block by block,
+in :mod:`.vertex_profile`.  Of the two, when both figures fit, the one of
+least calibrated cost runs: each engine's first figure times its
 microseconds per step, plus enumeration's fixed cost per call, so a small
 core never pays for enumeration's rank table.
 
@@ -76,7 +76,7 @@ from .greedoid import (
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
 from .primitives import join_edges, packed_power, reach, renumber, shift_minus_one, unpack_profile
-from .span_profile import SPAN_US, span_state_cost, span_state_profile
+from .span_profile import span_state_cost, span_state_profile
 from .vertex_profile import PRODUCT_US, vertex_subset_cost, vertex_subset_profile
 
 
@@ -158,18 +158,20 @@ def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...]]:
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
-    """Profile of a carrier, by the engine of least calibrated cost.
+    """Profile of a carrier, by its family's engine or class enumeration.
 
     A g-thickening of H (g > 1, see :func:`_thinned`) expands H's cached
     profile when H is not refused and the expansion's (rank + 1)(size + 1)^2
-    bits fit.  Otherwise: enumeration over the classes of identical elements
-    takes 2^classes steps, and costs ``CLASS_CALL_US`` plus ``CLASS_STEP_US``
-    per step, in microseconds; the family's own engine states its figures,
-    steps first, and costs ``PRODUCT_US`` or ``SPAN_US`` per step.  The
-    family's engine runs when its figures all fit and its cost is less, or
-    when the enumeration's steps or :func:`.greedoid.class_table_bits` do not
-    fit.  When neither engine fits, ``GroundSetTooLargeError`` names every
-    figure past the limit.
+    bits fit.  Otherwise a binary matrix takes the span-state engine, or is
+    refused by its figure.  A rooted graph or digraph takes the engine of
+    least calibrated cost: enumeration over the classes of identical
+    elements takes 2^classes steps, and costs ``CLASS_CALL_US`` plus
+    ``CLASS_STEP_US`` per step, in microseconds; the vertex-subset engine
+    states its figures, products first, and costs ``PRODUCT_US`` per
+    product.  That engine runs when its figures all fit and its cost is
+    less, or when the enumeration's steps or
+    :func:`.greedoid.class_table_bits` do not fit.  When neither engine
+    fits, ``GroundSetTooLargeError`` names every figure past the limit.
     """
     thin, g, core, sizes = _thinned(carrier)
     size = carrier.edge_count
@@ -178,21 +180,19 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
         if route:
             base, _ = route
             return SubsetProfile(_thickened(base.counts, g, base.rank, size), size, base.rank)
-    steps = 2 ** len(sizes)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
-        figures, step_us = span_state_cost(rank, len(sizes)), SPAN_US
-        engine = lambda: span_state_profile(core, sizes, rank)
-    else:
-        reached = root_reach(core)
-        rank = len(reached) - 1
-        figures, step_us = vertex_subset_cost(core, reached, size), PRODUCT_US
-        engine = lambda: vertex_subset_profile(carrier, reached)
+        _check_work(size, span_state_cost(rank, len(sizes)))
+        return SubsetProfile(span_state_profile(core, sizes, rank), size, rank)
+    steps = 2 ** len(sizes)
+    reached = root_reach(core)
+    rank = len(reached) - 1
+    figures = vertex_subset_cost(core, reached, size)
     enumeration_fits = steps <= _MAX_WORK and class_table_bits(sizes) <= _MAX_WORK
     if all(figure <= _MAX_WORK for figure, _ in figures) and (
-        not enumeration_fits or step_us * figures[0][0] < CLASS_CALL_US + CLASS_STEP_US * steps
+        not enumeration_fits or PRODUCT_US * figures[0][0] < CLASS_CALL_US + CLASS_STEP_US * steps
     ):
-        return SubsetProfile(engine(), size, rank)
+        return SubsetProfile(vertex_subset_profile(carrier, reached), size, rank)
     if steps > _MAX_WORK:  # so neither engine fits
         _check_work(size, [(steps, "steps by enumeration"), *figures])
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)

@@ -2,7 +2,8 @@
 
 Each suite runs one construction identity over a small built-in catalogue
 (optionally extended with a user-supplied carrier of a kind the suite
-takes, see :func:`run_suite`) and reports one
+takes and meeting its construction's precondition, see :func:`run_suite`)
+and reports one
 (name, ok, detail) row per instance.  Failures carry the witnessing
 instance and point in the detail string; an instance over the element
 bound is skipped (ok is None) and the other rows still run.
@@ -30,6 +31,9 @@ from .carriers import (
     directed_star,
     identity_matrix,
     path_graph,
+    require_connected,
+    require_full_row_rank,
+    require_root_connected,
     star_graph,
     to_greedoid,
 )
@@ -248,27 +252,45 @@ def suite_bidirect(extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list
     return _rows("bidirect", graphs, _bidirect_ok, max_elements)
 
 
-# Each suite with the carrier kinds it can take as its extra instance.
+def _any(carrier) -> None:
+    """The precondition of a suite that takes every carrier of its kinds."""
+
+
+# Each suite with the carrier kinds it can take as its extra instance, and the
+# precondition its construction puts on that instance: raising
+# PreconditionError, it names what the instance lacks.
 _SUITES = {
-    "thickening": (suite_thickening, (RootedGraph, RootedDigraph, BinaryMatrix)),
-    "attachment": (suite_attachment, (RootedGraph,)),
-    "fullrank": (suite_fullrank, (BinaryMatrix,)),
-    "stretch": (suite_stretch, (UnrootedGraph,)),
-    "digon": (suite_digon, (RootedDigraph,)),
-    "bidirect": (suite_bidirect, (RootedGraph,)),
+    "thickening": (suite_thickening, (RootedGraph, RootedDigraph, BinaryMatrix), _any),
+    "attachment": (suite_attachment, (RootedGraph,), require_connected),
+    "fullrank": (suite_fullrank, (BinaryMatrix,), require_full_row_rank),
+    "stretch": (suite_stretch, (UnrootedGraph,), _any),
+    "digon": (suite_digon, (RootedDigraph,), require_root_connected),
+    "bidirect": (suite_bidirect, (RootedGraph,), require_connected),
 }
 
 
 def run_suite(name: str, extra=None, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Row]:
     """Rows of one suite, or of every suite for ``"all"``.
 
-    The extra carrier goes to each selected suite that takes its kind; when
-    none does, :class:`PreconditionError` is raised rather than ignoring it.
+    The extra carrier goes to each selected suite that takes its kind and
+    whose precondition it meets; when none takes its kind,
+    :class:`PreconditionError` is raised rather than ignoring it.  A suite
+    run alone raises its precondition's error too, while under ``"all"`` a
+    suite whose precondition the carrier fails runs its built-in rows, as
+    one that does not take its kind does.
     """
     chosen = [_SUITES[name]] if name != "all" else list(_SUITES.values())
-    if extra is not None and not any(isinstance(extra, kinds) for _, kinds in chosen):
+    if extra is not None and not any(isinstance(extra, kinds) for _, kinds, _ in chosen):
         raise PreconditionError(f"suite {name!r} takes no {type(extra).__name__}")
     rows: list[Row] = []
-    for suite, kinds in chosen:
-        rows += suite(extra if isinstance(extra, kinds) else None, max_elements)
+    for suite, kinds, require in chosen:
+        takes = isinstance(extra, kinds)
+        if takes:
+            try:
+                require(extra)
+            except PreconditionError:
+                if name != "all":
+                    raise
+                takes = False
+        rows += suite(extra if takes else None, max_elements)
     return rows

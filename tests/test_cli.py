@@ -198,6 +198,33 @@ def test_verify_uses_extra_file(files, capsys):
     assert "takes no BinaryMatrix" in capsys.readouterr().err
 
 
+REFUSED_BY_ONE_SUITE = [
+    ("dependent.matrix", "11\n11\n", "fullrank", "FullRowRankError"),
+    ("disconnected.graph", "root 0\nedge 0 1\nedge 2 3\n", "attachment", "NotConnectedError"),
+    ("disconnected.graph", "root 0\nedge 0 1\nedge 2 3\n", "bidirect", "NotConnectedError"),
+    ("unreached.digraph", "root 0\narc 0 1\narc 2 1\n", "digon", "NotRootConnectedError"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, suite, error", REFUSED_BY_ONE_SUITE, ids=[f"{row[0]}-{row[2]}" for row in REFUSED_BY_ONE_SUITE]
+)
+def test_verify_all_runs_past_a_suite_whose_precondition_fails(tmp_path, capsys, name, text, suite, error):
+    """A carrier that a suite's construction refuses leaves that suite to its
+    built-in rows under ``all``, as a carrier of another kind does; run
+    alone, the suite still refuses it."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["verify", "all", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "thickening user: pass" in out and out.endswith("suite all: pass\n")
+    labels = {line.split()[0] for line in out.splitlines()[:-1]}
+    assert labels == {"thickening", "attachment", "fullrank", "stretch", "digon-stretch", "bidirect"}
+    assert main(["verify", suite, "--file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1 and error in captured.err
+
+
 def test_vertigan_template_bound_exit_code(tmp_path, capsys):
     seven = tmp_path / "seven.graph"
     seven.write_text("edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\nedge 4 5\nedge 0 5\nedge 0 3\n")

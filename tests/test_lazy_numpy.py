@@ -112,3 +112,30 @@ def test_numpy_unloaded_by_reductions_over_small_carriers():
     assert out["match"] == [True] * 8
     assert out["cli"] == 0 and out["terms"] > 0
     assert out["loaded"] is False
+
+
+MATRIX_CHILD = """
+import json, sys
+from greedoid_tutte import BinaryMatrix, identity_matrix, tutte_eval, tutte_polynomial
+
+# 14 rows and 24 distinct columns of rank 12: entry (r, j) is bit r of 40503 j
+matrix = BinaryMatrix(tuple(tuple(j * 40503 >> r & 1 for j in range(1, 25)) for r in range(14)))
+out = {"points": [tutte_eval(matrix, 2, 2, max_elements=24), tutte_eval(matrix, 1, 1, max_elements=24)]}
+out["after_eval"] = "numpy" in sys.modules
+out["identity_bases"] = tutte_polynomial(identity_matrix(12)).evaluate(1, 1)
+out["loaded"] = "numpy" in sys.modules
+print(json.dumps(out, default=str))
+"""
+
+
+def test_numpy_unloaded_by_matrices_past_class_enumeration():
+    """Every matrix takes the span engine, so neither a rank-12 matrix of 24
+    columns nor ``identity_matrix(12)`` makes a rank table."""
+    src = str(Path(greedoid_tutte.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", MATRIX_CHILD], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["points"] == ["16777216", "64664"]
+    assert out["identity_bases"] == "1"
+    assert out["after_eval"] is False and out["loaded"] is False

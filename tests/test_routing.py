@@ -20,7 +20,7 @@ from greedoid_tutte import (
 from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.tutte import spanning_tree_count
 
-from test_span_profile import weight_three
+from test_span_profile import random_matrix, weight_three
 
 ENGINES = ("rank_size_profile", "vertex_subset_profile", "span_state_profile")
 
@@ -55,11 +55,15 @@ ROUTES = [
     ("C6", cycle(6), "vertex_subset_profile"),  # 3^5 products, 36 us, against 98 us
     ("identity-6", identity_matrix(6), "span_state_profile"),  # 2^9 spans, 77 us, against 48 us + the call's 50
     ("weight-3-6x12", weight_three(6, 12), "span_state_profile"),  # N(6) = 2825 spans, 424 us, against 3122 us
+    # a matrix has one engine, at most 2^classes spans whatever enumeration would cost
+    ("identity-8", identity_matrix(8), "span_state_profile"),  # 2^8 spans
+    ("random-7x9", random_matrix(7, 9, 5), "span_state_profile"),  # rank 7, 8 classes: 2^8 spans
+    ("random-12x14", random_matrix(12, 14, 1), "span_state_profile"),  # rank 12, 14 classes: 2^14 spans
     # enumeration: a long cycle has few feasible sets, a square matrix too many spans
     ("C10", cycle(10), "rank_size_profile"),  # 3^9 products, 2952 us, against 818 us
     ("C12", cycle(12), "rank_size_profile"),
     ("C14", cycle(14), "rank_size_profile"),  # 3^13 products against 2^14 subsets
-    ("identity-12", identity_matrix(12), "rank_size_profile"),  # N(12), about 2^38 spans, past the limit
+    ("identity-12", identity_matrix(12), "span_state_profile"),  # at most 2^12 spans: every matrix takes the span engine
 ]
 
 

@@ -26,9 +26,11 @@ from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.carriers import carrier_rank, merge_identical_elements
 from greedoid_tutte.basis_counting import _suffix_coordinates
 from greedoid_tutte.greedoid import rank_size_profile
-from greedoid_tutte.primitives import gf2_rank, packed_power
+from greedoid_tutte.primitives import gaussian_binomial, gf2_rank, packed_power
 from greedoid_tutte.span_profile import span_state_profile, span_state_cost
 from greedoid_tutte.span_profile import spanning_sets
+
+from test_identical_classes import binary_matrices
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -121,7 +123,7 @@ def random_matrix(rows: int, cols: int, seed: int) -> BinaryMatrix:
     "matrix, engine",
     [
         (weight_three(6, 12), "span_state_profile"),  # N(6) = 2825 spans against 2^12 subsets
-        (identity_matrix(12), "rank_size_profile"),  # N(12) against 2^12
+        (identity_matrix(12), "span_state_profile"),  # at most 2^12 spans: every matrix takes the span engine
         (thicken(identity_matrix(3), 3), "span_state_profile"),  # N(3) = 16 spans against 2^3 classes
     ],
 )
@@ -146,7 +148,7 @@ def test_large_rank_refused_without_counting_its_spans():
     settles the choice, and 2^600 subsets are past the work limit."""
     matrix = identity_matrix(600)
     start = time.perf_counter()
-    with pytest.raises(GroundSetTooLargeError, match="2\\^600 steps"):
+    with pytest.raises(GroundSetTooLargeError, match="2\\^600 spans"):
         tutte_eval(matrix, 2, 2, max_elements=600)
     assert time.perf_counter() - start < 2.0
 
@@ -155,8 +157,52 @@ def test_cost_is_the_subspace_count_or_its_lower_bound():
     """N(6) = 2825 spans; for rank 600 the bound 2^(600*600//4) stands in for N(600)."""
     assert span_state_cost(6, 12) == [(2825, "spans by the span-state engine")]
     start = time.perf_counter()
-    assert span_state_cost(600, 600)[0][0] == 2**90000
+    assert span_state_cost(600, 600)[0][0] == 2**600
     assert time.perf_counter() - start < 0.1
+
+
+def test_cost_is_the_subspace_count_capped_by_the_class_subsets():
+    """No layer holds more than N(R) spans, nor more than the 2^classes sets of classes."""
+    for rank in range(13):
+        subspaces = sum(gaussian_binomial(rank, d, 2) for d in range(rank + 1))
+        for classes in range(41):
+            assert span_state_cost(rank, classes)[0][0] == min(subspaces, 2**classes)
+
+
+@PROPERTY
+@given(st.one_of(binary_matrices(), st.integers(1, 16).map(identity_matrix)))
+def test_every_matrix_takes_the_span_engine(matrix):
+    """Repeated and zero columns, and identity matrices up to 16: each
+    matrix makes one engine call, always the span engine's, and its
+    polynomial is enumeration's."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("rank_size_profile", "span_state_profile"):
+            engine = getattr(tutte_module, name)
+            patch.setattr(tutte_module, name, lambda *a, f=engine, n=name: calls.append(n) or f(*a))
+        tutte_module._carrier_profile.cache_clear()
+        polynomial = tutte_polynomial(matrix, max_elements=16)
+    assert calls == ["span_state_profile"]
+    assert polynomial == tutte_polynomial(to_greedoid(matrix), max_elements=16)
+
+
+def multiplier_matrix(rows: int, cols: int, multiplier: int) -> BinaryMatrix:
+    """Entry (r, j) is bit r of j * multiplier, for columns j = 1 .. cols."""
+    return BinaryMatrix(tuple(tuple(j * multiplier >> r & 1 for j in range(1, cols + 1)) for r in range(rows)))
+
+
+def test_rank_twelve_matrix_at_scale(engines):
+    """14 rows and 24 distinct columns of rank 12: at most 2^24 spans, where
+    class enumeration takes about a minute over its 2^24 subsets.  T(1, 1)
+    counts the bases, the column sets whose top 12 rows are nonsingular."""
+    matrix = multiplier_matrix(14, 24, 40503)
+    assert carrier_rank(matrix) == 12
+    start = time.perf_counter()
+    assert tutte_eval(matrix, 2, 2, max_elements=24) == 2**24
+    assert tutte_eval(matrix, 1, 1, max_elements=24) == 64664
+    assert time.perf_counter() - start < 5.0
+    assert count_bases([col[:12] for col in zip(*matrix.bits)], GF2, 12) == 64664
+    assert engines == ["span_state_profile"]
 
 
 @PROPERTY
@@ -199,7 +245,7 @@ def assert_profile_invariants(matrix: BinaryMatrix) -> None:
 def test_profiles_past_enumeration_by_their_invariants():
     """Matrices far past class enumeration, checked by what needs none.  The
     block-diagonal matrix of three full-row-rank 5x10 blocks has the figure
-    2^56, so the router refuses it; called directly, the engine sees the
+    2^30, so the router refuses it; called directly, the engine sees the
     states of each level collapse once a block's columns have passed."""
     rng = random.Random(11)
     blocks = [full_row_rank_block(rng, 5, 10) for _ in range(3)]
