@@ -397,7 +397,7 @@ _STANDARD = {
 
 
 def standard_family(kind: str, k: int) -> Carrier:
-    if k < 0:
+    if (k := as_integer(k, "family size")) < 0:
         raise PreconditionError("family size must be non-negative")
     try:
         return _STANDARD[kind](k)

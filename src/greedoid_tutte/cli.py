@@ -82,8 +82,11 @@ def _read_carrier(path: str):
 
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload if payload.endswith("\n") else payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload if payload.endswith("\n") else payload + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
         try:
             print(payload, flush=True)

@@ -51,7 +51,7 @@ from .greedoid import (
     max_feasible_subset,
 )
 from .polynomials import BivariatePoly, rational
-from .primitives import join_edges, reach, renumber
+from .primitives import as_integer, join_edges, reach, renumber
 
 Thickenable = Union[Carrier, Greedoid]
 
@@ -62,7 +62,7 @@ Thickenable = Union[Carrier, Greedoid]
 
 def thicken(source: Thickenable, k: int) -> Thickenable:
     """Replace every element by k parallel copies; copy i of element e gets id e*k+i."""
-    if k < 1:
+    if (k := as_integer(k, "thickening factor")) < 1:
         raise PreconditionError("thickening factor must be at least 1")
     if isinstance(source, Greedoid):
         base = source
@@ -392,7 +392,7 @@ def predicted_full_rank(
 
 def stretch_unrooted(graph: UnrootedGraph, k: int) -> UnrootedGraph:
     """Replace every non-loop edge by a k-edge path and every loop by a k-circuit."""
-    if k < 1:
+    if (k := as_integer(k, "stretch factor")) < 1:
         raise PreconditionError("stretch factor must be at least 1")
     edges = []
     next_vertex = graph.vertex_count
@@ -477,7 +477,7 @@ def digon_stretch(digraph: RootedDigraph, k: int) -> RootedDigraph:
     with the first hop one-directional; per original arc the 2k+1 new arcs
     are ordered p0, p1, q1, ..., pk, qk where pi points forward and qi back.
     """
-    if k < 1:
+    if (k := as_integer(k, "digon-stretch factor")) < 1:
         raise PreconditionError("digon-stretch factor must be at least 1")
     require_root_connected(digraph)
     arcs: list[tuple[int, int]] = []

@@ -23,10 +23,10 @@ core never pays for enumeration's rank table.
 
 A carrier whose class sizes have gcd g > 1 is the g-thickening H^g of the
 carrier H with each class size divided by g (the core, when g is every class
-size).  Its profile expands H's cached profile by the thickening identity
-(Jaeger, Vertigan and Welsh, 1990) in about (rank + 1)(elements + 1)^2 bits,
-and a point evaluation needs no expansion at all: it is one sum over H's
-profile.  So thickenings of one base by any k share the base's profile.
+size).  By the thickening identity (Jaeger, Vertigan and Welsh, 1990) every
+answer at one y (points, the lines y = c and y = 1, the characteristic
+polynomial) is one sum over H's cached profile, so thickenings of one base
+by any k share it; the rest expand it in about (rank + 1)(elements + 1)^2 bits.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -233,23 +233,34 @@ def _powers(a: int, b: int, n: int) -> list[int]:
     return list(map(mul, ups, reversed(downs)))
 
 
-def _collect(
-    profile: SubsetProfile, u: Fraction, v: Fraction, q: Fraction = Fraction(1)
-) -> tuple[list[int], int]:
-    """Sums of counts[d, s] u^d v^s q^(rank - d), one per deficit d, as integer
-    numerators over one common denominator.
+def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -> tuple[list[int], int, int]:
+    """Sums of count[d, s] u^d (y^g - 1)^s q^(rank - d), q = 1 + y + ... +
+    y^(g-1), one per deficit d, as integer numerators over one common
+    denominator, and the rank: the reader of every answer at one y.
 
-    The empty set has deficit rank, so d runs from 0 to rank, and u^d
-    q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank.
-    Each deficit's sum is one pass over its dense row of the profile.
-    Nothing is divided, so q may be 0.
+    The bound is checked first.  A carrier that is the g-thickening of H
+    (g > 1, see :func:`_thin_route`) reads H's profile by the thickening
+    identity; any other source reads its own, with g = 1.  With y = n/m,
+    y^g - 1 is v = n^g - m^g over m^g, and q is g at y = 1, else the exact
+    quotient v/(n - m) over m^(g-1).  The empty set has deficit rank, so
+    u^d q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank,
+    and each deficit's sum is one pass over its dense row.  Nothing is
+    divided by q, so q may be 0.
     """
+    if isinstance(source, Greedoid):
+        profile, g = source.profile(max_elements), 1
+    else:
+        _check_bound(source.edge_count, max_elements)
+        profile, g = _thin_route(source) or (_carrier_profile(source), 1)
     rows, rank = profile.rows, profile.rank
+    n, m = y.numerator, y.denominator
+    v = n**g - m**g
+    q_n, q_d = (g, 1) if n == m else (v // (n - m), m ** (g - 1))
     top_s = len(rows[0]) - 1
-    us = _powers(u.numerator * q.denominator, u.denominator * q.numerator, rank)
-    vs = _powers(v.numerator, v.denominator, top_s)
-    denominator = (u.denominator * q.denominator) ** rank * v.denominator**top_s
-    return [w * sum(map(mul, row, vs)) for w, row in zip(us, rows)], denominator
+    us = _powers(u.numerator * q_d, u.denominator * q_n, rank)
+    vs = _powers(v, m**g, top_s)
+    denominator = (u.denominator * q_d) ** rank * m ** (g * top_s)
+    return [w * sum(map(mul, row, vs)) for w, row in zip(us, rows)], denominator, rank
 
 
 def _hyperbola(profile: SubsetProfile, alpha: Fraction) -> LaurentPoly:
@@ -282,21 +293,9 @@ def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMEN
 
 
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
-    """Exact T(a, b) from one subset profile.
-
-    A carrier that is the g-thickening of H (g > 1, see :func:`_thin_route`)
-    reads H's profile, with no expansion: with q = 1 + b + ... + b^(g-1),
-
-        T(H^g; a, b) = sum of count[d, s] (a-1)^d (b^g-1)^s q^(rank - d).
-    """
-    a, b = rational(a), rational(b)
-    if isinstance(source, Greedoid):
-        profile, g = source.profile(max_elements), 1
-    else:
-        _check_bound(source.edge_count, max_elements)
-        profile, g = _thin_route(source) or (_carrier_profile(source), 1)
-    v = b**g - 1
-    sums, denominator = _collect(profile, a - 1, v, Fraction(g) if b == 1 else v / (b - 1))
+    """Exact T(a, b): the sum of :func:`_collect`'s sums at u = a - 1 and
+    y = b, so a thickening's is read off its base's profile."""
+    sums, denominator, _ = _collect(source, max_elements, rational(a) - 1, rational(b))
     return Fraction(sum(sums), denominator)
 
 
@@ -307,21 +306,20 @@ def tutte_restrict(
 
     On the hyperbola the substitution x = 1 + alpha/z, y = 1 + z turns the
     (deficit d, surplus s) subset class into alpha^d z^(s-d); on x = 1 only
-    deficit-zero subsets survive, so T(1, y) is the sum of counts[0, s]
-    (y-1)^s; on y = 1 only surplus-zero (feasible) subsets survive, so
-    T(x, 1) is the sum of counts[d, 0] (x-1)^d; on y = c the result is a
-    polynomial in z = x - 1.  The two lines read one row or column of the
-    profile with one packed shift, never its whole expansion.
+    deficit-zero subsets survive, so T(1, y) is one row of the profile and
+    one packed shift.  The lines y = c, a polynomial in z = x - 1, and y = 1,
+    one packed shift to x, are sums at one y (:func:`_collect`), so a
+    thickening's are read off its base's profile.  None expands the profile.
     """
+    if isinstance(curve, H0Y):  # q = g and y^g - 1 = 0, so the denominator is 1
+        return _shifted_line(_collect(source, max_elements, Fraction(1), Fraction(1))[0])
+    if isinstance(curve, LineY):
+        return _by_deficit(*_collect(source, max_elements, Fraction(1), curve.c)[:2])
     profile = _profile(source, max_elements)
     if isinstance(curve, HAlpha):
         return _hyperbola(profile, curve.alpha)
     if isinstance(curve, H0X):
         return _shifted_line(profile.rows[0])
-    if isinstance(curve, H0Y):
-        return _shifted_line([row[0] for row in profile.rows])
-    if isinstance(curve, LineY):
-        return _by_deficit(*_collect(profile, Fraction(1), curve.c - 1))
     raise TypeError(f"unknown curve {curve!r}")
 
 
@@ -338,13 +336,12 @@ def h1_closed_form(element_count: int, rank: int, a, b) -> Fraction:
     return (a - 1) ** (rank - element_count) * a**element_count
 
 
-def characteristic_polynomial(
-    source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> LaurentPoly:
-    """(-1)^rank T(1 - z, 0) as a polynomial in z."""
-    profile = _profile(source, max_elements)
-    # (x-1)^d at x = 1-z is (-z)^d; (y-1)^s at y = 0 is (-1)^s.
-    return _by_deficit(*_collect(profile, Fraction(-1), Fraction(-1)), (-1) ** profile.rank)
+def characteristic_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> LaurentPoly:
+    """(-1)^rank T(1 - z, 0) as a polynomial in z: (x-1)^d at x = 1-z is
+    (-z)^d, and at y = 0 the weight q is 1 and y^g - 1 is -1, so a
+    thickening's is its base's."""
+    sums, denominator, rank = _collect(source, max_elements, Fraction(-1), Fraction(0))
+    return _by_deficit(sums, denominator, (-1) ** rank)
 
 
 # ---------------------------------------------------------------------------

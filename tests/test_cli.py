@@ -109,6 +109,18 @@ def test_construct_round_trip(files, capsys, tmp_path):
     assert doubled.col_count == 8
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_unwritable_out_exit_code(files, tmp_path, capsys, target):
+    """An --out that cannot be opened, in a missing directory or a directory
+    itself, is a usage error: exit 2 and one line, as for an unreadable file."""
+    out = str(tmp_path / target)
+    for argv in (["eval", str(files["p2"]), "--x", "2", "--y", "2"], ["construct", "thicken", str(files["p2"])]):
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_vertigan_report(files, capsys):
     assert main(["vertigan", str(files["c4"]), "--field", "gf2"]) == 0
     report = json.loads(capsys.readouterr().out)

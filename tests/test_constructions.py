@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from greedoid_tutte import (
     BivariatePoly,
+    Greedoid,
     H0X,
     H0Y,
     LaurentPoly,
@@ -32,7 +34,9 @@ from greedoid_tutte import (
     predicted_thickening,
     predicted_thickening_eval,
     rank_of,
+    standard_family,
     star_graph,
+    stretch_unrooted,
     thicken,
     to_greedoid,
     trivial_attachment_function,
@@ -80,6 +84,30 @@ def test_thicken_sizes_and_k1_identity():
     for name, carrier in THICKENING_CARRIERS:
         g = to_greedoid(carrier)
         assert enumerate_feasible_sets(to_greedoid(thicken(carrier, 1))) == enumerate_feasible_sets(g), name
+
+
+@pytest.mark.parametrize(
+    "build, carrier",
+    [
+        (thicken, path_graph(2)),
+        (thicken, to_greedoid(path_graph(2))),
+        (stretch_unrooted, UnrootedGraph(2, ((0, 1),))),
+        (digon_stretch, directed_path(2)),
+        (standard_family, "path"),
+    ],
+)
+def test_construction_factors_are_read_as_integers(build, carrier):
+    """A factor is read as an integer: an integral Fraction or a numpy integer
+    builds what the int builds, and 2.5 is refused as not an integer."""
+    expected = build(carrier, 2)
+    for k in (Fraction(2), np.int64(2)):
+        built = build(carrier, k)
+        if isinstance(expected, Greedoid):
+            assert enumerate_feasible_sets(built) == enumerate_feasible_sets(expected)
+        else:
+            assert built == expected
+    with pytest.raises(PreconditionError, match="is not an integer"):
+        build(carrier, 2.5)
 
 
 def test_thicken_generic_greedoid_matches_carrier():

@@ -1,5 +1,6 @@
 """Profiles computed over classes of identical elements agree with brute force."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -9,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     BinaryMatrix,
+    H0Y,
+    LaurentPoly,
+    LineY,
     RootedDigraph,
     RootedGraph,
+    characteristic_polynomial,
     identity_matrix,
     path_graph,
     predicted_thickening,
@@ -20,6 +25,7 @@ from greedoid_tutte import (
     to_greedoid,
     tutte_eval,
     tutte_polynomial,
+    tutte_restrict,
 )
 from greedoid_tutte import greedoid as greedoid_module
 from greedoid_tutte import tutte as tutte_module
@@ -270,6 +276,51 @@ def test_point_queries_expand_no_profile(monkeypatch):
     monkeypatch.setattr(tutte_module, "_thickened", refused)
     value = tutte_eval(thicken(base, 52), 3, Fraction(3, 2), max_elements=2080)
     assert value == predicted_thickening_eval(tutte_polynomial(base, 40), 11, 52, 3, Fraction(3, 2))
+
+
+ONE_Y_POINTS = [(2, 3), (Fraction(-1, 2), 1), (3, 0), (Fraction(1, 3), -1), (1, Fraction(3, 2))]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(rooted_multigraphs(False, 3), rooted_multigraphs(True, 3), binary_matrices(3)), st.integers(2, 4))
+def test_answers_at_one_y_read_the_base_profile(carrier, g):
+    """Points, the lines y = c and y = 1 and the characteristic polynomial of
+    a g-thickening are sums at one y over its base's profile: none thickens a
+    profile or makes the thickening's own, and each equals the enumerated
+    greedoid's."""
+    thick = thicken(carrier, g)
+    reference = to_greedoid(thick)
+
+    def refused(*args):
+        raise AssertionError("an answer at one y thickened a profile")
+
+    tutte_module._carrier_profile.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tutte_module, "_thickened", refused)
+        for a, b in ONE_Y_POINTS:
+            assert tutte_eval(thick, a, b, 12) == tutte_eval(reference, a, b, 12)
+        for curve in (H0Y(), LineY(2), LineY(-1), LineY(Fraction(-1, 2))):
+            assert tutte_restrict(thick, curve, 12) == tutte_restrict(reference, curve, 12)
+        assert characteristic_polynomial(thick, 12) == characteristic_polynomial(reference, 12)
+    assert tutte_module._carrier_profile.cache_info().currsize == 1  # the base's profile, and not the thickening's
+    # at y = 0 the weight q is 1 and y^g - 1 is -1, so the sum is the base's own
+    assert characteristic_polynomial(thick, 12) == characteristic_polynomial(carrier)
+
+
+def test_answers_at_one_y_on_the_thickened_long_path():
+    """The 4-thickened 200-edge path: 800 elements, past the vertex-subset
+    engine's bits, but every answer at one y reads the path's own profile.
+    T(x, 1) is the sum over the paths of r edges from the root of 4^r
+    (x-1)^(200-r), one term per choice of copies; T(2, 2) is 2^800; and on
+    y = -1 the weight q = 1 - 1 + 1 - 1 is 0, so only the empty set counts."""
+    thick = thicken(path_graph(200), 4)
+    tutte_module._carrier_profile.cache_clear()
+    start = time.perf_counter()
+    assert tutte_restrict(thick, H0Y(), max_elements=800).evaluate(2) == (4**201 - 1) // 3
+    assert tutte_restrict(thick, LineY(2), max_elements=800).evaluate(1) == 2**800
+    assert tutte_restrict(thick, LineY(-1), max_elements=800) == LaurentPoly({200: Fraction(1)})
+    assert characteristic_polynomial(thick, max_elements=800) == characteristic_polynomial(path_graph(200), 200)
+    assert time.perf_counter() - start < 5
 
 
 def test_class_table_refused_before_the_rank_table(monkeypatch, tmp_path, capsys):

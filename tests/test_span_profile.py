@@ -144,8 +144,9 @@ def test_beyond_enumeration_bound(engines):
 
 
 def test_large_rank_refused_without_counting_its_spans():
-    """N(600) alone would take seconds to sum; 2^(600*600//4) >= 2^600
-    settles the choice, and 2^600 subsets are past the work limit."""
+    """N(600) alone would take seconds to sum; its lower bound 2^(600*600//4)
+    already reaches the 2^600 sets of classes, so the figure is 2^600 spans,
+    past the work limit."""
     matrix = identity_matrix(600)
     start = time.perf_counter()
     with pytest.raises(GroundSetTooLargeError, match="2\\^600 spans"):
@@ -154,7 +155,8 @@ def test_large_rank_refused_without_counting_its_spans():
 
 
 def test_cost_is_the_subspace_count_or_its_lower_bound():
-    """N(6) = 2825 spans; for rank 600 the bound 2^(600*600//4) stands in for N(600)."""
+    """N(6) = 2825 spans; for rank 600 the lower bound 2^(600*600//4) on N(600)
+    passes the 600 classes' 2^600 sets, so 2^600 is the figure, with N(600) never summed."""
     assert span_state_cost(6, 12) == [(2825, "spans by the span-state engine")]
     start = time.perf_counter()
     assert span_state_cost(600, 600)[0][0] == 2**600
