@@ -96,7 +96,7 @@ def predicted_thickening(
     restriction of the input for odd k.  y_eq_1 mode: k^rank times the y = 1
     restriction at x -> (x + k - 1)/k, again with cancelling denominators.
     """
-    if k < 1:
+    if (k := as_integer(k, "thickening factor")) < 1:
         raise PreconditionError("thickening factor must be at least 1")
     if rank < tutte.degree_x():
         raise PreconditionError("rank is smaller than the x-degree of the polynomial")
@@ -129,6 +129,8 @@ def predicted_thickening_eval(tutte: BivariatePoly, rank: int, k: int, a, b) -> 
     even) the rule does not apply and the caller must use the y_eq_minus1
     mode of :func:`predicted_thickening`.
     """
+    if (k := as_integer(k, "thickening factor")) < 1:
+        raise PreconditionError("thickening factor must be at least 1")
     a, b = rational(a), rational(b)
     s = sum((b**t for t in range(k)), Fraction(0))
     if s == 0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
-from operator import lshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -118,31 +117,38 @@ def deficit_rows(counts: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...]
 _FOLD_COLUMNS = 16
 
 
-def expand(counts: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d (y-1)^s; zero
+def expand(counts: Mapping[tuple[int, int], int], g: int = 1) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of counts[d, s] (x-1)^d q^(D-d)
+    (y^g-1)^s, q = 1 + y + ... + y^(g-1), D the largest deficit (a profile's
+    rank): for g > 1 the g-thickening's Tutte polynomial from a profile, by
+    the thickening identity (Jaeger, Vertigan and Welsh, 1990).  Zero
     coefficients get no key.
 
     Two Taylor shifts by -1 on packed ints (:func:`.primitives.horner_minus_one`).
     Each of the :func:`deficit_rows` becomes one int, its polynomial in y at
-    y = 2^W, split into blocks of m = ``_FOLD_COLUMNS`` fields (or all n of
-    its fields, when fewer).  Then for each block the rows fold into one int
-    at x = 2^(W m): a block's polynomial has degree below m, so the fold is
-    the sum of T_ij 2^(W (i m + j - j0)) over the block's columns j0 <= j <
-    j0 + m, read back field by field with a bias of 2^(W-1).  W is fixed
-    before packing: (t - 1)^k has coefficients of absolute sum 2^k, so no
-    coefficient of any partial sum of either shift, nor of the result,
-    exceeds B = sum of |counts[d, s]| 2^(d+s), and W is one bit more than B
-    takes, so 2^(W-1) > B.  A row's blocks are read as signed fields of W m
-    bits, since each lies within 2^(W m - 1).  Integer arithmetic throughout;
-    callers turn the result into rationals.
+    y = 2^W (one Horner pass at y^g times q^(D-d)), split into blocks of
+    m = ``_FOLD_COLUMNS`` fields (or all n of its fields, when fewer).  Then
+    for each block the rows fold into one int at x = 2^(W m): a block's
+    polynomial has degree below m, so the fold is the sum of T_ij
+    2^(W (i m + j - j0)) over the block's columns j0 <= j < j0 + m, read back
+    field by field with a bias of 2^(W-1).  W is fixed before packing:
+    (t^g - 1)^k has coefficients of absolute sum 2^k and q^k of sum g^k, so
+    no coefficient of any partial sum of either shift, nor of the result,
+    exceeds B = sum of |counts[d, s]| 2^(d+s) g^(D-d), and W is one bit more
+    than B takes, so 2^(W-1) > B.  A row's blocks are read as signed fields
+    of W m bits, since each lies within 2^(W m - 1).  Integer arithmetic
+    throughout; callers turn the result into rationals.
     """
     rows = deficit_rows(counts)
     if not rows:
         return {}
-    n = len(rows[0])
-    width = sum(map(lshift, map(abs, counts.values()), map(sum, counts))).bit_length() + 1
+    top = len(rows) - 1
+    n = g * (len(rows[0]) - 1) + (g - 1) * top + 1
+    width = sum(abs(c) * g ** (top - d) << d + s for (d, s), c in counts.items()).bit_length() + 1
     m = min(n, _FOLD_COLUMNS)
-    blocks = [signed_fields(horner_minus_one(row, width), width * m, -(-n // m)) for row in rows]
+    blocks = [
+        signed_fields(horner_minus_one(row, width, g, top - d), width * m, -(-n // m)) for d, row in enumerate(rows)
+    ]
     expansion: dict[tuple[int, int], int] = {}
     for b, block in enumerate(zip(*blocks)):
         folded = signed_fields(horner_minus_one(block, width * m), width, len(rows) * m)

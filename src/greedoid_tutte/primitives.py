@@ -220,19 +220,21 @@ def packed_fields(packed: int, width: int, count: int) -> list[int]:
     return low + packed_fields(packed >> half * width, width, count - half)
 
 
-def horner_minus_one(values: Sequence[int], shift: int) -> int:
-    """The sum of values[k] (X - 1)^k at X = 2^shift, by Horner's rule: each
-    step multiplies by X - 1 as one shift and one subtraction.
+def horner_minus_one(values: Sequence[int], shift: int, g: int = 1, k: int = 0) -> int:
+    """The sum of values[s] (X^g - 1)^s at X = 2^shift, by Horner's rule at
+    X^g: each step multiplies by X^g - 1 as one shift and one subtraction.
+    For g > 1 it is then multiplied by q^k, q = 1 + X + ... + X^(g-1), one
+    power of a packed int: the thickening identity's weight.
 
     With the values polynomials packed at 2^shift (ints, or ints packed
     narrower), this is the Taylor shift by -1 on packed ints (von zur Gathen
     and Gerhard, "Fast algorithms for Taylor shifts and certain difference
     equations", ISSAC 1997).
     """
-    acc = 0
+    step, acc = g * shift, 0
     for c in reversed(values):
-        acc = (acc << shift) - acc + c
-    return acc
+        acc = (acc << step) - acc + c
+    return acc * (((1 << step) - 1) // ((1 << shift) - 1)) ** k if g > 1 else acc
 
 
 def signed_fields(packed: int, width: int, count: int) -> list[int]:
@@ -249,16 +251,19 @@ def signed_fields(packed: int, width: int, count: int) -> list[int]:
     return [f - half for f in packed_fields(packed + bias, width, count)]
 
 
-def shift_minus_one(coeffs: Sequence[int]) -> list[int]:
-    """Coefficients of the sum of coeffs[k] (t - 1)^k, lowest power of t first:
-    ``binomial_shift`` by -1 for ints, as one packed Horner pass.
+def shift_minus_one(coeffs: Sequence[int], g: int = 1, k: int = 0) -> list[int]:
+    """Coefficients of q^k times the sum of coeffs[s] (t^g - 1)^s, lowest
+    power of t first, q = 1 + t + ... + t^(g-1): for g = 1 ``binomial_shift``
+    by -1 for ints, as one packed Horner pass.
 
-    (t - 1)^k has coefficients of absolute sum 2^k, so no coefficient of the
-    result, or of a partial sum of the pass, exceeds B = sum of |coeffs[k]| 2^k;
-    fields of width bits with 2^(width - 1) > B hold each one.
+    (t^g - 1)^s has coefficients of absolute sum 2^s and q^k of sum g^k, so no
+    coefficient of the result, or of a partial sum of the pass, exceeds
+    B = g^k times the sum of |coeffs[s]| 2^s; fields of width bits with
+    2^(width - 1) > B hold each one.
     """
-    width = sum(map(lshift, map(abs, coeffs), range(len(coeffs)))).bit_length() + 1
-    return signed_fields(horner_minus_one(coeffs, width), width, len(coeffs))
+    width = (sum(map(lshift, map(abs, coeffs), range(len(coeffs)))) * g**k).bit_length() + 1
+    count = g * (len(coeffs) - 1) + (g - 1) * k + 1
+    return signed_fields(horner_minus_one(coeffs, width, g, k), width, count)
 
 
 def unpack_profile(by_rank: Sequence[int], width: int) -> dict[tuple[int, int], int]:

@@ -48,7 +48,7 @@ from .exact import vandermonde_solve
 from .greedoid import DEFAULT_MAX_ELEMENTS
 from .polynomials import LaurentPoly, rational
 from .primitives import reach
-from .tutte import H0Y, _profile, tutte_eval, tutte_restrict
+from .tutte import H0X, H0Y, tutte_eval, tutte_restrict
 
 FAMILIES = ("graph", "digraph", "binary")
 
@@ -265,14 +265,10 @@ def reliability_identity(
     if not 0 < p < 1:
         raise ProbabilityRangeError(f"need 0 < p < 1, got {p}")
     require_root_connected(digraph)
-    profile = _profile(digraph, max_elements)
-    size, rank = profile.size, profile.rank
-    direct = Fraction(0)
-    for (d, s), count in profile.counts.items():
-        if d:
-            continue
-        j = s + rank  # subsets with full rank have size rank + surplus
-        direct += count * p ** (size - j) * (1 - p) ** j
+    # T(1, 1 + t) counts the spanning arc sets, of size rank + s, by surplus s in t
+    spanning = tutte_restrict(digraph, H0X(), max_elements).compose_shift(1).terms
+    size, rank = digraph.edge_count, carrier_rank(digraph)
+    direct = sum(count * p ** (size - rank - s) * (1 - p) ** (rank + s) for s, count in spanning.items())
     reconstruction = p ** (size - rank) * (1 - p) ** rank * tutte_eval(
         digraph, 1, 1 / p, max_elements
     )

@@ -24,9 +24,9 @@ core never pays for enumeration's rank table.
 A carrier whose class sizes have gcd g > 1 is the g-thickening H^g of the
 carrier H with each class size divided by g (the core, when g is every class
 size).  By the thickening identity (Jaeger, Vertigan and Welsh, 1990) every
-answer at one y (points, the lines y = c and y = 1, the characteristic
-polynomial) is one sum over H's cached profile, so thickenings of one base
-by any k share it; the rest expand it in about (rank + 1)(elements + 1)^2 bits.
+answer about it is a sum over H's cached profile with weights in g, so
+thickenings of one base by any k share one profile, and none makes a
+profile of its own while H's is admitted (:func:`_route`).
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .carriers import (
     BinaryMatrix,
@@ -72,10 +72,11 @@ from .greedoid import (
     _check_bound,
     _check_work,
     class_table_bits,
+    expand,
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import join_edges, packed_power, reach, renumber, shift_minus_one, unpack_profile
+from .primitives import join_edges, reach, renumber, shift_minus_one
 from .span_profile import span_state_cost, span_state_profile
 from .vertex_profile import PRODUCT_US, vertex_subset_cost, vertex_subset_profile
 
@@ -118,14 +119,14 @@ Evaluatable = Union[Greedoid, Carrier]
 
 
 # Carrier profiles, and thinnings, kept for reuse.  A caller asking several
-# queries about one carrier needs one entry, a thickening two (itself and the
-# carrier it thins to); a few more allow interleaving, and each entry keeps its
-# carrier and a few KiB of counts alive until it is evicted.
+# queries about one carrier needs one entry (a thickening's is its base's);
+# a few more allow interleaving, and each entry keeps its carrier and a few
+# KiB of counts alive until it is evicted.
 _PROFILE_CACHE_SIZE = 16
 
 
 def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
-    """The subset profile of a greedoid or carrier, computed once and then shared.
+    """The subset profile of a greedoid or carrier itself, computed once and then shared.
 
     The element bound is checked on every call, before any kept profile is
     looked at.  A greedoid keeps its own profile; carriers are frozen and
@@ -136,6 +137,23 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
         return source.profile(max_elements)
     _check_bound(source.edge_count, max_elements)
     return _carrier_profile(source)
+
+
+def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> tuple[SubsetProfile, int]:
+    """The profile every answer about the source reads, and g, the bound
+    checked first: H's profile and g when the source is a carrier H^g, g > 1
+    (see :func:`_thinned`), and H is not refused, nor, for ``polynomial``,
+    past the expansion's (rank + 1)(size + 1)^2 bits; else the source's own
+    and 1, so a carrier that H does not answer for meets its own figures."""
+    if not isinstance(source, Greedoid):
+        _check_bound(source.edge_count, max_elements)
+        thin, g, _, _ = _thinned(source)
+        if g > 1 and (not polynomial or (carrier_rank(thin) + 1) * (source.edge_count + 1) ** 2 <= _MAX_WORK):
+            try:
+                return _carrier_profile(thin), g
+            except GroundSetTooLargeError:
+                pass
+    return _profile(source, max_elements), 1
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -160,26 +178,19 @@ def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...]]:
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, by its family's engine or class enumeration.
 
-    A g-thickening of H (g > 1, see :func:`_thinned`) expands H's cached
-    profile when H is not refused and the expansion's (rank + 1)(size + 1)^2
-    bits fit.  Otherwise a binary matrix takes the span-state engine, or is
-    refused by its figure.  A rooted graph or digraph takes the engine of
-    least calibrated cost: enumeration over the classes of identical
-    elements takes 2^classes steps, and costs ``CLASS_CALL_US`` plus
-    ``CLASS_STEP_US`` per step, in microseconds; the vertex-subset engine
-    states its figures, products first, and costs ``PRODUCT_US`` per
+    A binary matrix takes the span-state engine, or is refused by its
+    figure.  A rooted graph or digraph takes the engine of least calibrated
+    cost: enumeration over the classes of identical elements (see
+    :func:`_thinned`) takes 2^classes steps, and costs ``CLASS_CALL_US``
+    plus ``CLASS_STEP_US`` per step, in microseconds; the vertex-subset
+    engine states its figures, products first, and costs ``PRODUCT_US`` per
     product.  That engine runs when its figures all fit and its cost is
     less, or when the enumeration's steps or
     :func:`.greedoid.class_table_bits` do not fit.  When neither engine
     fits, ``GroundSetTooLargeError`` names every figure past the limit.
     """
-    thin, g, core, sizes = _thinned(carrier)
+    _, _, core, sizes = _thinned(carrier)
     size = carrier.edge_count
-    if g > 1 and (carrier_rank(thin) + 1) * (size + 1) ** 2 <= _MAX_WORK:
-        route = _thin_route(carrier)
-        if route:
-            base, _ = route
-            return SubsetProfile(_thickened(base.counts, g, base.rank, size), size, base.rank)
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
         _check_work(size, span_state_cost(rank, len(sizes)))
@@ -198,32 +209,6 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 
-def _thin_route(carrier: Carrier) -> tuple[SubsetProfile, int] | None:
-    """H's profile and g when the carrier is H^g for some g > 1 (see
-    :func:`_thinned`) and H is not refused, else None: then the carrier takes
-    its own route, and so is refused by its own figures."""
-    thin, g, _, _ = _thinned(carrier)
-    try:
-        return (_carrier_profile(thin), g) if g > 1 else None
-    except GroundSetTooLargeError:
-        return None
-
-
-def _thickened(counts: Mapping[tuple[int, int], int], k: int, rank: int, size: int) -> dict[tuple[int, int], int]:
-    """The profile of H's k-thickening from H's counts: a subset of H of
-    deficit d and surplus s holds rank - d + s elements, and each is met in
-    one of the (1+z)^k - 1 nonempty parts of its k copies, counted by size
-    in z."""
-    width = size + 1
-    part, powers = packed_power(k, width) - 1, [1]
-    for _ in range(size // k):
-        powers.append(powers[-1] * part)
-    by_rank = [0] * (rank + 1)
-    for (d, s), count in counts.items():
-        by_rank[rank - d] += count * powers[rank - d + s]
-    return unpack_profile(by_rank, width)
-
-
 def _powers(a: int, b: int, n: int) -> list[int]:
     """a^k b^(n - k) for k = 0 .. n, by successive products."""
     ups, downs = [1], [1]
@@ -235,44 +220,44 @@ def _powers(a: int, b: int, n: int) -> list[int]:
 
 def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -> tuple[list[int], int, int]:
     """Sums of count[d, s] u^d (y^g - 1)^s q^(rank - d), q = 1 + y + ... +
-    y^(g-1), one per deficit d, as integer numerators over one common
-    denominator, and the rank: the reader of every answer at one y.
+    y^(g-1), one per deficit d, over :func:`_route`'s profile, as integer
+    numerators over one common denominator, and the rank: the reader of
+    every answer at one y.
 
-    The bound is checked first.  A carrier that is the g-thickening of H
-    (g > 1, see :func:`_thin_route`) reads H's profile by the thickening
-    identity; any other source reads its own, with g = 1.  With y = n/m,
-    y^g - 1 is v = n^g - m^g over m^g, and q is g at y = 1, else the exact
-    quotient v/(n - m) over m^(g-1).  The empty set has deficit rank, so
-    u^d q^(rank - d) is (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank,
-    and each deficit's sum is one pass over its dense row.  Nothing is
-    divided by q, so q may be 0.
+    With y = n/m, y^g - 1 is v = n^g - m^g over m^g, and q is g at y = 1,
+    else the exact quotient v/(n - m) over m^(g-1).  When v = 0 only s = 0
+    counts.  The empty set has deficit rank, so u^d q^(rank - d) is
+    (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank, and each deficit's
+    sum is one pass over its dense row.  Nothing is divided by q, so q may be 0.
     """
-    if isinstance(source, Greedoid):
-        profile, g = source.profile(max_elements), 1
-    else:
-        _check_bound(source.edge_count, max_elements)
-        profile, g = _thin_route(source) or (_carrier_profile(source), 1)
+    profile, g = _route(source, max_elements)
     rows, rank = profile.rows, profile.rank
     n, m = y.numerator, y.denominator
     v = n**g - m**g
     q_n, q_d = (g, 1) if n == m else (v // (n - m), m ** (g - 1))
-    top_s = len(rows[0]) - 1
+    top_s = len(rows[0]) - 1 if v else 0
     us = _powers(u.numerator * q_d, u.denominator * q_n, rank)
     vs = _powers(v, m**g, top_s)
     denominator = (u.denominator * q_d) ** rank * m ** (g * top_s)
     return [w * sum(map(mul, row, vs)) for w, row in zip(us, rows)], denominator, rank
 
 
-def _hyperbola(profile: SubsetProfile, alpha: Fraction) -> LaurentPoly:
-    """The sum of counts[d, s] alpha^d z^(s - d): alpha^d is alpha_n^d
-    alpha_d^(rank - d) over alpha_d^rank, and the sums are kept in one list
-    from z^-rank up, filled in one pass over the rows."""
+def _hyperbola(profile: SubsetProfile, g: int, alpha: Fraction) -> LaurentPoly:
+    """The sum of counts[d, s] alpha^d z^-rank P^(rank - d + s), P = (1 + z)^g
+    - 1, so z^(s - d) when g = 1: alpha^d is alpha_n^d alpha_d^(rank - d) over
+    alpha_d^rank, and the sums by i = rank - d + s are kept in one list,
+    filled in one pass over the rows.  For g > 1, P is y^g - 1 at y = 1 + z:
+    one packed shift takes the sums at y^g - 1, as p(y), and p(1 + z) is
+    p(1 - t) at t = -z, the shift by -1 of p(-t): two sign turns of odd powers."""
     rows, rank = profile.rows, profile.rank
     sums = [0] * (rank + len(rows[0]))
     for d, (w, row) in enumerate(zip(_powers(alpha.numerator, alpha.denominator, rank), rows)):
         for i, c in enumerate(row, rank - d):
             if c:
                 sums[i] += w * c
+    if g > 1:
+        turned = [-c if k & 1 else c for k, c in enumerate(shift_minus_one(sums, g))]
+        sums = [-c if k & 1 else c for k, c in enumerate(shift_minus_one(turned))]
     denominator = alpha.denominator**rank
     return LaurentPoly({i - rank: Fraction(n, denominator) for i, n in enumerate(sums) if n})
 
@@ -282,14 +267,18 @@ def _by_deficit(sums: list[int], denominator: int, sign: int = 1) -> LaurentPoly
     return LaurentPoly({d: Fraction(sign * n, denominator) for d, n in enumerate(sums) if n})
 
 
-def _shifted_line(coeffs: Sequence[int]) -> LaurentPoly:
-    """The sum of coeffs[k] (t - 1)^k as a polynomial in t."""
-    return LaurentPoly(dict(enumerate(shift_minus_one(coeffs))))
+def _shifted_line(coeffs: Sequence[int], g: int = 1, k: int = 0) -> LaurentPoly:
+    """q^k times the sum of coeffs[s] (t^g - 1)^s as a polynomial in t, q = 1 +
+    t + ... + t^(g-1): the sum of coeffs[s] (t - 1)^s when g = 1."""
+    return LaurentPoly(dict(enumerate(shift_minus_one(coeffs, g, k))))
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
-    """Exact Tutte polynomial from the subset profile's kept expansion."""
-    return BivariatePoly(_profile(source, max_elements).expansion)
+    """Exact Tutte polynomial: the profile's kept expansion, or a
+    thickening's expansion from its base's profile (:func:`_route`, whose
+    figure it must fit)."""
+    profile, g = _route(source, max_elements, polynomial=True)
+    return BivariatePoly(profile.expansion if g == 1 else expand(profile.counts, g))
 
 
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
@@ -304,24 +293,24 @@ def tutte_restrict(
 ) -> LaurentPoly:
     """Restrict the Tutte polynomial to a curve, exactly.
 
-    On the hyperbola the substitution x = 1 + alpha/z, y = 1 + z turns the
-    (deficit d, surplus s) subset class into alpha^d z^(s-d); on x = 1 only
-    deficit-zero subsets survive, so T(1, y) is one row of the profile and
-    one packed shift.  The lines y = c, a polynomial in z = x - 1, and y = 1,
-    one packed shift to x, are sums at one y (:func:`_collect`), so a
-    thickening's are read off its base's profile.  None expands the profile.
+    Each reads :func:`_route`'s profile and g, so a thickening's is read off
+    its base's profile, and none expands it.  On the hyperbola the
+    substitution x = 1 + alpha/z, y = 1 + z turns the (deficit d, surplus s)
+    subset class into alpha^d z^-rank P^(rank - d + s), P = (1 + z)^g - 1; on
+    x = 1 only deficit-zero subsets survive, so T(1, y) is q^rank times row 0
+    at y^g, one packed shift.  The lines y = c, a polynomial in z = x - 1,
+    and y = 1, one packed shift to x, are sums at one y (:func:`_collect`).
     """
     if isinstance(curve, H0Y):  # q = g and y^g - 1 = 0, so the denominator is 1
         return _shifted_line(_collect(source, max_elements, Fraction(1), Fraction(1))[0])
     if isinstance(curve, LineY):
         return _by_deficit(*_collect(source, max_elements, Fraction(1), curve.c)[:2])
-    profile = _profile(source, max_elements)
+    profile, g = _route(source, max_elements)
     if isinstance(curve, HAlpha):
-        return _hyperbola(profile, curve.alpha)
+        return _hyperbola(profile, g, curve.alpha)
     if isinstance(curve, H0X):
-        return _shifted_line(profile.rows[0])
+        return _shifted_line(profile.rows[0], g, profile.rank)
     raise TypeError(f"unknown curve {curve!r}")
-
 
 def h1_closed_form(element_count: int, rank: int, a, b) -> Fraction:
     """Closed form on the hyperbola (a-1)(b-1) = 1.

@@ -151,6 +151,19 @@ def test_thickening_eval_rejects_vanishing_denominator():
     assert value == tutte_eval(to_greedoid(thicken(path_graph(2), 3)), 3, -1)
 
 
+
+def test_thickening_predictions_read_their_factor_as_an_integer():
+    """An integral Fraction predicts what the int predicts; 2.5 is not an
+    integer and 0 is no thickening factor, so both are refused."""
+    base = tutte_polynomial(path_graph(2))
+    assert predicted_thickening(base, 2, Fraction(2)) == predicted_thickening(base, 2, 2)
+    assert predicted_thickening_eval(base, 2, Fraction(2), 2, 3) == predicted_thickening_eval(base, 2, 2, 2, 3)
+    for k, message in ((2.5, "is not an integer"), (0, "at least 1")):
+        with pytest.raises(PreconditionError, match=message):
+            predicted_thickening(base, 2, k)
+        with pytest.raises(PreconditionError, match=message):
+            predicted_thickening_eval(base, 2, k, 2, 3)
+
 def test_trivial_attachment_function_examples():
     g = to_greedoid(path_graph(2))
     f = trivial_attachment_function(g)

@@ -138,7 +138,7 @@ def test_lines_are_the_line_sums_of_the_polynomial(carrier):
 
 
 def test_thickened_path_polynomial_at_scale():
-    """240 elements: the 60-edge path's profile, thickened, and expanded."""
+    """240 elements: the 60-edge path's profile, expanded with weights in g = 4."""
     thick = thicken(path_graph(60), 4)
     poly = tutte_polynomial(thick, max_elements=240)
     assert poly.evaluate(2, 2) == 2**240

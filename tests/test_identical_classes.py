@@ -10,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     BinaryMatrix,
+    H0X,
     H0Y,
+    HAlpha,
     LaurentPoly,
     LineY,
     RootedDigraph,
     RootedGraph,
     characteristic_polynomial,
+    directed_path,
     identity_matrix,
     path_graph,
     predicted_thickening,
     predicted_thickening_eval,
+    reliability_identity,
     spanning_tree_count,
     thicken,
     to_greedoid,
@@ -29,7 +33,13 @@ from greedoid_tutte import (
 )
 from greedoid_tutte import greedoid as greedoid_module
 from greedoid_tutte import tutte as tutte_module
-from greedoid_tutte.carriers import carrier_elements, format_carrier, merge_identical_elements, with_elements
+from greedoid_tutte.carriers import (
+    carrier_elements,
+    digraph_is_root_connected,
+    format_carrier,
+    merge_identical_elements,
+    with_elements,
+)
 from greedoid_tutte.cli import main
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.greedoid import rank_size_profile
@@ -124,10 +134,9 @@ def test_all_repeated_core_counts_in_small_tables():
     st.integers(2, 4),
 )
 def test_thickened_profile_matches_brute_force(carrier, k):
-    """A k-thickening's class sizes have gcd g >= k, so its profile is read
-    off the profile of the carrier it thins to: the core when its classes
-    are all of one size, and otherwise a carrier with classes of several
-    sizes, which takes the engines of any carrier."""
+    """A k-thickening's own profile, made by the engines run on the
+    thickening itself, as when the carrier it thins to is refused, agrees
+    with enumeration; its answers read the thinned carrier's profile."""
     thick = thicken(carrier, k)
     assert tutte_module._profile(thick, 16).counts == rank_size_profile(to_greedoid(thick), 16)
 
@@ -273,7 +282,7 @@ def test_point_queries_expand_no_profile(monkeypatch):
     def refused(*args):
         raise AssertionError("a point query expanded a profile")
 
-    monkeypatch.setattr(tutte_module, "_thickened", refused)
+    monkeypatch.setattr(tutte_module, "expand", refused)
     value = tutte_eval(thicken(base, 52), 3, Fraction(3, 2), max_elements=2080)
     assert value == predicted_thickening_eval(tutte_polynomial(base, 40), 11, 52, 3, Fraction(3, 2))
 
@@ -296,7 +305,7 @@ def test_answers_at_one_y_read_the_base_profile(carrier, g):
 
     tutte_module._carrier_profile.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tutte_module, "_thickened", refused)
+        patch.setattr(tutte_module, "expand", refused)
         for a, b in ONE_Y_POINTS:
             assert tutte_eval(thick, a, b, 12) == tutte_eval(reference, a, b, 12)
         for curve in (H0Y(), LineY(2), LineY(-1), LineY(Fraction(-1, 2))):
@@ -321,6 +330,57 @@ def test_answers_at_one_y_on_the_thickened_long_path():
     assert tutte_restrict(thick, LineY(-1), max_elements=800) == LaurentPoly({200: Fraction(1)})
     assert characteristic_polynomial(thick, max_elements=800) == characteristic_polynomial(path_graph(200), 200)
     assert time.perf_counter() - start < 5
+
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(rooted_multigraphs(False, 3), rooted_multigraphs(True, 3), binary_matrices(3)), st.integers(2, 4))
+def test_every_answer_reads_the_base_profile(carrier, g):
+    """The polynomial, the line x = 1 and the hyperbolas of a g-thickening
+    are read off its base's profile with weights in g, and equal the
+    enumerated greedoid's; so does the reliability sum, read off x = 1.  No
+    profile of the thickening's own is made."""
+    thick = thicken(carrier, g)
+    reference = to_greedoid(thick)
+    tutte_module._carrier_profile.cache_clear()
+    assert tutte_polynomial(thick, 12) == tutte_polynomial(reference, 12)
+    for curve in (H0X(), HAlpha(2), HAlpha(Fraction(-1, 3)), HAlpha(1)):
+        assert tutte_restrict(thick, curve, 12) == tutte_restrict(reference, curve, 12)
+    if isinstance(thick, RootedDigraph) and digraph_is_root_connected(thick):
+        for p in (Fraction(1, 3), Fraction(1, 2)):
+            direct, reconstructed = reliability_identity(thick, p, 12)
+            assert direct == reconstructed
+    assert tutte_module._carrier_profile.cache_info().currsize == 1  # the base's profile, and not the thickening's
+
+
+def test_every_curve_on_the_thickened_long_path():
+    """The 4-thickened 200-edge path: T(1, y) is (1 + y + y^2 + y^3)^200,
+    each edge's class met by a nonempty part of its four copies, and on
+    (x-1)(y-1) = 1 the restriction is z^-200 (1 + z)^800, the closed form
+    (a-1)^(rank - n) a^n at a = 1 + 1/z.  The polynomial itself is still
+    refused by the expansion's figure, 201 * 801^2 = 2^26.9 bits."""
+    thick = thicken(path_graph(200), 4)
+    tutte_module._carrier_profile.cache_clear()
+    start = time.perf_counter()
+    power = [1]
+    for _ in range(200):
+        power = [sum(power[max(0, j - 3) : j + 1]) for j in range(len(power) + 3)]
+    assert tutte_restrict(thick, H0X(), max_elements=800) == LaurentPoly(dict(enumerate(power)))
+    closed = LaurentPoly({j - 200: Fraction(comb(800, j)) for j in range(801)})
+    assert tutte_restrict(thick, HAlpha(1), max_elements=800) == closed
+    with pytest.raises(GroundSetTooLargeError):
+        tutte_polynomial(thick, max_elements=800)
+    assert time.perf_counter() - start < 5
+
+
+def test_reliability_of_a_thickened_long_path():
+    """400 arcs: the reliability sum reads the spanning sets off x = 1,
+    from the 200-arc path's profile alone, and agrees with the
+    reconstruction: each pair of arcs survives unless both are deleted."""
+    tutte_module._carrier_profile.cache_clear()
+    direct, reconstructed = reliability_identity(thicken(directed_path(200), 2), Fraction(1, 3), 400)
+    assert direct == reconstructed == (1 - Fraction(1, 9)) ** 200
+    assert tutte_module._carrier_profile.cache_info().currsize == 1
 
 
 def test_class_table_refused_before_the_rank_table(monkeypatch, tmp_path, capsys):

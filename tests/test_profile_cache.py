@@ -193,6 +193,6 @@ def test_classes_merged_once_per_profile(monkeypatch):
         nine_queries(carrier)
         nine_queries(carrier)
         assert merged.pop() == carrier and not merged
-    thick = thicken(path_graph(3), 2)  # its profile expands that of the path it thins to
+    thick = thicken(path_graph(3), 2)  # its answers read the profile of the path it thins to
     nine_queries(thick)
     assert merged[0] == thick and len(merged) == 2 and merged[1].edge_count == 3

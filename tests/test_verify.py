@@ -14,16 +14,16 @@ from greedoid_tutte.cli import main
 @pytest.fixture
 def wrong_thickening_rule(monkeypatch):
     """The thickening identity, in the library and in its prediction, wrong
-    the same way: every count of a k-thickening doubled for k > 1."""
-    thickened, predicted = tutte_module._thickened, constructions.predicted_thickening
+    the same way: every coefficient of a g-thickening's expansion doubled for g > 1."""
+    expansion, predicted = tutte_module.expand, constructions.predicted_thickening
 
-    def doubled_counts(counts, k, rank, size):
-        return {key: 2 * c for key, c in thickened(counts, k, rank, size).items()}
+    def doubled_expansion(counts, g=1):
+        return {key: c * (2 if g > 1 else 1) for key, c in expansion(counts, g).items()}
 
     def doubled_prediction(tutte, rank, k, mode="generic"):
         return predicted(tutte, rank, k, mode) * (2 if k > 1 else 1)
 
-    monkeypatch.setattr(tutte_module, "_thickened", doubled_counts)
+    monkeypatch.setattr(tutte_module, "expand", doubled_expansion)
     monkeypatch.setattr(constructions, "predicted_thickening", doubled_prediction)
     monkeypatch.setattr(verify, "predicted_thickening", doubled_prediction)
     tutte_module._carrier_profile.cache_clear()
