@@ -50,6 +50,46 @@ R_{p,q} = (1+z)^u ((1+z)^d - 1), so the part at and below p is
 
     (1+z)^(u + m_q) + w (1+z)^u ((1+z)^d - 1) P_q.
 
+A digraph block may take a second base, the in-arc base.  Let in_X(v) be
+the number of arcs from X into v, and P_d = (1+z)^d - 1.  The arc sets
+inside S in which every vertex but the top p has an in-arc from S are
+counted by size by
+
+    F(S) = (1+z)^in_S(p) * product over v in S \\ p of P_(in_S(v)),
+
+each arc inside S being counted at its head.  A set A that F(S) counts
+reaches some T inside S holding p, and all of T along its arcs inside T.
+It has no arc from T into U = S \\ T, or it would reach further, so each
+vertex of U has its in-arc from U; its arcs from U into T are any.
+Conversely a set inside T reaching all of T, any arcs from U into T, and an
+arc set inside U in which every vertex has an in-arc from U make a set that
+F(S) counts and that reaches exactly T.  So, with
+
+    G(U) = product over v in U of P_(in_U(v)),
+
+which is not 0 exactly when U is sourceless (every vertex of U has an
+in-arc from U), and a(U, T) the number of arcs from U into T,
+
+    R_S = F(S) - sum over nonempty U inside S \\ p of R_(S \\ U) G(U) (1+z)^a(U, S \\ U).
+
+R_S = 0 when F(S) = 0, as R_S counts some of the sets F(S) counts, so such
+S are skipped.  Let M(X) be what is left of X after removing, again and
+again, its vertices with no in-arc from what remains.  A sourceless U inside
+X loses no vertex at any step, so it lies inside M(X), and the sum walks
+only the subsets of M(S \\ p): in a sparse or nearly acyclic block there are
+few.  Repeated arcs and arcs into p are counted by in_S and a.
+
+The block chooses its base with no setting.  One table of the union of the
+out-neighbours of every vertex set gives the peel M(X) for every set X of
+vertices other than p, and with it the in-arc base's work,
+
+    V = sum over such X of 2^|M(X)|, plus |B| 2^(|B|-1)
+
+for the walks and the products of F.  The block takes the in-arc base when V
+is less than 3^(|B|-1), and only then builds its tables; so a block of at
+most 5 vertices never does, and a dense block pays only for the peel.  The
+engine's figure, 3^(|B|-1) products a block, bounds either base's work.
+
 Every polynomial in z is packed into one int with m + 1 bits per
 coefficient, m being the number of elements, as
 :func:`.primitives.packed_powers` sets out; every R_S is nonnegative
@@ -78,8 +118,9 @@ def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], siz
     """The products and the bits this engine takes for a carrier of ``size`` elements.
 
     ``core`` holds one element per class of identical elements, and
-    ``reached`` the vertices its root reaches.  A block B takes 3^(|B|-1)
-    products, and a block of 2 vertices the one product of its closed form.
+    ``reached`` the vertices its root reaches.  A block B takes at most
+    3^(|B|-1) products, by either base, and a block of 2 vertices the one
+    product of its closed form.
     The powers (1+z)^k, k <= size, and the profile take about
     (size + rank)(size + 1)^2 bits.
     """
@@ -162,18 +203,51 @@ def _block_profile(
     pairs = [[0] * n for _ in range(n)]  # elements by end (tail, head) indices
     for (u, v), count in elements.items():
         pairs[index[u]][index[v]] += count
-    # Tables by vertex set S: the sets holding vertex i are those of the first i vertices, each with i added.
-    inside = [0]  # elements with both ends in S
-    for i in range(n):
-        inside += [a + b for a, b in zip(inside, _set_sums([pairs[i][j] + pairs[j][i] for j in range(i)]))]
-    if directed:  # arcs with tail outside S; arcs out of each vertex with head in S
-        free, into = _set_sums([sum(row) for row in pairs])[::-1], [_set_sums(row) for row in pairs]
+    if directed:  # arcs with tail outside S
+        free = _set_sums([sum(row) for row in pairs])[::-1]
+        peel = _peel(pairs)  # the in-arc base's work against the sum over all subsets
+        if sum(1 << core.bit_count() for core in peel[::2]) + (n << n - 1) < 3 ** (n - 1):
+            reaching = _in_arc_base(pairs, peel, powers)
+        else:
+            reaching = _subset_base(pairs, _inside(pairs), True, powers)
     else:  # edges inside the complement of S
-        free = inside[::-1]
-    cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
+        inside = _inside(pairs)
+        free, reaching = inside[::-1], _subset_base(pairs, inside, False, powers)
 
-    reaching = [0] * (1 << n)  # R_S
     sums: dict[int, int] = {}  # S's vertices with something below -> sum over S, in z and w
+    cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
+    for s in range(1, 1 << n, 2):
+        if reaching[s]:
+            sums[s & cuts] = sums.get(s & cuts, 0) + (reaching[s] * powers[free[s]] << (s.bit_count() - 1) * stride)
+
+    # one cut vertex c at a time: P_c where c is in S, (1+z)^m_c where it is not
+    size = sum(elements.values())
+    for i, (hanging_profile, count) in enumerate(hanging, 1):
+        if count:
+            folded: dict[int, int] = {}
+            for met, poly in sums.items():
+                key = met & ~(1 << i)
+                folded[key] = folded.get(key, 0) + poly * (hanging_profile if met >> i & 1 else powers[count])
+            sums, size = folded, size + count
+    return sums[0], size
+
+
+def _inside(pairs: list[list[int]]) -> list[int]:
+    """The elements with both ends in S, for every vertex set S.
+
+    The sets holding vertex i are those of the first i vertices, each with i added.
+    """
+    inside = [0]
+    for i in range(len(pairs)):
+        inside += [a + b for a, b in zip(inside, _set_sums([pairs[i][j] + pairs[j][i] for j in range(i)]))]
+    return inside
+
+
+def _subset_base(pairs: list[list[int]], inside: list[int], directed: bool, powers: list[int]) -> list[int]:
+    """R_S for every vertex set S holding the top, by the sum over all T inside S; 0 for the other sets."""
+    n = len(pairs)
+    reaching = [0] * (1 << n)
+    into = [_set_sums(row) for row in pairs] if directed else []  # arcs out of each vertex with head in S
     # k[part] counts the elements inside S that cannot leave T = S \ part:
     # for a digraph the arcs with tail in part and head in S, filled in for
     # each S; for a graph the edges inside part, whatever S is, so their
@@ -195,15 +269,75 @@ def _block_profile(
                 part = (part - rest) & rest
                 total += reaching[s ^ part] * weight[part]
         reaching[s] = weight[s] - total
-        sums[s & cuts] = sums.get(s & cuts, 0) + (reaching[s] * powers[free[s]] << (s.bit_count() - 1) * stride)
+    return reaching
 
-    # one cut vertex c at a time: P_c where c is in S, (1+z)^m_c where it is not
-    size = sum(elements.values())
-    for i, (hanging_profile, count) in enumerate(hanging, 1):
-        if count:
-            folded: dict[int, int] = {}
-            for met, poly in sums.items():
-                key = met & ~(1 << i)
-                folded[key] = folded.get(key, 0) + poly * (hanging_profile if met >> i & 1 else powers[count])
-            sums, size = folded, size + count
-    return sums[0], size
+
+def _set_unions(masks: list[int]) -> list[int]:
+    """The union of ``masks[v]`` over the v in S, for every vertex set S, indexed by bitmask."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
+    return table
+
+
+def _peel(pairs: list[list[int]]) -> list[int]:
+    """M(X) for every set X of vertices other than the top (even bitmasks;
+    odd entries are unused): what is left of X after removing, again and
+    again, its vertices with no in-arc from what remains of it."""
+    n = len(pairs)
+    heads = _set_unions([sum(1 << j for j in range(1, n) if row[j]) for row in pairs])
+    peel = [0] * (1 << n)
+    for x in range(2, 1 << n, 2):
+        kept = x & heads[x]
+        peel[x] = x if kept == x else peel[kept]
+    return peel
+
+
+def _in_arc_base(pairs: list[list[int]], peel: list[int], powers: list[int]) -> list[int]:
+    """R_S for every vertex set S holding the top, by the sum over the sourceless
+    U inside M(S \\ top); 0 for the other sets.  See the module docstring."""
+    n = len(pairs)
+    # Arc j of the block is bit j of an arc set: the arcs out of and into each vertex.
+    out_arcs, in_arcs, j = [0] * n, [0] * n, 0
+    for u, row in enumerate(pairs):
+        for v, count in enumerate(row):
+            bits = ((1 << count) - 1) << j
+            out_arcs[u] |= bits
+            in_arcs[v] |= bits
+            j += count
+    tails, heads = _set_unions(out_arcs), _set_unions(in_arcs)
+    lacking = [p - 1 for p in powers[: j + 1]]  # P_d = (1+z)^d - 1, d up to the block's arcs
+    shift = powers[1].bit_length() - 1  # multiplying by P_1 = z, as 1 + z = 1 + 2^shift
+    others = [(1 << v, in_arcs[v]) for v in range(1, n)]
+
+    def base(s: int, product: int) -> int:
+        """product times P_(in_S(v)) for each vertex v of S but the top: 0 when one has no in-arc from S."""
+        arcs, ones = tails[s], 0
+        for bit, into in others:
+            if s & bit:
+                d = (into & arcs).bit_count()
+                if d > 1:
+                    product *= lacking[d]
+                elif d:
+                    ones += shift
+                else:
+                    return 0
+        return product << ones
+
+    sourceless = [0] * (1 << n)  # G(U), nonzero for the sourceless U
+    for u in range(2, 1 << n, 2):
+        if peel[u] == u:
+            sourceless[u] = base(u, 1)
+    reaching = [0] * (1 << n)
+    for s in range(1, 1 << n, 2):
+        total = base(s, powers[(in_arcs[0] & tails[s]).bit_count()])  # F(S)
+        if total:
+            core = peel[s ^ 1]
+            part = 0
+            while part != core:  # the sourceless U are among the subsets of M(S \ top)
+                part = (part - core) & core
+                if sourceless[part] and reaching[s ^ part]:
+                    t = s ^ part
+                    total -= reaching[t] * sourceless[part] * powers[(tails[part] & heads[t]).bit_count()]
+            reaching[s] = total
+    return reaching

@@ -282,3 +282,15 @@ def seeded_rooted_graph(vertices: int, edges: int, seed: int) -> RootedGraph:
     while len(pairs) < edges:
         pairs.append(tuple(rng.sample(range(vertices), 2)))
     return RootedGraph(vertices, tuple(pairs), 0)
+
+
+def seeded_rooted_digraph(vertices: int, arcs: int, seed: int) -> RootedDigraph:
+    """A random rooted digraph, built as :func:`seeded_rooted_graph` is: an arc
+    into vertex v from a random earlier vertex, then arcs between uniform
+    random ordered pairs of distinct vertices, rooted at 0.  The root reaches
+    every vertex, and the pairs may repeat or run both ways."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, vertices)]
+    while len(pairs) < arcs:
+        pairs.append(tuple(rng.sample(range(vertices), 2)))
+    return RootedDigraph(vertices, tuple(pairs), 0)

@@ -2,6 +2,7 @@
 block, and a carrier's profile comes from whichever engine has less work."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,14 +22,17 @@ from greedoid_tutte import (
     tutte_polynomial,
 )
 from greedoid_tutte import tutte as tutte_module
+from greedoid_tutte import vertex_profile
 from greedoid_tutte.carriers import carrier_elements, format_carrier, root_reach
 from greedoid_tutte.carriers import merge_identical_elements
 from greedoid_tutte.cli import main
 from greedoid_tutte.errors import GroundSetTooLargeError
 from greedoid_tutte.greedoid import rank_size_profile
+from greedoid_tutte.primitives import packed_powers
 from greedoid_tutte.tutte import arborescence_count, spanning_tree_count
 from greedoid_tutte.vertex_profile import vertex_subset_profile, vertex_subset_cost
 
+from catalogues import seeded_rooted_digraph
 from test_identical_classes import rooted_multigraphs
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -105,6 +109,119 @@ def block_chains(draw):
 def test_block_engine_matches_enumeration(carrier):
     expected = rank_size_profile(to_greedoid(carrier))
     assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
+@st.composite
+def digraph_blocks(draw):
+    """Rooted digraphs of at most 7 vertices and 12 arcs, most with one block of 3 to 7 vertices.
+
+    A third of the blocks are near-complete: every arc among 3 or 4
+    vertices, up to 3 left out.  The others are acyclic with a few back arcs
+    and digons: a path through their 5 to 7 vertices, closed into one block
+    by the arc from its first vertex to its last, forward chords, and some
+    arcs turned back or doubled back.  Then come repeated arcs, loops, arcs
+    into the root, and hanging parts: a vertex outside the block with an arc
+    from or into one of its vertices.  The vertices are relabelled, so the
+    root is any label.
+    """
+    if draw(st.integers(0, 2)) == 0:
+        size = draw(st.integers(3, 4))
+        arcs = [(u, v) for u in range(size) for v in range(size) if u != v]
+        dropped = draw(st.sets(st.sampled_from(arcs), max_size=3))
+        arcs = [arc for arc in arcs if arc not in dropped]
+    else:
+        size = draw(st.integers(5, 7))
+        pair = st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+        arcs = [(v - 1, v) for v in range(1, size)] + [(0, size - 1)] + draw(st.lists(pair, max_size=3))
+        for i in draw(st.sets(st.integers(0, len(arcs) - 1), max_size=2)):
+            u, v = arcs[i]
+            if draw(st.booleans()):
+                arcs.append((v, u))  # a digon
+            else:
+                arcs[i] = (v, u)  # the arc turned back
+    block = st.integers(0, size - 1)
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=2))  # repeated arcs
+    arcs += [(v, v) for v in draw(st.lists(block, max_size=1))]
+    arcs += [(v, 0) for v in draw(st.lists(block, max_size=2))]  # into the root
+    nv = size + draw(st.integers(0, 7 - size))
+    for v in range(size, nv):
+        u = draw(block)
+        arcs.append((u, v) if draw(st.integers(0, 3)) else (v, u))
+    labels = draw(st.permutations(range(nv)))
+    arcs = [(labels[u], labels[v]) for u, v in arcs[:12]]
+    return RootedDigraph(nv, tuple(arcs), labels[0])
+
+
+@PROPERTY
+@given(digraph_blocks())
+def test_digraph_blocks_match_enumeration(carrier):
+    """Blocks of 6 or 7 vertices with few cycles take the in-arc base, the rest the sum over all subsets."""
+    expected = rank_size_profile(to_greedoid(carrier))
+    assert vertex_subset_profile(carrier, root_reach(carrier)) == expected
+
+
+@st.composite
+def arc_tables(draw):
+    """Arc counts by (tail, head) on 3 to 8 vertices, vertex 0 the top: up to
+    40 arcs between distinct vertices, the arcs into the top among them, dense
+    or sparse, repeated or not."""
+    n = draw(st.integers(3, 8))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda arc: arc[0] != arc[1]), max_size=40))
+    if draw(st.booleans()):  # most arcs forward, so few cycles
+        arcs = [(min(arc), max(arc)) if draw(st.integers(0, 4)) else arc for arc in arcs]
+    pairs = [[0] * n for _ in range(n)]
+    for u, v in arcs:
+        pairs[u][v] += 1
+    return pairs
+
+
+@PROPERTY
+@given(arc_tables())
+def test_in_arc_base_matches_the_subset_base(pairs):
+    """R_S for every S, by the sum over the sourceless parts and by the sum over all subsets."""
+    powers = packed_powers(sum(map(sum, pairs)) + 1)
+    in_arc = vertex_profile._in_arc_base(pairs, vertex_profile._peel(pairs), powers)
+    assert in_arc == vertex_profile._subset_base(pairs, vertex_profile._inside(pairs), True, powers)
+
+
+TRANSITIVE_8 = RootedDigraph(8, tuple((i, j) for i in range(8) for j in range(i + 1, 8)), 0)
+COMPLETE_6 = RootedDigraph(6, tuple((i, j) for i in range(6) for j in range(6) if i != j), 0)
+
+
+@pytest.mark.parametrize(
+    "carrier, base",
+    [
+        # acyclic: every M(X) is empty, so 2^7 + 8 * 2^7 products against 3^7
+        (TRANSITIVE_8, "_in_arc_base"),
+        # every set of 2 or more vertices is sourceless: 238 + 6 * 2^5 against 3^5
+        (COMPLETE_6, "_subset_base"),
+    ],
+)
+def test_block_base_choice(monkeypatch, carrier, base):
+    calls = []
+
+    def counted(name):
+        original = getattr(vertex_profile, name)
+        monkeypatch.setattr(vertex_profile, name, lambda *args: calls.append(name) or original(*args))
+
+    counted("_in_arc_base")
+    counted("_subset_base")
+    tutte_module._carrier_profile.cache_clear()
+    m = carrier.edge_count
+    assert tutte_eval(carrier, 2, 2, max_elements=m) == 2**m
+    assert tutte_eval(carrier, 1, 1, max_elements=m) == arborescence_count(carrier)
+    assert calls == [base]
+
+
+def test_sparse_digraph_at_scale():
+    """17 vertices and 40 arcs in one block of 16 or 17 vertices, where the sum
+    over all subsets takes about 3^16 products: few parts are sourceless."""
+    carrier = seeded_rooted_digraph(17, 40, 3)
+    start = time.perf_counter()
+    assert tutte_eval(carrier, 2, 2, max_elements=40) == 2**40
+    assert tutte_eval(carrier, 1, 1, max_elements=40) == arborescence_count(carrier)
+    assert time.perf_counter() - start < 5
 
 
 DIGON_PATH = RootedDigraph(3, ((0, 1), (1, 0), (1, 2), (2, 1)), 0)
