@@ -95,12 +95,6 @@ class SubsetProfile:
         """The Tutte polynomial's integer coefficients, by :func:`expand`, made on first use and then kept."""
         return MappingProxyType(expand(self.counts))
 
-    @cached_property
-    def thickened(self) -> dict[int, Mapping[tuple[int, int], int]]:
-        """The expansions of the profile's g-thickenings, by g > 1, each kept by
-        :func:`.tutte.tutte_polynomial` when it is first made."""
-        return {}
-
 
 def deficit_rows(counts: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
     """counts[d, s] as one dense row per deficit d = 0 .. D, each holding

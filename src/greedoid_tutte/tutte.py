@@ -9,9 +9,8 @@ and all its curve restrictions are exact rearrangements of that profile, so
 every public operation here reads one profile, made once per greedoid or
 carrier and then shared, and does only polynomial algebra on its integer
 counts.  The profile also keeps its expansion into the coefficients of
-T(x, y), and that of each g-thickening read off it, made by the first
-query that needs it; T(1, y) and T(x, 1) need only one row or column of
-the profile, each expanded by one packed shift.
+T(x, y), made by the first query that needs it; T(1, y) and T(x, 1) need
+only one row or column of the profile, each expanded by one packed shift.
 A greedoid's profile is enumerated subset by subset.  A binary matrix's
 comes from the programme over the spans of column sets in
 :mod:`.span_profile`, its one engine.  A rooted graph's or digraph's comes
@@ -42,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from types import MappingProxyType
 from typing import Sequence, Union
 
 from .carriers import (
@@ -278,13 +276,9 @@ def _shifted_line(coeffs: Sequence[int], g: int = 1, k: int = 0) -> LaurentPoly:
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
     """Exact Tutte polynomial: the profile's kept expansion, or a
     thickening's expansion from its base's profile (:func:`_route`, whose
-    figure it must fit), made once per g and kept on that profile."""
+    figure it must fit)."""
     profile, g = _route(source, max_elements, polynomial=True)
-    if g == 1:
-        return BivariatePoly(profile.expansion)
-    if g not in profile.thickened:
-        profile.thickened[g] = MappingProxyType(expand(profile.counts, g))
-    return BivariatePoly(profile.thickened[g])
+    return BivariatePoly(profile.expansion if g == 1 else expand(profile.counts, g))
 
 
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:

@@ -19,7 +19,8 @@ S \\ T and head in S for a digraph.  So
 which costs one product for each of the 3^(n-1) pairs of sets T inside S,
 where n is the number of vertices the root reaches, whatever the number of
 elements (Bjorklund, Husfeldt, Kaski and Koivisto, "Computing the Tutte
-polynomial in vertex-exponential time", FOCS 2008).
+polynomial in vertex-exponential time", FOCS 2008).  Graph blocks take this
+sum; digraph blocks take the sharper one over the in-arc base, below.
 
 The sum runs block by block.  Take the blocks of the underlying graph on
 the reached vertices.  Each block B has one vertex p nearest the root, and
@@ -50,10 +51,10 @@ R_{p,q} = (1+z)^u ((1+z)^d - 1), so the part at and below p is
 
     (1+z)^(u + m_q) + w (1+z)^u ((1+z)^d - 1) P_q.
 
-A digraph block may take a second base, the in-arc base.  Let in_X(v) be
-the number of arcs from X into v, and P_d = (1+z)^d - 1.  The arc sets
-inside S in which every vertex but the top p has an in-arc from S are
-counted by size by
+A digraph block of 3 or more vertices sums over the in-arc base.  Let
+in_X(v) be the number of arcs from X into v, and P_d = (1+z)^d - 1.  The
+arc sets inside S in which every vertex but the top p has an in-arc from S
+are counted by size by
 
     F(S) = (1+z)^in_S(p) * product over v in S \\ p of P_(in_S(v)),
 
@@ -77,18 +78,13 @@ S are skipped.  Let M(X) be what is left of X after removing, again and
 again, its vertices with no in-arc from what remains.  A sourceless U inside
 X loses no vertex at any step, so it lies inside M(X), and the sum walks
 only the subsets of M(S \\ p): in a sparse or nearly acyclic block there are
-few.  Repeated arcs and arcs into p are counted by in_S and a.
-
-The block chooses its base with no setting.  One table of the union of the
-out-neighbours of every vertex set gives the peel M(X) for every set X of
-vertices other than p, and with it the in-arc base's work,
-
-    V = sum over such X of 2^|M(X)|, plus |B| 2^(|B|-1)
-
-for the walks and the products of F.  The block takes the in-arc base when V
-is less than 3^(|B|-1), and only then builds its tables; so a block of at
-most 5 vertices never does, and a dense block pays only for the peel.  The
-engine's figure, 3^(|B|-1) products a block, bounds either base's work.
+few.  Repeated arcs and arcs into p are counted by in_S and a.  One table of
+the union of the out-neighbours of every vertex set gives the peel M(X) for
+every set X of vertices other than p.  The walks visit at most the
+3^(|B|-1) pairs (S, U) of the sum over all T, the engine's figure, and F and
+G take at most |B| 2^|B| products more.  In a complete digraph every set of
+2 or more vertices is sourceless, so the walks visit nearly every pair, each
+with two products where the sum over all T takes one.
 
 Every polynomial in z is packed into one int with m + 1 bits per
 coefficient, m being the number of elements, as
@@ -118,9 +114,9 @@ def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], siz
     """The products and the bits this engine takes for a carrier of ``size`` elements.
 
     ``core`` holds one element per class of identical elements, and
-    ``reached`` the vertices its root reaches.  A block B takes at most
-    3^(|B|-1) products, by either base, and a block of 2 vertices the one
-    product of its closed form.
+    ``reached`` the vertices its root reaches.  A block B takes 3^(|B|-1)
+    products, the pairs of vertex sets its sum visits at most, and a block
+    of 2 vertices the one product of its closed form.
     The powers (1+z)^k, k <= size, and the profile take about
     (size + rank)(size + 1)^2 bits.
     """
@@ -204,15 +200,10 @@ def _block_profile(
     for (u, v), count in elements.items():
         pairs[index[u]][index[v]] += count
     if directed:  # arcs with tail outside S
-        free = _set_sums([sum(row) for row in pairs])[::-1]
-        peel = _peel(pairs)  # the in-arc base's work against the sum over all subsets
-        if sum(1 << core.bit_count() for core in peel[::2]) + (n << n - 1) < 3 ** (n - 1):
-            reaching = _in_arc_base(pairs, peel, powers)
-        else:
-            reaching = _subset_base(pairs, _inside(pairs), True, powers)
+        free, reaching = _set_sums([sum(row) for row in pairs])[::-1], _in_arc_base(pairs, powers)
     else:  # edges inside the complement of S
         inside = _inside(pairs)
-        free, reaching = inside[::-1], _subset_base(pairs, inside, False, powers)
+        free, reaching = inside[::-1], _subset_base(inside, powers)
 
     sums: dict[int, int] = {}  # S's vertices with something below -> sum over S, in z and w
     cuts = sum(1 << i for i, (_, count) in enumerate(hanging, 1) if count)
@@ -243,31 +234,19 @@ def _inside(pairs: list[list[int]]) -> list[int]:
     return inside
 
 
-def _subset_base(pairs: list[list[int]], inside: list[int], directed: bool, powers: list[int]) -> list[int]:
-    """R_S for every vertex set S holding the top, by the sum over all T inside S; 0 for the other sets."""
-    n = len(pairs)
-    reaching = [0] * (1 << n)
-    into = [_set_sums(row) for row in pairs] if directed else []  # arcs out of each vertex with head in S
-    # k[part] counts the elements inside S that cannot leave T = S \ part:
-    # for a digraph the arcs with tail in part and head in S, filled in for
-    # each S; for a graph the edges inside part, whatever S is, so their
-    # powers of 1+z are looked up once.
-    k = [0] * (1 << n)
+def _subset_base(inside: list[int], powers: list[int]) -> list[int]:
+    """R_S for every vertex set S of a graph block holding the top, by the sum
+    over all T inside S; 0 for the other sets.  The elements inside S that
+    cannot leave T = S \\ part are the edges inside the part, whatever S is, so
+    their powers of 1+z, from :func:`_inside`'s table, are looked up once."""
+    reaching = [0] * len(inside)
     weight = [powers[c] for c in inside]
-    for s in range(1, 1 << n, 2):
+    for s in range(1, len(inside), 2):
         rest = s ^ 1
         total = part = 0
-        if directed:
-            row = [arcs[s] for arcs in into]
-            while part != rest:  # the subsets of rest in increasing order
-                part = (part - rest) & rest
-                low = part & -part
-                k[part] = k[part ^ low] + row[low.bit_length() - 1]
-                total += reaching[s ^ part] * powers[k[part]]
-        else:
-            while part != rest:
-                part = (part - rest) & rest
-                total += reaching[s ^ part] * weight[part]
+        while part != rest:  # the subsets of rest in increasing order
+            part = (part - rest) & rest
+            total += reaching[s ^ part] * weight[part]
         reaching[s] = weight[s] - total
     return reaching
 
@@ -293,10 +272,12 @@ def _peel(pairs: list[list[int]]) -> list[int]:
     return peel
 
 
-def _in_arc_base(pairs: list[list[int]], peel: list[int], powers: list[int]) -> list[int]:
-    """R_S for every vertex set S holding the top, by the sum over the sourceless
-    U inside M(S \\ top); 0 for the other sets.  See the module docstring."""
+def _in_arc_base(pairs: list[list[int]], powers: list[int]) -> list[int]:
+    """R_S for every vertex set S of a digraph block holding the top, by the sum
+    over the sourceless U inside M(S \\ top); 0 for the other sets.  See the
+    module docstring."""
     n = len(pairs)
+    peel = _peel(pairs)
     # Arc j of the block is bit j of an arc set: the arcs out of and into each vertex.
     out_arcs, in_arcs, j = [0] * n, [0] * n, 0
     for u, row in enumerate(pairs):

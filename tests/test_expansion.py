@@ -143,17 +143,3 @@ def test_thickened_path_polynomial_at_scale():
     poly = tutte_polynomial(thick, max_elements=240)
     assert poly.evaluate(2, 2) == 2**240
     assert poly.evaluate(1, 1) == spanning_tree_count(thick) == 4**60
-
-
-def test_thickened_polynomial_expanded_once(monkeypatch):
-    """Three calls on the 4-thickened 100-edge path make one expansion of the
-    path's profile with weights in g = 4, kept on that profile."""
-    calls = []
-    original = tutte_module.expand
-    monkeypatch.setattr(tutte_module, "expand", lambda *args: calls.append(args[1:]) or original(*args))
-    tutte_module._carrier_profile.cache_clear()
-    thick = thicken(path_graph(100), 4)
-    first, *rest = (tutte_polynomial(thick, max_elements=400) for _ in range(3))
-    assert rest == [first, first]
-    assert calls == [(4,)]
-    assert first.evaluate(1, 1) == 4**100
