@@ -85,8 +85,11 @@ def brute_force_oracle(
 
     Each queried carrier takes that function's route: a thickening reads the
     profile of the carrier it thins to, so every thickening of one base
-    shares the base's profile, and any other carrier takes its cheapest
-    profile engine, subset enumeration among them.
+    shares the base's profile; a star attachment G ~ S_k of a base G with
+    distinct elements strips back to G, its core, and its profile is made
+    from G's by the leaf closed form, so every attachment of one base
+    shares the base's profile too; and any other carrier takes its
+    cheapest profile engine, subset enumeration among them.
     """
     a, b = rational(a), rational(b)
     return PointOracle(family, a, b, lambda carrier: tutte_eval(carrier, a, b, max_elements))

@@ -28,17 +28,27 @@ answer about it is a sum over H's cached profile with weights in g, so
 thickenings of one base by any k share one profile, and none makes a
 profile of its own while H's is admitted (:func:`_route`).
 
+Beside that thickening route, :func:`_route` takes a leaf route.  A rooted
+graph or digraph with distinct elements whose every non-root vertex, but
+its pendant leaves, carries the same number k >= 1 of them, as the star
+attachment G ~ S_k of the reductions does, is read off the cached profile
+of its core, the carrier without its leaves, by a closed form
+(:func:`_with_leaves`): the attachments of one base by any k share the
+base's profile, and none runs an engine.
+
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
-counts via determinants, the hyperbola (x-1)(y-1)=1, the y=0 sink rule for
-digraphs) are provided alongside, and are cross-checked against the
-enumerator in the test suite.
+counts via one determinant per block, the hyperbola (x-1)(y-1)=1, the y=0
+sink rule for digraphs) are provided alongside, and are cross-checked
+against the enumerator in the test suite.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Sequence, Union
@@ -76,9 +86,18 @@ from .greedoid import (
     rank_size_profile,
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
-from .primitives import join_edges, reach, renumber, shift_minus_one
+from .primitives import (
+    blocks,
+    join_edges,
+    pack_fields,
+    packed_fields,
+    packed_power,
+    reach,
+    renumber,
+    shift_minus_one,
+)
 from .span_profile import span_state_cost, span_state_profile
-from .vertex_profile import PRODUCT_US, vertex_subset_cost, vertex_subset_profile
+from .vertex_profile import PRODUCT_US, vertex_subset_bits, vertex_subset_cost, vertex_subset_profile
 
 
 @dataclass(frozen=True)
@@ -141,37 +160,146 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
 
 def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> tuple[SubsetProfile, int]:
     """The profile every answer about the source reads, and g, the bound
-    checked first: H's profile and g when the source is a carrier H^g, g > 1
-    (see :func:`_thinned`), and H is not refused, nor, for ``polynomial``,
-    past the expansion's (rank + 1)(size + 1)^2 bits; else the source's own
-    and 1, so a carrier that H does not answer for meets its own figures."""
+    checked first.
+
+    * The thickening route: H's profile and g when the source is a carrier
+      H^g, g > 1 (see :func:`_thinned`), and H is not refused, nor, for
+      ``polynomial``, past the expansion's (rank + 1)(size + 1)^2 bits.
+    * The leaf route: the source's own profile and 1, derived from its
+      core's by :func:`_with_leaves`, when the source is read as itself and
+      has a leaf split (see :func:`_leaves`).  The derived profile is made
+      on every call and not kept: the reductions ask one query per
+      attachment.  The source's own profile bits, the vertex-subset
+      engine's figure, are checked before the core's profile is looked at,
+      so a carrier that figure refuses stays refused.
+    * Else the source's own and 1, so a carrier that H or its core does not
+      answer for meets its own figures.
+    """
     if not isinstance(source, Greedoid):
-        _check_bound(source.edge_count, max_elements)
-        thin, g, _, _ = _thinned(source)
-        if g > 1 and (not polynomial or (carrier_rank(thin) + 1) * (source.edge_count + 1) ** 2 <= _MAX_WORK):
+        size = source.edge_count
+        _check_bound(size, max_elements)
+        thin, g, _, _, leaves = _thinned(source)
+        if g > 1 and (not polynomial or (carrier_rank(thin) + 1) * (size + 1) ** 2 <= _MAX_WORK):
             try:
                 return _carrier_profile(thin), g
+            except GroundSetTooLargeError:
+                pass
+        if leaves is not None:
+            core, k, k_root = leaves
+            if vertex_subset_bits(size, source.vertex_count)[0] > _MAX_WORK:  # the root reaches at most every vertex
+                _check_work(size, [vertex_subset_bits(size, carrier_rank(source) + 1)])
+            try:
+                return _with_leaves(_carrier_profile(core), core.vertex_count - 1, k, k_root), 1
             except GroundSetTooLargeError:
                 pass
     return _profile(source, max_elements), 1
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...]]:
+def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...], tuple[Carrier, int, int] | None]:
     """The carrier H and the gcd g of the class sizes, with the carrier the
-    g-thickening of H, then the carrier's core and class sizes.
+    g-thickening of H, then the carrier's core and class sizes, and, for a
+    carrier with distinct elements, its leaf split by :func:`_leaves`.
 
     H keeps each class of identical elements with its size divided by g, so
-    it is the core when g is every class size, and the carrier itself when
-    g = 1.  Kept per carrier, so repeated queries, and the profile's own
+    it is the core itself when g is every class size, and the carrier itself
+    when g = 1.  Kept per carrier, so repeated queries, and the profile's own
     route, merge its classes once.
     """
     core, sizes = merge_identical_elements(carrier)
     g = gcd(*sizes)
     if g < 2:
-        return carrier, 1, core, sizes
+        return carrier, 1, core, sizes, _leaves(carrier) if core is carrier else None
+    if all(size == g for size in sizes):
+        return core, g, core, sizes, None
     thin = with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)])
-    return thin, g, core, sizes
+    return thin, g, core, sizes, None
+
+
+def _leaves(carrier: Carrier) -> tuple[Carrier, int, int] | None:
+    """The core without the pendant leaves, k, the number of leaves at each
+    of the core's non-root vertices, and the number at the root; None for a
+    matrix, a carrier with no leaf, or one whose non-root vertices other
+    than leaves carry different numbers of leaves or none.
+
+    A pendant leaf is a non-root vertex touched by exactly one element,
+    which is not a loop and whose other end is the root or is touched by two
+    or more elements; in a digraph that element is the arc into the leaf.
+    The core keeps the other vertices, renumbered in increasing order, and
+    the other elements in carrier order, so a star attachment G ~ S_k, whose
+    leaves are numbered after G's vertices and whose elements follow G's, has
+    the core G itself.
+    """
+    if isinstance(carrier, BinaryMatrix):
+        return None
+    elements, root = carrier_elements(carrier), carrier.root
+    undirected = isinstance(carrier, RootedGraph)
+    touched = Counter(chain.from_iterable(elements))  # a loop counts twice, so its vertex is no leaf
+    if 1 not in touched.values():
+        return None
+    hosts = {}  # each leaf and the vertex it hangs from
+    for u, v in elements:
+        if touched[v] == 1 and v != root and (u == root or touched[u] > 1):
+            hosts[v] = u
+        elif undirected and touched[u] == 1 and u != root and (v == root or touched[v] > 1):
+            hosts[u] = v
+    if not hosts:
+        return None
+    counts = Counter(hosts.values())
+    kept = [v for v in range(carrier.vertex_count) if v not in hosts]
+    ks = {counts[v] for v in kept if v != root}
+    if len(ks) > 1 or 0 in ks:
+        return None
+    k = ks.pop() if ks else 0
+    index = {v: i for i, v in enumerate(kept)}
+    core = with_elements(
+        carrier,
+        [(index[u], index[v]) for u, v in elements if u in index and v in index],
+        len(kept),
+        index[root],
+    )
+    return core, k, counts[root]
+
+
+def _with_leaves(profile: SubsetProfile, n: int, k: int, k_root: int) -> SubsetProfile:
+    """The profile of a carrier made from a core of n non-root vertices,
+    whose profile is given, by hanging k pendant leaves from each non-root
+    vertex and ``k_root`` from the root.
+
+    A leaf is reached exactly when its element is taken and the vertex it
+    hangs from is reached, and a leaf reaches nothing further.  So a set of
+    the core's elements of rank r, which reaches r of the n non-root
+    vertices, extends by any of the k r + k_root leaf elements at reached
+    vertices, each adding one to the size and to the rank, and by any of
+    the k (n - r) at vertices it does not reach, each adding one to the
+    size alone: by size and rank, it weighs
+    z^|A| w^r (1 + z w)^(k r + k_root) (1 + z)^(k (n - r)).  In deficit and
+    surplus, with R the core's rank and R' = (k + 1) R + k_root the
+    carrier's, the core's row of deficit d = R - r times (1 + z)^(k (n - r))
+    in the surplus goes to the carrier's rows (k + 1) d + t, t = 0 .. k r +
+    k_root, with weights C(k r + k_root, t): taking all but t of those leaf
+    elements leaves deficit R' - r - (k r + k_root - t) = (k + 1) d + t.
+
+    Each row is packed as :func:`.primitives.packed_powers` packs it, m + 1
+    bits per count for the carrier's m elements, so each core row takes one
+    product, by (1 + z)^(k (n - r)), and then one small multiple per
+    binomial.  Every count of these, and of their sums, counts subsets of
+    the carrier, so none reaches 2^m and none carries.
+    """
+    rank, size = profile.rank, profile.size + k * n + k_root
+    top = (k + 1) * rank + k_root
+    width = size + 1
+    packed = [0] * (top + 1)
+    for d, row in enumerate(profile.rows):
+        reached = rank - d
+        grown = pack_fields(row, width) * packed_power(k * (n - reached), width)
+        leaves, binomial = k * reached + k_root, 1
+        for t in range(leaves + 1):
+            packed[(k + 1) * d + t] += binomial * grown
+            binomial = binomial * (leaves - t) // (t + 1)
+    columns = max(row.bit_length() - 1 for row in packed) // width + 1  # the largest surplus counted, plus one
+    rows = tuple(tuple(packed_fields(row, width, columns)) for row in packed)
+    return SubsetProfile.of_rows(rows, size, top)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -189,7 +317,7 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     :func:`.greedoid.class_table_bits` do not fit.  When neither engine
     fits, ``GroundSetTooLargeError`` names every figure past the limit.
     """
-    _, _, core, sizes = _thinned(carrier)
+    _, _, core, sizes, _ = _thinned(carrier)
     size = carrier.edge_count
     if isinstance(carrier, BinaryMatrix):
         rank = carrier_rank(core)
@@ -352,28 +480,48 @@ def arborescence_count(digraph: RootedDigraph) -> int:
 
 
 def _matrix_tree(root: int, pairs, directed: bool) -> int:
-    """Determinant of the Laplacian of the root's component, read as arcs
-    u -> v when ``directed`` (in-degree Laplacian), without the root's row
-    and column."""
-    component = sorted(reach(root, pairs, directed))
-    index = {v: i for i, v in enumerate(component)}
-    nv = len(component)
-    if nv == 1:
-        return 1
-    lap = [[0] * nv for _ in range(nv)]
+    """Spanning trees of the root's component, or spanning arborescences
+    rooted at the root when ``directed``: the product over the blocks of the
+    underlying graph of the elements the root reaches along of
+    :func:`_block_tree_count`, each block rooted at its vertex nearest the
+    root.
+
+    A path from the root into a block passes that vertex, its top, and then
+    stays in the block, so a spanning tree or arborescence of the component
+    is one of each block, rooted at its top, and any such choice, one per
+    block, is one of the component.  Loops lie in no block and count in no
+    tree.
+    """
+    reached = reach(root, pairs, directed)
+    tree, _ = blocks(root, [pair for pair in pairs if pair[0] in reached])
+    own = {v: i for i, (_, others) in enumerate(tree) for v in others}
+    parts: list[list[tuple[int, int]]] = [[] for _ in tree]
     for u, v in pairs:
-        if u in index and v in index and u != v:
-            iu, iv = index[u], index[v]
+        if u != v and u in reached:  # the block of both ends comes first in post-order
+            parts[min(own.get(u, len(tree)), own.get(v, len(tree)))].append((u, v))
+    count = 1
+    for (_, others), part in zip(tree, parts):
+        count *= _block_tree_count(others, part, directed)
+    return count
+
+
+def _block_tree_count(others: list[int], pairs: list[tuple[int, int]], directed: bool) -> int:
+    """Determinant of a block's Laplacian, read as arcs u -> v when
+    ``directed`` (in-degree Laplacian), without the row and column of its
+    top, the one vertex of the pairs not in ``others``."""
+    index = {v: i for i, v in enumerate(others)}
+    lap = [[0] * len(others) for _ in others]
+    for u, v in pairs:
+        iu, iv = index.get(u), index.get(v)
+        if iv is not None:
             lap[iv][iv] += 1
-            lap[iu][iv] -= 1
-            if not directed:
-                lap[iu][iu] += 1
+            if iu is not None:
+                lap[iu][iv] -= 1
+        if not directed and iu is not None:
+            lap[iu][iu] += 1
+            if iv is not None:
                 lap[iv][iu] -= 1
-    skip = index[root]
-    reduced = [
-        [lap[i][j] for j in range(nv) if j != skip] for i in range(nv) if i != skip
-    ]
-    return det_integer(reduced)
+    return det_integer(lap)
 
 
 def digraph_sinks_fastpath(digraph: RootedDigraph, a) -> Fraction:

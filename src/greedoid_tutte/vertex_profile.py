@@ -122,10 +122,13 @@ def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], siz
     """
     tree, _ = blocks(core.root, [pair for pair in carrier_elements(core) if pair[0] in reached])
     products = sum(3 ** len(others) if len(others) > 1 else 1 for _, others in tree)
-    return [
-        (products, "products by the vertex-subset engine"),
-        ((size + len(reached) + 1) * (size + 1) ** 2, "bits by the vertex-subset engine"),
-    ]
+    return [(products, "products by the vertex-subset engine"), vertex_subset_bits(size, len(reached))]
+
+
+def vertex_subset_bits(size: int, reached: int) -> tuple[int, str]:
+    """The bits of the powers (1+z)^k, k <= size, and of the profile, for a
+    carrier of ``size`` elements whose root reaches ``reached`` vertices."""
+    return (size + reached + 1) * (size + 1) ** 2, "bits by the vertex-subset engine"
 
 
 def vertex_subset_profile(

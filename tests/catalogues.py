@@ -294,3 +294,22 @@ def seeded_rooted_digraph(vertices: int, arcs: int, seed: int) -> RootedDigraph:
     while len(pairs) < arcs:
         pairs.append(tuple(rng.sample(range(vertices), 2)))
     return RootedDigraph(vertices, tuple(pairs), 0)
+
+
+def seeded_simple_carrier(
+    vertices: int, elements: int, seed: int, directed: bool = False
+) -> RootedGraph | RootedDigraph:
+    """A random rooted graph, or digraph, with no repeated element: vertex v
+    joined from a random earlier vertex, then uniform random pairs of
+    distinct vertices not yet joined (as unordered pairs for a graph, ordered
+    for a digraph), rooted at 0."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, vertices)]
+    seen = {pair if directed else frozenset(pair) for pair in pairs}
+    while len(pairs) < elements:
+        pair = tuple(rng.sample(range(vertices), 2))
+        key = pair if directed else frozenset(pair)
+        if key not in seen:
+            seen.add(key)
+            pairs.append(pair)
+    return (RootedDigraph if directed else RootedGraph)(vertices, tuple(pairs), 0)

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greedoid_tutte import (
     BivariatePoly,
@@ -33,8 +35,9 @@ from greedoid_tutte import (
     unrooted_tutte_x1,
 )
 from greedoid_tutte.errors import GroundSetTooLargeError, NotOnCurveError, NotRootConnectedError
-from greedoid_tutte.exact import ExactMatrix, det_exact
+from greedoid_tutte.exact import ExactMatrix, det_exact, det_integer
 from greedoid_tutte.greedoid import subset_ranks
+from greedoid_tutte.primitives import reach
 
 from catalogues import (
     DIRECTED_TRIANGLE,
@@ -176,6 +179,59 @@ def test_spanning_tree_count_matches_tutte_everywhere():
     ]
     for graph in graphs:
         assert spanning_tree_count(graph) == tutte_eval(to_greedoid(graph), 1, 1)
+
+
+def dense_tree_count(root: int, pairs, directed: bool) -> int:
+    """The matrix-tree count by one determinant: the Laplacian of the root's
+    whole component (in-degree Laplacian when ``directed``), without the
+    root's row and column."""
+    component = sorted(reach(root, pairs, directed))
+    index = {v: i for i, v in enumerate(component)}
+    lap = [[0] * len(component) for _ in component]
+    for u, v in pairs:
+        if u in index and v in index and u != v:
+            lap[index[v]][index[v]] += 1
+            lap[index[u]][index[v]] -= 1
+            if not directed:
+                lap[index[u]][index[u]] += 1
+                lap[index[v]][index[u]] -= 1
+    skip = index[root]
+    return det_integer([[x for j, x in enumerate(row) if j != skip] for i, row in enumerate(lap) if i != skip])
+
+
+@st.composite
+def sparse_carriers(draw):
+    """A graph or digraph of up to 9 vertices: a tree out of the root on
+    some of them, then up to 8 more elements, so cut vertices, loops,
+    repeated elements, arcs into the root and parts the root does not reach
+    are all common.  The vertices are relabelled, so the root is any label."""
+    nv = draw(st.integers(1, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, draw(st.integers(1, nv)))]
+    vertex = st.integers(0, nv - 1)
+    labels = draw(st.permutations(range(nv)))
+    pairs = [(labels[u], labels[v]) for u, v in tree + draw(st.lists(st.tuples(vertex, vertex), max_size=8))]
+    kind = draw(st.sampled_from((RootedGraph, RootedDigraph)))
+    return kind(nv, tuple(draw(st.permutations(pairs))), labels[0])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(sparse_carriers())
+def test_tree_counts_by_block_match_the_dense_determinant(carrier):
+    if isinstance(carrier, RootedGraph):
+        assert spanning_tree_count(carrier) == dense_tree_count(carrier.root, carrier.edges, False)
+    else:
+        assert arborescence_count(carrier) == dense_tree_count(carrier.root, carrier.arcs, True)
+
+
+def test_tree_counts_on_long_paths_and_chains():
+    """One block per edge of a 600-edge path, and one per triangle of a chain
+    of 200 triangles, each sharing a vertex with the next: 3^200 trees."""
+    start = time.perf_counter()
+    assert spanning_tree_count(path_graph(600)) == 1
+    assert arborescence_count(directed_path(600)) == 1
+    chain = RootedGraph(401, tuple(p for i in range(0, 400, 2) for p in ((i, i + 1), (i + 1, i + 2), (i, i + 2))), 0)
+    assert spanning_tree_count(chain) == 3**200
+    assert time.perf_counter() - start < 1
 
 
 def test_arborescence_count_examples():
