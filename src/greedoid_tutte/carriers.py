@@ -18,7 +18,7 @@ from (old id, copy index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import (
     ElementOutOfRangeError,
@@ -275,6 +275,15 @@ def with_elements(
         tuple(elements),
         carrier.root if root is None else root,
     )
+
+
+def induced_carrier(carrier: RootedGraph | RootedDigraph, kept: Iterable[int]) -> RootedGraph | RootedDigraph:
+    """The carrier on the vertices ``kept``, which hold the root, renumbered
+    in increasing order, with the elements whose ends are both kept, in
+    carrier order."""
+    index = {v: i for i, v in enumerate(sorted(kept))}
+    elements = [(index[u], index[v]) for u, v in carrier_elements(carrier) if u in index and v in index]
+    return with_elements(carrier, elements, len(index), index[carrier.root])
 
 
 def merge_identical_elements(carrier: Carrier) -> tuple[Carrier, tuple[int, ...]]:

@@ -1,7 +1,7 @@
 """Integers read from outside, union-find (with one pass over an edge bitmask,
-and vertex renumbering for it), root reachability, GF(2) elimination, the
-binomial shift, polynomials packed into ints (with their Taylor shift by -1)
-and the Gaussian binomial, shared by every module.
+and vertex renumbering for it), root reachability, blocks, GF(2) elimination,
+the binomial shift, polynomials packed into ints (with their Taylor shift by
+-1) and the Gaussian binomial, shared by every module.
 
 This module imports nothing from the package but its errors, so any module
 may import it.
@@ -9,6 +9,7 @@ may import it.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import index, lshift
 from typing import Iterable, Mapping, Sequence
@@ -126,6 +127,22 @@ def blocks(root: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int,
                         block.append(pending.pop())
                     found.append((top, block))
     return found, set(order)
+
+
+def block_elements(root: int, pairs: Iterable[tuple[int, int]], reached: set[int]) -> list[tuple[int, list[int], dict]]:
+    """The blocks of the root's component, as :func:`blocks` gives them, each
+    with its elements counted by end pair: the pairs that are no loop and
+    whose first end is in ``reached``, the vertices the root reaches along
+    the pairs.  An element lies in the block of both its ends: the first in
+    post-order to hold one of them below its top, as the block above comes later.
+    """
+    counts = Counter(pair for pair in pairs if pair[0] in reached and pair[0] != pair[1])
+    tree, _ = blocks(root, counts)
+    own = {v: i for i, (_, others) in enumerate(tree) for v in others}
+    parts: list[dict[tuple[int, int], int]] = [{} for _ in tree]
+    for (u, v), count in counts.items():
+        parts[min(own.get(u, len(tree)), own.get(v, len(tree)))][(u, v)] = count
+    return [(top, others, part) for (top, others), part in zip(tree, parts)]
 
 
 def gf2_pack(vectors: Iterable[Iterable[int]]) -> list[int]:

@@ -32,10 +32,10 @@ from .carriers import (
     directed_star,
     graph_is_connected,
     identity_matrix,
+    induced_carrier,
     path_graph,
     require_root_connected,
     star_graph,
-    with_elements,
 )
 from .constructions import attach_carrier, block_diag, digon_stretch, thicken
 from .errors import (
@@ -85,11 +85,11 @@ def brute_force_oracle(
 
     Each queried carrier takes that function's route: a thickening reads the
     profile of the carrier it thins to, so every thickening of one base
-    shares the base's profile; a star attachment G ~ S_k of a base G with
-    distinct elements strips back to G, its core, and its profile is made
-    from G's by the leaf closed form, so every attachment of one base
-    shares the base's profile too; and any other carrier takes its
-    cheapest profile engine, subset enumeration among them.
+    shares the base's profile; a star attachment G ~ S_k of any base G,
+    with distinct or repeated elements, strips back to G, its core, and its
+    profile is made from G's by the leaf closed form, so every attachment
+    of one base shares the base's profile too; and any other carrier takes
+    its cheapest profile engine, subset enumeration among them.
     """
     a, b = rational(a), rational(b)
     return PointOracle(family, a, b, lambda carrier: tutte_eval(carrier, a, b, max_elements))
@@ -193,13 +193,10 @@ def _root_component(carrier: RootedGraph | RootedDigraph) -> RootedGraph | Roote
     """The root component, relabelled, or None when some element has an end
     outside it; such an element is a greedoid loop."""
     elements = carrier_elements(carrier)
-    keep = sorted(reach(carrier.root, elements, isinstance(carrier, RootedDigraph)))
-    index = {v: i for i, v in enumerate(keep)}
-    if any(u not in index or v not in index for u, v in elements):
+    keep = reach(carrier.root, elements, isinstance(carrier, RootedDigraph))
+    if any(u not in keep or v not in keep for u, v in elements):
         return None
-    return with_elements(
-        carrier, [(index[u], index[v]) for u, v in elements], len(keep), index[carrier.root]
-    )
+    return induced_carrier(carrier, keep)
 
 
 def recover_point_1_0(oracle: PointOracle, carrier: RootedGraph | RootedDigraph) -> Fraction:

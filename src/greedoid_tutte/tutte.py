@@ -29,12 +29,12 @@ thickenings of one base by any k share one profile, and none makes a
 profile of its own while H's is admitted (:func:`_route`).
 
 Beside that thickening route, :func:`_route` takes a leaf route.  A rooted
-graph or digraph with distinct elements whose every non-root vertex, but
-its pendant leaves, carries the same number k >= 1 of them, as the star
-attachment G ~ S_k of the reductions does, is read off the cached profile
-of its core, the carrier without its leaves, by a closed form
-(:func:`_with_leaves`): the attachments of one base by any k share the
-base's profile, and none runs an engine.
+graph or digraph whose every non-root vertex, but its pendant leaves,
+carries the same number k >= 1 of them, as the star attachment G ~ S_k of
+the reductions does, is read off the cached profile of its core, the
+carrier without its leaves, by a closed form (:func:`_with_leaves`),
+whether or not its elements repeat: the attachments of one base by any k
+share the base's profile, and none runs an engine.
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via one determinant per block, the hyperbola (x-1)(y-1)=1, the y=0
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Sequence, Union
 
@@ -63,6 +63,7 @@ from .carriers import (
     carrier_rank,
     digraph_has_directed_cycle,
     graph_is_connected,
+    induced_carrier,
     merge_identical_elements,
     require_root_connected,
     root_reach,
@@ -87,7 +88,7 @@ from .greedoid import (
 )
 from .polynomials import BivariatePoly, LaurentPoly, rational
 from .primitives import (
-    blocks,
+    block_elements,
     join_edges,
     pack_fields,
     packed_fields,
@@ -166,14 +167,12 @@ def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> 
       H^g, g > 1 (see :func:`_thinned`), and H is not refused, nor, for
       ``polynomial``, past the expansion's (rank + 1)(size + 1)^2 bits.
     * The leaf route: the source's own profile and 1, derived from its
-      core's by :func:`_with_leaves`, when the source is read as itself and
-      has a leaf split (see :func:`_leaves`).  The derived profile is made
-      on every call and not kept: the reductions ask one query per
-      attachment.  The source's own profile bits, the vertex-subset
-      engine's figure, are checked before the core's profile is looked at,
-      so a carrier that figure refuses stays refused.
+      core's by :func:`_with_leaves`, when the source is read as itself, has
+      a leaf split (see :func:`_leaves`), and its own profile bits, the
+      vertex-subset engine's figure, fit.  The derived profile is made on
+      every call and not kept: the reductions ask one query per attachment.
     * Else the source's own and 1, so a carrier that H or its core does not
-      answer for meets its own figures.
+      answer for, or whose bits do not fit, meets its own figures.
     """
     if not isinstance(source, Greedoid):
         size = source.edge_count
@@ -184,10 +183,11 @@ def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> 
                 return _carrier_profile(thin), g
             except GroundSetTooLargeError:
                 pass
-        if leaves is not None:
+        if leaves is not None and (
+            vertex_subset_bits(size, source.vertex_count)[0] <= _MAX_WORK  # the root reaches at most every vertex
+            or vertex_subset_bits(size, carrier_rank(source) + 1)[0] <= _MAX_WORK
+        ):
             core, k, k_root = leaves
-            if vertex_subset_bits(size, source.vertex_count)[0] > _MAX_WORK:  # the root reaches at most every vertex
-                _check_work(size, [vertex_subset_bits(size, carrier_rank(source) + 1)])
             try:
                 return _with_leaves(_carrier_profile(core), core.vertex_count - 1, k, k_root), 1
             except GroundSetTooLargeError:
@@ -198,8 +198,9 @@ def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...], tuple[Carrier, int, int] | None]:
     """The carrier H and the gcd g of the class sizes, with the carrier the
-    g-thickening of H, then the carrier's core and class sizes, and, for a
-    carrier with distinct elements, its leaf split by :func:`_leaves`.
+    g-thickening of H, then the carrier's core and class sizes, and, when
+    g = 1, its leaf split by :func:`_leaves`, which depends on the carrier's
+    shape alone.
 
     H keeps each class of identical elements with its size divided by g, so
     it is the core itself when g is every class size, and the carrier itself
@@ -209,7 +210,7 @@ def _thinned(carrier: Carrier) -> tuple[Carrier, int, Carrier, tuple[int, ...], 
     core, sizes = merge_identical_elements(carrier)
     g = gcd(*sizes)
     if g < 2:
-        return carrier, 1, core, sizes, _leaves(carrier) if core is carrier else None
+        return carrier, 1, core, sizes, _leaves(carrier)
     if all(size == g for size in sizes):
         return core, g, core, sizes, None
     thin = with_elements(core, [e for e, c in zip(carrier_elements(core), sizes) for _ in range(c // g)])
@@ -226,9 +227,10 @@ def _leaves(carrier: Carrier) -> tuple[Carrier, int, int] | None:
     which is not a loop and whose other end is the root or is touched by two
     or more elements; in a digraph that element is the arc into the leaf.
     The core keeps the other vertices, renumbered in increasing order, and
-    the other elements in carrier order, so a star attachment G ~ S_k, whose
-    leaves are numbered after G's vertices and whose elements follow G's, has
-    the core G itself.
+    the other elements in carrier order, repeated ones too, so a star
+    attachment G ~ S_k, whose leaves are numbered after G's vertices and
+    whose elements follow G's, has the core G itself.  Two copies of one
+    element touch their ends twice, so neither end is a leaf.
     """
     if isinstance(carrier, BinaryMatrix):
         return None
@@ -251,14 +253,7 @@ def _leaves(carrier: Carrier) -> tuple[Carrier, int, int] | None:
     if len(ks) > 1 or 0 in ks:
         return None
     k = ks.pop() if ks else 0
-    index = {v: i for i, v in enumerate(kept)}
-    core = with_elements(
-        carrier,
-        [(index[u], index[v]) for u, v in elements if u in index and v in index],
-        len(kept),
-        index[root],
-    )
-    return core, k, counts[root]
+    return induced_carrier(carrier, kept), k, counts[root]
 
 
 def _with_leaves(profile: SubsetProfile, n: int, k: int, k_root: int) -> SubsetProfile:
@@ -482,9 +477,9 @@ def arborescence_count(digraph: RootedDigraph) -> int:
 def _matrix_tree(root: int, pairs, directed: bool) -> int:
     """Spanning trees of the root's component, or spanning arborescences
     rooted at the root when ``directed``: the product over the blocks of the
-    underlying graph of the elements the root reaches along of
-    :func:`_block_tree_count`, each block rooted at its vertex nearest the
-    root.
+    underlying graph of the elements the root reaches along
+    (:func:`.primitives.block_elements`) of :func:`_block_tree_count`, each
+    block rooted at its vertex nearest the root.
 
     A path from the root into a block passes that vertex, its top, and then
     stays in the block, so a spanning tree or arborescence of the component
@@ -492,35 +487,26 @@ def _matrix_tree(root: int, pairs, directed: bool) -> int:
     block, is one of the component.  Loops lie in no block and count in no
     tree.
     """
-    reached = reach(root, pairs, directed)
-    tree, _ = blocks(root, [pair for pair in pairs if pair[0] in reached])
-    own = {v: i for i, (_, others) in enumerate(tree) for v in others}
-    parts: list[list[tuple[int, int]]] = [[] for _ in tree]
-    for u, v in pairs:
-        if u != v and u in reached:  # the block of both ends comes first in post-order
-            parts[min(own.get(u, len(tree)), own.get(v, len(tree)))].append((u, v))
-    count = 1
-    for (_, others), part in zip(tree, parts):
-        count *= _block_tree_count(others, part, directed)
-    return count
+    parts = block_elements(root, pairs, reach(root, pairs, directed))
+    return prod(_block_tree_count(others, part, directed) for _, others, part in parts)
 
 
-def _block_tree_count(others: list[int], pairs: list[tuple[int, int]], directed: bool) -> int:
-    """Determinant of a block's Laplacian, read as arcs u -> v when
-    ``directed`` (in-degree Laplacian), without the row and column of its
-    top, the one vertex of the pairs not in ``others``."""
+def _block_tree_count(others: list[int], pairs: dict[tuple[int, int], int], directed: bool) -> int:
+    """Determinant of the Laplacian of a block's pairs, counted by end pair
+    and read as arcs u -> v when ``directed`` (in-degree Laplacian), without
+    the row and column of its top, the one end of the pairs not in ``others``."""
     index = {v: i for i, v in enumerate(others)}
     lap = [[0] * len(others) for _ in others]
-    for u, v in pairs:
+    for (u, v), count in pairs.items():
         iu, iv = index.get(u), index.get(v)
         if iv is not None:
-            lap[iv][iv] += 1
+            lap[iv][iv] += count
             if iu is not None:
-                lap[iu][iv] -= 1
+                lap[iu][iv] -= count
         if not directed and iu is not None:
-            lap[iu][iu] += 1
+            lap[iu][iu] += count
             if iv is not None:
-                lap[iv][iu] -= 1
+                lap[iv][iu] -= count
     return det_integer(lap)
 
 

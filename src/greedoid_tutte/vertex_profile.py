@@ -98,10 +98,8 @@ Only a block's sum over S carries w; each R_S stays a polynomial in z.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .carriers import RootedDigraph, RootedGraph, carrier_elements
-from .primitives import blocks, packed_fields, packed_powers, unpack_profile
+from .primitives import block_elements, packed_fields, packed_powers, unpack_profile
 
 
 # Microseconds per product, the engine's first figure, fitted with class
@@ -120,8 +118,8 @@ def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], siz
     The powers (1+z)^k, k <= size, and the profile take about
     (size + rank)(size + 1)^2 bits.
     """
-    tree, _ = blocks(core.root, [pair for pair in carrier_elements(core) if pair[0] in reached])
-    products = sum(3 ** len(others) if len(others) > 1 else 1 for _, others in tree)
+    tree = block_elements(core.root, carrier_elements(core), reached)
+    products = sum(3 ** len(others) if len(others) > 1 else 1 for _, others, _ in tree)
     return [(products, "products by the vertex-subset engine"), vertex_subset_bits(size, len(reached))]
 
 
@@ -144,18 +142,8 @@ def vertex_subset_profile(
     width, stride = m + 1, (m + 1) ** 2  # bits per coefficient, and per power of w
     powers = packed_powers(m)
 
-    # the elements that may lie in a reached set: no loop, both ends (the tail) reached
-    counts = Counter(pair for pair in carrier_elements(carrier) if pair[0] in reached and pair[0] != pair[1])
-    tree, _ = blocks(carrier.root, counts)
-    # An element lies in the block of its ends where neither is the top, or
-    # where one is; the block above a top comes later in post-order.
-    own = {v: i for i, (_, others) in enumerate(tree) for v in others}
-    parts: list[dict[tuple[int, int], int]] = [{} for _ in tree]
-    for (u, v), count in counts.items():
-        parts[min(own.get(u, len(tree)), own.get(v, len(tree)))][(u, v)] = count
-
     below: dict[int, tuple[int, int]] = {}  # vertex -> (P_c, m_c) of what hangs below it
-    for (top, others), part in zip(tree, parts):
+    for top, others, part in block_elements(carrier.root, carrier_elements(carrier), reached):
         hanging = [below.pop(v, (1, 0)) for v in others]
         block, size = _block_profile([top, *others], part, hanging, directed, powers, stride)
         above, count = below.get(top, (1, 0))

@@ -31,12 +31,14 @@ from greedoid_tutte import (
 )
 from greedoid_tutte.carriers import (
     branching_feasibility,
+    carrier_elements,
     directed_branching_feasibility,
     gf2_row_rank,
     merge_identical_elements,
 )
 from greedoid_tutte.primitives import (
     binomial_shift,
+    block_elements,
     blocks,
     gaussian_binomial,
     pack_fields,
@@ -48,6 +50,7 @@ from greedoid_tutte.primitives import (
 )
 from greedoid_tutte.tutte import _forest_greedoid
 from test_identical_classes import PROPERTY, rooted_multigraphs
+from test_vertex_profile import block_chains
 
 
 @PROPERTY
@@ -299,6 +302,26 @@ def test_block_counts(root, pairs, sizes):
     assert all(position.get(top, len(found)) > i for i, (top, _) in enumerate(found))
     covered = [v for _, others in found for v in others]
     assert sorted(covered) == sorted(component - {root})  # each vertex but the root once below its top
+
+
+@PROPERTY
+@given(st.one_of(block_chains(), rooted_multigraphs(False), rooted_multigraphs(True)))
+def test_block_elements_split_the_reached_elements(carrier):
+    """Each element that is no loop and whose first end the root reaches
+    lies in exactly one block, which holds both its ends, and no other
+    element lies in any block."""
+    pairs = carrier_elements(carrier)
+    reached = reach(carrier.root, pairs, isinstance(carrier, RootedDigraph))
+    split = block_elements(carrier.root, pairs, reached)
+    kept = [(u, v) for u, v in pairs if u in reached and u != v]
+    assert [(top, others) for top, others, _ in split] == blocks(carrier.root, kept)[0]
+    homes, counts = Counter(), Counter()
+    for top, others, part in split:
+        assert all(u in (top, *others) and v in (top, *others) for u, v in part)
+        homes.update(part.keys())
+        counts.update(part)
+    assert set(homes.values()) <= {1}
+    assert counts == Counter(kept)
 
 
 def test_blocks_of_a_long_path_need_no_recursion():

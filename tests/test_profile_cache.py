@@ -187,7 +187,7 @@ def test_classes_merged_once_per_profile(monkeypatch):
     monkeypatch.setattr(tutte_module, "merge_identical_elements", lambda c: merged.append(c) or merge(c))
     tutte_module._carrier_profile.cache_clear()
     tutte_module._thinned.cache_clear()
-    graph = RootedGraph(3, ((0, 1), (0, 1), (1, 2)), 0)  # classes of 2 and 1, so g = 1
+    graph = RootedGraph(3, ((0, 1), (0, 1), (1, 2), (2, 0)), 0)  # classes of 2, 1 and 1, so g = 1, and no leaf
     matrix = BinaryMatrix(((1, 1, 0, 1), (0, 1, 1, 1)))  # no repeated column, so g = 1
     for carrier in (graph, matrix):
         nine_queries(carrier)
