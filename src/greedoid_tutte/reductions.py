@@ -87,9 +87,9 @@ def brute_force_oracle(
     profile of the carrier it thins to, so every thickening of one base
     shares the base's profile; a star attachment G ~ S_k of any base G,
     with distinct or repeated elements, strips back to G, its core, and its
-    profile is made from G's by the leaf closed form, so every attachment
-    of one base shares the base's profile too; and any other carrier takes
-    its cheapest profile engine, subset enumeration among them.
+    point is read off G's profile rows with weights, so every attachment of
+    one base shares the base's profile too; and any other carrier takes its
+    cheapest profile engine, subset enumeration among them.
     """
     a, b = rational(a), rational(b)
     return PointOracle(family, a, b, lambda carrier: tutte_eval(carrier, a, b, max_elements))

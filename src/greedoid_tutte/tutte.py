@@ -28,13 +28,22 @@ answer about it is a sum over H's cached profile with weights in g, so
 thickenings of one base by any k share one profile, and none makes a
 profile of its own while H's is admitted (:func:`_route`).
 
-Beside that thickening route, :func:`_route` takes a leaf route.  A rooted
-graph or digraph whose every non-root vertex, but its pendant leaves,
+Beside that thickening route, :func:`_base_route` takes a leaf route.  A
+rooted graph or digraph whose every non-root vertex, but its pendant leaves,
 carries the same number k >= 1 of them, as the star attachment G ~ S_k of
 the reductions does, is read off the cached profile of its core, the
-carrier without its leaves, by a closed form (:func:`_with_leaves`),
-whether or not its elements repeat: the attachments of one base by any k
-share the base's profile, and none runs an engine.
+carrier without its leaves, whether or not its elements repeat: the
+attachments of one base by any k share the base's profile, and none runs
+an engine.  A core set of deficit d and surplus s stands for the carrier
+sets that add leaf elements to it, whose weights sum to
+(x-1)^((k+1)d) x^(k(R-d)+k_root) (y-1)^s y^(k(n-R+d)), R being the core's
+rank, n its non-root vertices and k_root the leaves at the root: each leaf
+element at one of the R - d reached vertices adds 1 to size and rank, so
+taken or not it sums to 1 + (x-1) = x, and each at one of the n - R + d
+others adds 1 to the surplus alone, so it sums to 1 + (y-1) = y.  So every
+answer at one y, and on x = 1, reads the core's rows with weights
+(:func:`_collect`), and only the polynomial and the hyperbola derive the
+carrier's own profile (:func:`_with_leaves`).
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via one determinant per block, the hyperbola (x-1)(y-1)=1, the y=0
@@ -49,7 +58,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import mul
 from typing import Sequence, Union
 
@@ -159,18 +168,19 @@ def _profile(source: Evaluatable, max_elements: int) -> SubsetProfile:
     return _carrier_profile(source)
 
 
-def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> tuple[SubsetProfile, int]:
-    """The profile every answer about the source reads, and g, the bound
-    checked first.
+def _base_route(
+    source: Evaluatable, max_elements: int, polynomial: bool = False
+) -> tuple[SubsetProfile, Union[int, tuple[int, int, int]]]:
+    """The profile every answer about the source is read from, and its lift
+    to the source, the bound checked first.
 
     * The thickening route: H's profile and g when the source is a carrier
       H^g, g > 1 (see :func:`_thinned`), and H is not refused, nor, for
       ``polynomial``, past the expansion's (rank + 1)(size + 1)^2 bits.
-    * The leaf route: the source's own profile and 1, derived from its
-      core's by :func:`_with_leaves`, when the source is read as itself, has
-      a leaf split (see :func:`_leaves`), and its own profile bits, the
-      vertex-subset engine's figure, fit.  The derived profile is made on
-      every call and not kept: the reductions ask one query per attachment.
+    * The leaf route: the core's profile and (n, k, k_root), the core's
+      non-root vertices and the leaves at each of them and at the root, when
+      the source is read as itself, has a leaf split (see :func:`_leaves`),
+      and its own profile bits, the vertex-subset engine's figure, fit.
     * Else the source's own and 1, so a carrier that H or its core does not
       answer for, or whose bits do not fit, meets its own figures.
     """
@@ -189,10 +199,29 @@ def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> 
         ):
             core, k, k_root = leaves
             try:
-                return _with_leaves(_carrier_profile(core), core.vertex_count - 1, k, k_root), 1
+                return _carrier_profile(core), (core.vertex_count - 1, k, k_root)
             except GroundSetTooLargeError:
                 pass
     return _profile(source, max_elements), 1
+
+
+def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> tuple[SubsetProfile, int]:
+    """The profile and g that the polynomial and the hyperbola read, the bound
+    checked first: :func:`_base_route`'s pair, but on the leaf route the
+    source's own profile, derived from its core's by :func:`_with_leaves`,
+    and 1.  The derived profile is made on every call and not kept; every
+    answer at one y, and on x = 1, reads the core's rows instead.
+    """
+    profile, lift = _base_route(source, max_elements, polynomial)
+    if isinstance(lift, tuple):
+        return _with_leaves(profile, *lift), 1
+    return profile, lift
+
+
+def _lift_parts(lift: Union[int, tuple[int, int, int]], rank: int) -> tuple[int, int, int, int]:
+    """g, n, k and k_root of :func:`_base_route`'s lift: a thickening hangs
+    no leaves, and a leaf-route carrier is read as itself, g = 1."""
+    return (lift, rank, 0, 0) if isinstance(lift, int) else (1, *lift)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -332,9 +361,9 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 
-def _powers(a: int, b: int, n: int) -> list[int]:
-    """a^k b^(n - k) for k = 0 .. n, by successive products."""
-    ups, downs = [1], [1]
+def _powers(a: int, b: int, n: int, lead: int = 1) -> list[int]:
+    """lead a^k b^(n - k) for k = 0 .. n, by successive products."""
+    ups, downs = [lead], [1]
     for _ in range(n):
         ups.append(ups[-1] * a)
         downs.append(downs[-1] * b)
@@ -342,27 +371,57 @@ def _powers(a: int, b: int, n: int) -> list[int]:
 
 
 def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -> tuple[list[int], int, int]:
-    """Sums of count[d, s] u^d (y^g - 1)^s q^(rank - d), q = 1 + y + ... +
-    y^(g-1), one per deficit d, over :func:`_route`'s profile, as integer
-    numerators over one common denominator, and the rank: the reader of
-    every answer at one y.
+    """The sums of u^D (y - 1)^S over the source's subsets of deficit D and
+    surplus S, one per D, as integer numerators over one common denominator,
+    and the source's rank: the reader of every answer at one y.  It makes
+    one pass over the rows of :func:`_base_route`'s profile, of rank R, with
+    the weights of its lift.
 
-    With y = n/m, y^g - 1 is v = n^g - m^g over m^g, and q is g at y = 1,
-    else the exact quotient v/(n - m) over m^(g-1).  When v = 0 only s = 0
-    counts.  The empty set has deficit rank, so u^d q^(rank - d) is
-    (u_n q_d)^d (u_d q_n)^(rank - d) over (u_d q_d)^rank, and each deficit's
-    sum is one pass over its dense row.  Nothing is divided by q, so q may be 0.
+    * A g-thickening H^g: H's count[d, s] goes to deficit d with weight
+      u^d (y^g - 1)^s q^(R - d), q = 1 + y + ... + y^(g-1), as in
+      :func:`.greedoid.expand`.
+    * A leaf-route carrier, whose core has n non-root vertices, k leaves at
+      each and k_root at the root: the core's row d, summed as count[d, s]
+      (y - 1)^s y^(k (n - R + d)), goes to deficits (k + 1) d + t, with
+      weights C(k (R - d) + k_root, t) u^((k + 1) d + t).  For a core set of
+      deficit d and surplus s, the carrier sets that extend it by leaf
+      elements weigh (x - 1)^((k + 1) d) x^(k (R - d) + k_root) (y - 1)^s
+      y^(k (n - R + d)) in all: each of the k (R - d) + k_root leaf elements
+      at a reached vertex adds 1 to size and rank, so untaken it adds 1 to
+      the deficit, and sums to x = 1 + u binomially; each of the k (n - R + d)
+      at a vertex not reached adds 1 to the surplus alone, and sums to y
+      (:func:`_with_leaves` weighs the same sets by size and rank).
+
+    A thickening has k = k_root = 0, and a leaf-route carrier g = 1, so both
+    take the one pass.  With y = p/m, y^g - 1 is v = p^g - m^g over m^g, and
+    q is g at y = 1, else the exact quotient v/(p - m) over m^(g-1).  When
+    v = 0 only s = 0 counts.  Row d's weight u^d q^(R - d) y^(k (n - R + d))
+    is (u_n q_d p^k)^d (u_d q_n m^k)^(R - d) p^(k (n - R)) over
+    u_d^R q_d^R m^(k n), and the leaves' u^(k d + t) is u_n^(k d + t)
+    u_d^(R' - R - k d - t) over u_d^(R' - R), R' = (k + 1) R + k_root the
+    source's rank.  Nothing is divided by q, so q may be 0.
     """
-    profile, g = _route(source, max_elements)
+    profile, lift = _base_route(source, max_elements)
     rows, rank = profile.rows, profile.rank
-    n, m = y.numerator, y.denominator
-    v = n**g - m**g
-    q_n, q_d = (g, 1) if n == m else (v // (n - m), m ** (g - 1))
+    g, vertices, k, k_root = _lift_parts(lift, rank)
+    top = (k + 1) * rank + k_root
+    p, m = y.numerator, y.denominator
+    v = p**g - m**g
+    q_n, q_d = (g, 1) if p == m else (v // (p - m), m ** (g - 1))
     top_s = len(rows[0]) - 1 if v else 0
-    us = _powers(u.numerator * q_d, u.denominator * q_n, rank)
+    u_n, u_d = u.numerator, u.denominator
     vs = _powers(v, m**g, top_s)
-    denominator = (u.denominator * q_d) ** rank * m ** (g * top_s)
-    return [w * sum(map(mul, row, vs)) for w, row in zip(us, rows)], denominator, rank
+    ws = _powers(u_n * q_d * p**k, u_d * q_n * m**k, rank, p ** (k * (vertices - rank)))
+    row_sums = [w * sum(map(mul, row, vs)) for w, row in zip(ws, rows)]
+    denominator = u_d**top * q_d**rank * m ** (k * vertices + g * top_s)
+    if top == rank:  # no leaf: each row's sum is its deficit's
+        return row_sums, denominator, rank
+    us, sums = _powers(u_n, u_d, top - rank), [0] * (top + 1)
+    for d, row_sum in enumerate(row_sums):
+        leaves = k * (rank - d) + k_root
+        for t in range(leaves + 1):
+            sums[(k + 1) * d + t] += comb(leaves, t) * us[k * d + t] * row_sum
+    return sums, denominator, top
 
 
 def _hyperbola(profile: SubsetProfile, g: int, alpha: Fraction) -> LaurentPoly:
@@ -390,10 +449,10 @@ def _by_deficit(sums: list[int], denominator: int, sign: int = 1) -> LaurentPoly
     return LaurentPoly({d: Fraction(sign * n, denominator) for d, n in enumerate(sums) if n})
 
 
-def _shifted_line(coeffs: Sequence[int], g: int = 1, k: int = 0) -> LaurentPoly:
-    """q^k times the sum of coeffs[s] (t^g - 1)^s as a polynomial in t, q = 1 +
-    t + ... + t^(g-1): the sum of coeffs[s] (t - 1)^s when g = 1."""
-    return LaurentPoly(dict(enumerate(shift_minus_one(coeffs, g, k))))
+def _shifted_line(coeffs: Sequence[int], g: int = 1, k: int = 0, offset: int = 0) -> LaurentPoly:
+    """t^offset q^k times the sum of coeffs[s] (t^g - 1)^s as a polynomial in
+    t, q = 1 + t + ... + t^(g-1): the sum of coeffs[s] (t - 1)^s when g = 1."""
+    return LaurentPoly(dict(enumerate(shift_minus_one(coeffs, g, k), offset)))
 
 
 def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BivariatePoly:
@@ -406,7 +465,8 @@ def tutte_polynomial(source: Evaluatable, max_elements: int = DEFAULT_MAX_ELEMEN
 
 def tutte_eval(source: Evaluatable, a, b, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
     """Exact T(a, b): the sum of :func:`_collect`'s sums at u = a - 1 and
-    y = b, so a thickening's is read off its base's profile."""
+    y = b, so a thickening's is read off its base's profile, and a
+    leaf-route carrier's off its core's rows, with no profile of its own."""
     sums, denominator, _ = _collect(source, max_elements, rational(a) - 1, rational(b))
     return Fraction(sum(sums), denominator)
 
@@ -416,23 +476,28 @@ def tutte_restrict(
 ) -> LaurentPoly:
     """Restrict the Tutte polynomial to a curve, exactly.
 
-    Each reads :func:`_route`'s profile and g, so a thickening's is read off
-    its base's profile, and none expands it.  On the hyperbola the
-    substitution x = 1 + alpha/z, y = 1 + z turns the (deficit d, surplus s)
-    subset class into alpha^d z^-rank P^(rank - d + s), P = (1 + z)^g - 1; on
-    x = 1 only deficit-zero subsets survive, so T(1, y) is q^rank times row 0
-    at y^g, one packed shift.  The lines y = c, a polynomial in z = x - 1,
-    and y = 1, one packed shift to x, are sums at one y (:func:`_collect`).
+    No curve expands a profile, and a thickening's is read off its base's.
+    The lines y = c, a polynomial in z = x - 1, and y = 1, one packed shift
+    to x, are sums at one y (:func:`_collect`), so a leaf-route carrier's
+    read its core's rows.  On x = 1 only deficit-zero subsets survive, so
+    T(1, y) is q^rank times row 0 at y^g, one packed shift, for a
+    thickening; on the leaf route only the core's row 0 reaches deficit 0,
+    with every leaf at a reached vertex taken, so T(1, y) is
+    y^(k (n - R)) T(core; 1, y), one exponent shift.  On the hyperbola, read
+    off :func:`_route`'s profile and g, the substitution x = 1 + alpha/z,
+    y = 1 + z turns the (deficit d, surplus s) subset class into
+    alpha^d z^-rank P^(rank - d + s), P = (1 + z)^g - 1.
     """
     if isinstance(curve, H0Y):  # q = g and y^g - 1 = 0, so the denominator is 1
         return _shifted_line(_collect(source, max_elements, Fraction(1), Fraction(1))[0])
     if isinstance(curve, LineY):
         return _by_deficit(*_collect(source, max_elements, Fraction(1), curve.c)[:2])
-    profile, g = _route(source, max_elements)
-    if isinstance(curve, HAlpha):
-        return _hyperbola(profile, g, curve.alpha)
     if isinstance(curve, H0X):
-        return _shifted_line(profile.rows[0], g, profile.rank)
+        profile, lift = _base_route(source, max_elements)
+        g, vertices, k, _ = _lift_parts(lift, profile.rank)
+        return _shifted_line(profile.rows[0], g, profile.rank, k * (vertices - profile.rank))
+    if isinstance(curve, HAlpha):
+        return _hyperbola(*_route(source, max_elements), curve.alpha)
     raise TypeError(f"unknown curve {curve!r}")
 
 def h1_closed_form(element_count: int, rank: int, a, b) -> Fraction:

@@ -1,4 +1,4 @@
-"""A carrier with k pendant leaves at every non-root vertex is profiled from
+"""A carrier with k pendant leaves at every non-root vertex is answered from
 its core's profile, and the star attachments of the reductions run no engine
 of their own."""
 
@@ -6,13 +6,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from greedoid_tutte import (
+    H0X,
+    H0Y,
+    HAlpha,
     LineY,
     RootedDigraph,
     RootedGraph,
     brute_force_oracle,
+    characteristic_polynomial,
     directed_path,
     directed_star,
     identity_matrix,
@@ -120,6 +124,62 @@ def test_leaf_route_matches_enumeration(case):
     assert tutte_restrict(carrier, LineY(-1), 16) == tutte_restrict(reference, LineY(-1), 16)
     assert tutte_eval(carrier, 3, Fraction(1, 2), 16) == tutte_eval(reference, 3, Fraction(1, 2), 16)
     assert tutte_polynomial(carrier, 16) == tutte_polynomial(reference, 16)
+
+
+ONE_Y_GRID = [(a, b) for a in (1, 2, 0, Fraction(-1, 2), 3) for b in (0, 1, -1, Fraction(1, 3), Fraction(5, 2))]
+
+
+def _no_derived_profile(*args):
+    raise AssertionError("an answer at one y or on x = 1 derived a leaf-route profile")
+
+
+@PROPERTY
+@given(leafy_carriers())
+def test_answers_at_one_y_read_the_core_rows(case):
+    """Points, the lines y = c, y = 1 and x = 1 and the characteristic
+    polynomial of a leaf-route carrier read its core's rows with weights:
+    none derives the carrier's own profile, and each equals the enumerated
+    greedoid's.  The polynomial and the hyperbola still derive it."""
+    carrier = case[0]
+    assume(isinstance(tutte_module._base_route(carrier, 16)[1], tuple))
+    reference = to_greedoid(carrier)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tutte_module, "_with_leaves", _no_derived_profile)
+        for a, b in ONE_Y_GRID:
+            assert tutte_eval(carrier, a, b, 16) == tutte_eval(reference, a, b, 16), (a, b)
+        for c in (-1, 0, 1, 2, Fraction(-1, 2), Fraction(3, 2)):
+            assert tutte_restrict(carrier, LineY(c), 16) == tutte_restrict(reference, LineY(c), 16), c
+        for curve in (H0Y(), H0X()):
+            assert tutte_restrict(carrier, curve, 16) == tutte_restrict(reference, curve, 16), curve
+        assert characteristic_polynomial(carrier, 16) == characteristic_polynomial(reference, 16)
+    assert tutte_polynomial(carrier, 16) == tutte_polynomial(reference, 16)
+    for alpha in (1, Fraction(-2, 3)):
+        assert tutte_restrict(carrier, HAlpha(alpha), 16) == tutte_restrict(reference, HAlpha(alpha), 16)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        seeded_simple_carrier(12, 40, 7),
+        seeded_simple_carrier(12, 40, 7, True),
+        seeded_rooted_graph(12, 40, 7),
+        seeded_rooted_digraph(12, 40, 7),
+    ],
+    ids=["graph", "digraph", "repeated graph", "repeated digraph"],
+)
+def test_line_y_minus_one_derives_no_profile(base, monkeypatch):
+    """The line y = -1 of the seed-7 12/40 bases, from the points at (3, -1)
+    of their star attachments: once the base's profile is kept, no engine
+    runs and no attachment's profile is derived."""
+    tutte_module._carrier_profile.cache_clear()
+    expected = tutte_restrict(base, LineY(-1), max_elements=40)
+    for name in ENGINES:
+        monkeypatch.setattr(tutte_module, name, lambda *args: pytest.fail("an engine ran"))
+    monkeypatch.setattr(tutte_module, "_with_leaves", _no_derived_profile)
+    oracle = brute_force_oracle("digraph" if isinstance(base, RootedDigraph) else "graph", 3, -1, max_elements=161)
+    assert interpolate_line_y_minus1(oracle, base, max_elements=161) == expected
+    assert oracle.calls == 12
+    assert tutte_module._carrier_profile.cache_info().currsize == 1  # the base's
 
 
 @pytest.mark.parametrize(
