@@ -85,14 +85,6 @@ class SubsetProfile:
     def __post_init__(self):
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
-    @classmethod
-    def of_rows(cls, rows: tuple[tuple[int, ...], ...], size: int, rank: int) -> SubsetProfile:
-        """The profile whose :func:`deficit_rows` are ``rows``, kept as given, so they are not made again."""
-        counts = {(d, s): c for d, row in enumerate(rows) for s, c in enumerate(row) if c}
-        profile = cls(counts, size, rank)
-        vars(profile)["rows"] = rows  # where the cached property would keep them
-        return profile
-
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The counts as dense rows by deficit, by :func:`deficit_rows`, made on first use and then kept."""

@@ -34,16 +34,10 @@ carries the same number k >= 1 of them, as the star attachment G ~ S_k of
 the reductions does, is read off the cached profile of its core, the
 carrier without its leaves, whether or not its elements repeat: the
 attachments of one base by any k share the base's profile, and none runs
-an engine.  A core set of deficit d and surplus s stands for the carrier
-sets that add leaf elements to it, whose weights sum to
-(x-1)^((k+1)d) x^(k(R-d)+k_root) (y-1)^s y^(k(n-R+d)), R being the core's
-rank, n its non-root vertices and k_root the leaves at the root: each leaf
-element at one of the R - d reached vertices adds 1 to size and rank, so
-taken or not it sums to 1 + (x-1) = x, and each at one of the n - R + d
-others adds 1 to the surplus alone, so it sums to 1 + (y-1) = y.  So every
-answer at one y, and on x = 1, reads the core's rows with weights
-(:func:`_collect`), and only the polynomial and the hyperbola derive the
-carrier's own profile (:func:`_with_leaves`).
+an engine.  Every answer at one y, and on x = 1, reads the core's rows
+with the weights of the leaf identity (:func:`_collect`), and the
+polynomial and the hyperbola read the carrier's own profile, which is those
+sums at u = 1 and y = 1 + z, packed (:func:`_with_leaves`).
 
 Fast paths that avoid enumeration entirely (spanning tree and arborescence
 counts via one determinant per block, the hyperbola (x-1)(y-1)=1, the y=0
@@ -99,9 +93,7 @@ from .polynomials import BivariatePoly, LaurentPoly, rational
 from .primitives import (
     block_elements,
     join_edges,
-    pack_fields,
     packed_fields,
-    packed_power,
     reach,
     renumber,
     shift_minus_one,
@@ -208,9 +200,10 @@ def _base_route(
 def _route(source: Evaluatable, max_elements: int, polynomial: bool = False) -> tuple[SubsetProfile, int]:
     """The profile and g that the polynomial and the hyperbola read, the bound
     checked first: :func:`_base_route`'s pair, but on the leaf route the
-    source's own profile, derived from its core's by :func:`_with_leaves`,
-    and 1.  The derived profile is made on every call and not kept; every
-    answer at one y, and on x = 1, reads the core's rows instead.
+    source's own profile, :func:`_collect`'s sums at u = 1 and y = 1 + z
+    (:func:`_with_leaves`), and 1.  The derived profile is made on every
+    call and not kept; every answer at one y, and on x = 1, reads the core's
+    rows instead.
     """
     profile, lift = _base_route(source, max_elements, polynomial)
     if isinstance(lift, tuple):
@@ -288,42 +281,24 @@ def _leaves(carrier: Carrier) -> tuple[Carrier, int, int] | None:
 def _with_leaves(profile: SubsetProfile, n: int, k: int, k_root: int) -> SubsetProfile:
     """The profile of a carrier made from a core of n non-root vertices,
     whose profile is given, by hanging k pendant leaves from each non-root
-    vertex and ``k_root`` from the root.
+    vertex and ``k_root`` from the root: :func:`_lifted_sums` at u = 1 and
+    y = 1 + z, z = 2^W, W = m + 1 for the carrier's m elements.
 
-    A leaf is reached exactly when its element is taken and the vertex it
-    hangs from is reached, and a leaf reaches nothing further.  So a set of
-    the core's elements of rank r, which reaches r of the n non-root
-    vertices, extends by any of the k r + k_root leaf elements at reached
-    vertices, each adding one to the size and to the rank, and by any of
-    the k (n - r) at vertices it does not reach, each adding one to the
-    size alone: by size and rank, it weighs
-    z^|A| w^r (1 + z w)^(k r + k_root) (1 + z)^(k (n - r)).  In deficit and
-    surplus, with R the core's rank and R' = (k + 1) R + k_root the
-    carrier's, the core's row of deficit d = R - r times (1 + z)^(k (n - r))
-    in the surplus goes to the carrier's rows (k + 1) d + t, t = 0 .. k r +
-    k_root, with weights C(k r + k_root, t): taking all but t of those leaf
-    elements leaves deficit R' - r - (k r + k_root - t) = (k + 1) d + t.
-
-    Each row is packed as :func:`.primitives.packed_powers` packs it, m + 1
-    bits per count for the carrier's m elements, so each core row takes one
-    product, by (1 + z)^(k (n - r)), and then one small multiple per
-    binomial.  Every count of these, and of their sums, counts subsets of
-    the carrier, so none reaches 2^m and none carries.
+    There v = z and q = 1 and nothing is divided, so the sum at deficit D is
+    the carrier's count[D, S] packed as z^S, W bits each, as
+    :func:`.primitives.packed_powers` packs counts.  Every coefficient made
+    on the way counts subsets of the carrier, so none reaches 2^W and none
+    carries.
     """
-    rank, size = profile.rank, profile.size + k * n + k_root
-    top = (k + 1) * rank + k_root
-    width = size + 1
-    packed = [0] * (top + 1)
-    for d, row in enumerate(profile.rows):
-        reached = rank - d
-        grown = pack_fields(row, width) * packed_power(k * (n - reached), width)
-        leaves, binomial = k * reached + k_root, 1
-        for t in range(leaves + 1):
-            packed[(k + 1) * d + t] += binomial * grown
-            binomial = binomial * (leaves - t) // (t + 1)
-    columns = max(row.bit_length() - 1 for row in packed) // width + 1  # the largest surplus counted, plus one
-    rows = tuple(tuple(packed_fields(row, width, columns)) for row in packed)
-    return SubsetProfile.of_rows(rows, size, top)
+    width = profile.size + k * n + k_root + 1
+    sums, _, rank = _lifted_sums(profile, (n, k, k_root), Fraction(1), Fraction(1 + (1 << width)))
+    counts = {
+        (d, s): c
+        for d, row in enumerate(sums)
+        for s, c in enumerate(packed_fields(row, width, row.bit_length() // width + 1))
+        if c
+    }
+    return SubsetProfile(counts, width - 1, rank)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
@@ -375,7 +350,7 @@ def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -
     surplus S, one per D, as integer numerators over one common denominator,
     and the source's rank: the reader of every answer at one y.  It makes
     one pass over the rows of :func:`_base_route`'s profile, of rank R, with
-    the weights of its lift.
+    the weights of its lift (:func:`_lifted_sums`).
 
     * A g-thickening H^g: H's count[d, s] goes to deficit d with weight
       u^d (y^g - 1)^s q^(R - d), q = 1 + y + ... + y^(g-1), as in
@@ -383,14 +358,17 @@ def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -
     * A leaf-route carrier, whose core has n non-root vertices, k leaves at
       each and k_root at the root: the core's row d, summed as count[d, s]
       (y - 1)^s y^(k (n - R + d)), goes to deficits (k + 1) d + t, with
-      weights C(k (R - d) + k_root, t) u^((k + 1) d + t).  For a core set of
-      deficit d and surplus s, the carrier sets that extend it by leaf
-      elements weigh (x - 1)^((k + 1) d) x^(k (R - d) + k_root) (y - 1)^s
-      y^(k (n - R + d)) in all: each of the k (R - d) + k_root leaf elements
-      at a reached vertex adds 1 to size and rank, so untaken it adds 1 to
-      the deficit, and sums to x = 1 + u binomially; each of the k (n - R + d)
-      at a vertex not reached adds 1 to the surplus alone, and sums to y
-      (:func:`_with_leaves` weighs the same sets by size and rank).
+      weights C(k (R - d) + k_root, t) u^((k + 1) d + t).  This is the leaf
+      identity.  A leaf is reached exactly when its element is taken and the
+      vertex it hangs from is reached, and it reaches nothing further.  So
+      for a core set of deficit d and surplus s the carrier sets that extend
+      it by leaf elements weigh (x - 1)^((k + 1) d) x^(k (R - d) + k_root)
+      (y - 1)^s y^(k (n - R + d)) in all: each of the k (R - d) + k_root leaf
+      elements at a reached vertex adds 1 to size and rank, so untaken it
+      adds 1 to the deficit, and sums to x = 1 + u binomially; each of the
+      k (n - R + d) at a vertex not reached adds 1 to the surplus alone, and
+      sums to y.  At u = 1 and y = 1 + z these sums are the carrier's own
+      profile, packed (:func:`_with_leaves`).
 
     A thickening has k = k_root = 0, and a leaf-route carrier g = 1, so both
     take the one pass.  With y = p/m, y^g - 1 is v = p^g - m^g over m^g, and
@@ -401,7 +379,14 @@ def _collect(source: Evaluatable, max_elements: int, u: Fraction, y: Fraction) -
     u_d^(R' - R - k d - t) over u_d^(R' - R), R' = (k + 1) R + k_root the
     source's rank.  Nothing is divided by q, so q may be 0.
     """
-    profile, lift = _base_route(source, max_elements)
+    return _lifted_sums(*_base_route(source, max_elements), u, y)
+
+
+def _lifted_sums(
+    profile: SubsetProfile, lift: Union[int, tuple[int, int, int]], u: Fraction, y: Fraction
+) -> tuple[list[int], int, int]:
+    """:func:`_collect`'s sums, denominator and rank, from a profile and its
+    lift as :func:`_base_route` returns them."""
     rows, rank = profile.rows, profile.rank
     g, vertices, k, k_root = _lift_parts(lift, rank)
     top = (k + 1) * rank + k_root

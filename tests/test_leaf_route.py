@@ -35,7 +35,7 @@ from greedoid_tutte import tutte as tutte_module
 from greedoid_tutte.carriers import carrier_rank, format_carrier
 from greedoid_tutte.cli import main
 from greedoid_tutte.constructions import attach_digraphs, attach_graphs
-from greedoid_tutte.errors import GroundSetTooLargeError
+from greedoid_tutte.errors import DenominatorVanishesError, GroundSetTooLargeError
 from greedoid_tutte.greedoid import deficit_rows, rank_size_profile
 
 from catalogues import seeded_rooted_digraph, seeded_rooted_graph, seeded_simple_carrier
@@ -274,3 +274,41 @@ def test_thickenings_build_one_carrier(base):
     for k in range(2, 5):
         thin, g, core, _, _ = tutte_module._thinned(thicken(base, k))
         assert thin is core and g == k and thin == base
+
+
+DERIVED_POINTS = [(3, -1), (2, Fraction(3, 2)), (Fraction(1, 2), 3), (-2, 5)]
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        seeded_simple_carrier(8, 16, 7),
+        seeded_simple_carrier(8, 16, 7, True),
+        seeded_rooted_graph(8, 20, 7),
+        seeded_rooted_digraph(8, 20, 7),
+    ],
+    ids=["graph", "digraph", "repeated graph", "repeated digraph"],
+)
+def test_derived_leaf_profiles_on_8_vertex_cores(base):
+    """The polynomial and the hyperbolas of each attachment G ~ S_k, k = 1..4,
+    read the profile derived from G's, and equal the attachment identity's
+    prediction: at four points, and on H_alpha at (1 + alpha/z, 1 + z)."""
+    directed = isinstance(base, RootedDigraph)
+    attach, star = (attach_digraphs, directed_star) if directed else (attach_graphs, star_graph)
+    base_poly, rank = tutte_polynomial(base), carrier_rank(base)
+    for k in range(1, 5):
+        attached = attach(base, star(k))
+        size = attached.edge_count
+        assert isinstance(tutte_module._base_route(attached, size)[1], tuple)
+        prediction = predicted_attachment(base_poly, tutte_polynomial(to_greedoid(star(k))), rank, k, k)
+        poly = tutte_polynomial(attached, size)
+        for a, b in DERIVED_POINTS:
+            assert poly.evaluate(a, b) == prediction.evaluate(a, b), (k, a, b)
+        for alpha in (1, Fraction(-2, 3)):
+            curve = tutte_restrict(attached, HAlpha(alpha), size)
+            for z in (2, Fraction(1, 2), -3):
+                try:
+                    expected = prediction.evaluate(1 + alpha / Fraction(z), 1 + z)
+                except DenominatorVanishesError:
+                    continue
+                assert curve.evaluate(z) == expected, (k, alpha, z)

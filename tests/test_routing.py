@@ -2,10 +2,15 @@
 enumeration and each family engine, at the calibrated costs, each profile
 checked against subset enumeration of the carrier's greedoid."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from greedoid_tutte import (
     BinaryMatrix,
+    HAlpha,
+    LaurentPoly,
     RootedDigraph,
     RootedGraph,
     directed_path,
@@ -13,13 +18,18 @@ from greedoid_tutte import (
     identity_matrix,
     path_graph,
     star_graph,
+    thicken,
     to_greedoid,
     tutte_eval,
     tutte_polynomial,
+    tutte_restrict,
 )
 from greedoid_tutte import tutte as tutte_module
+from greedoid_tutte.carriers import carrier_rank
+from greedoid_tutte.constructions import attach_digraphs, attach_graphs
 from greedoid_tutte.tutte import spanning_tree_count
 
+from catalogues import seeded_rooted_digraph, seeded_rooted_graph, seeded_simple_carrier
 from test_span_profile import random_matrix, weight_three
 
 ENGINES = ("rank_size_profile", "vertex_subset_profile", "span_state_profile")
@@ -83,3 +93,27 @@ def test_class_table_past_the_limit_takes_the_vertex_engine(engines):
     assert tutte_eval(graph, 2, 2, max_elements=246) == 2**246
     assert tutte_eval(graph, 1, 1, max_elements=246) == spanning_tree_count(graph)
     assert engines == ["vertex_subset_profile"]
+
+
+H1_CARRIERS = [
+    # the carrier, its element bound and the lift of its route: 1 for its own profile
+    ("own graph", seeded_rooted_graph(12, 40, 7), 40, 1),
+    ("own digraph", seeded_rooted_digraph(12, 40, 7), 40, 1),
+    ("own matrix", random_matrix(9, 27, 5), 27, 1),
+    ("thickening", thicken(path_graph(200), 4), 800, 4),
+    ("leaf graph", attach_graphs(seeded_simple_carrier(12, 40, 7), star_graph(3)), 73, (11, 3, 0)),
+    ("leaf digraph", attach_digraphs(seeded_simple_carrier(12, 40, 7, True), directed_star(3)), 73, (11, 3, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "carrier, max_elements, lift", [case[1:] for case in H1_CARRIERS], ids=[case[0] for case in H1_CARRIERS]
+)
+def test_hyperbola_one_on_every_route(carrier, max_elements, lift):
+    """On (x-1)(y-1) = 1 each subset A weighs z^(|A| - R) at x = 1 + 1/z,
+    y = 1 + z, so the restriction is z^-R (1 + z)^m whatever the carrier's
+    shape, on its own route, the thickening route and the leaf route alike."""
+    assert tutte_module._base_route(carrier, max_elements)[1] == lift
+    size, rank = carrier.edge_count, carrier_rank(carrier)
+    closed = LaurentPoly({j - rank: Fraction(comb(size, j)) for j in range(size + 1)})
+    assert tutte_restrict(carrier, HAlpha(1), max_elements) == closed
