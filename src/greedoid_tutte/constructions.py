@@ -277,17 +277,19 @@ def attach_graphs(base: RootedGraph, patch: RootedGraph) -> RootedGraph:
     copies in increasing order of their attachment vertex.  This matches the
     block layout of the generic :func:`attach`.
     """
-    require_connected(base)
-    return _attach(base, patch)
+    return _attach(base, patch, RootedGraph, require_connected)
 
 
 def attach_digraphs(base: RootedDigraph, patch: RootedDigraph) -> RootedDigraph:
     """Digraph form of the attachment; the base must be root-connected."""
-    require_root_connected(base)
-    return _attach(base, patch)
+    return _attach(base, patch, RootedDigraph, require_root_connected)
 
 
-def _attach(base, patch):
+def _attach(base, patch, kind, require_reach):
+    """The attachment of two carriers of ``kind``, the base checked by ``require_reach`` first."""
+    if not (isinstance(base, kind) and isinstance(patch, kind)):
+        raise PreconditionError("attachment needs two rooted graphs or two rooted digraphs")
+    require_reach(base)
     non_root = [v for v in range(base.vertex_count) if v != base.root]
     elements = list(carrier_elements(base))
     next_vertex = base.vertex_count
@@ -304,12 +306,8 @@ def _attach(base, patch):
 
 
 def attach_carrier(base, patch):
-    """Dispatch graph/digraph attachment on the carrier type."""
-    if isinstance(base, RootedGraph) and isinstance(patch, RootedGraph):
-        return attach_graphs(base, patch)
-    if isinstance(base, RootedDigraph) and isinstance(patch, RootedDigraph):
-        return attach_digraphs(base, patch)
-    raise PreconditionError("attachment needs two rooted graphs or two rooted digraphs")
+    """Dispatch graph/digraph attachment on the base's type."""
+    return (attach_graphs if isinstance(base, RootedGraph) else attach_digraphs)(base, patch)
 
 
 @dataclass(frozen=True)

@@ -356,34 +356,30 @@ def rank_size_profile(
     elements (no feasible set holds two of a class, and any member may stand
     for the others).  The counts are those of the larger ground set, and
     ``max_elements`` bounds its size, not the core's.  Class sizes whose
-    :func:`class_table_bits` pass ``_MAX_WORK`` are refused before the rank
-    table is made.
+    :func:`class_enumeration_cost` is past the limit are refused first.
     """
     sizes = (1,) * greedoid.size if class_sizes is None else tuple(class_sizes)
     if len(sizes) != greedoid.size or any(c < 1 for c in sizes):
         raise PreconditionError("need one positive class size per core element")
     _check_bound(sum(sizes), max_elements)
-    _check_work(sum(sizes), [(class_table_bits(sizes), "bits by class enumeration")])
+    _check_work(sum(sizes), class_enumeration_cost(sizes))
     return _class_profile(subset_ranks(greedoid, max_elements), sizes)
 
 
-# Microseconds class enumeration takes per call (the greedoid, its rank
-# table and arrays, numpy's import aside) and per subset of the classes, its
-# figure: fitted on a 2-core x86-64 host under CPython 3.11, with the
-# vertex-subset engine's PRODUCT_US, so the router compares costs in one unit.
-CLASS_CALL_US = 50
-CLASS_STEP_US = 0.75
+def class_enumeration_cost(sizes: Sequence[int]) -> list[tuple[int, str]]:
+    """The steps and the bits class enumeration takes over classes of ``sizes`` elements.
 
-
-def class_table_bits(sizes: Sequence[int]) -> int:
-    """Bits of the size polynomials class enumeration keeps.
-
-    There is one per set u of the t classes of more than one element, in
+    It visits the 2^c subsets of the c classes, and keeps one size
+    polynomial per set u of the t classes of more than one element, in
     sum(u) + 1 fields of m + 1 bits, m the number of elements: in all
-    (m + 1)(2^t + 2^(t-1) * the sum of their sizes) bits.
+    (m + 1)(2^t + 2^(t-1) * the sum of their sizes) bits, stated only while
+    the steps fit, since past them the engine is refused anyway.
     """
+    steps = [(1 << len(sizes), "steps by enumeration")]
+    if steps[0][0] > _MAX_WORK:
+        return steps
     multi = [c for c in sizes if c > 1]
-    return (sum(sizes) + 1) * ((2 + sum(multi)) << len(multi)) // 2
+    return [*steps, ((sum(sizes) + 1) * ((2 + sum(multi)) << len(multi)) // 2, "bits by class enumeration")]
 
 
 def _class_profile(ranks: np.ndarray, sizes: tuple[int, ...]) -> dict[tuple[int, int], int]:

@@ -78,14 +78,12 @@ from .errors import GroundSetTooLargeError, NotConnectedError, NotOnCurveError
 from .exact import det_integer
 from .greedoid import (
     _MAX_WORK,
-    CLASS_CALL_US,
-    CLASS_STEP_US,
     DEFAULT_MAX_ELEMENTS,
     Greedoid,
     SubsetProfile,
     _check_bound,
     _check_work,
-    class_table_bits,
+    class_enumeration_cost,
     expand,
     rank_size_profile,
 )
@@ -99,7 +97,7 @@ from .primitives import (
     shift_minus_one,
 )
 from .span_profile import span_state_cost, span_state_profile
-from .vertex_profile import PRODUCT_US, vertex_subset_bits, vertex_subset_cost, vertex_subset_profile
+from .vertex_profile import vertex_subset_bits, vertex_subset_cost, vertex_subset_profile
 
 
 @dataclass(frozen=True)
@@ -301,20 +299,27 @@ def _with_leaves(profile: SubsetProfile, n: int, k: int, k_root: int) -> SubsetP
     return SubsetProfile(counts, width - 1, rank)
 
 
+# Microseconds class enumeration takes per call (the greedoid, its rank
+# table and arrays, numpy's import aside) and per subset of the classes, and
+# the vertex-subset engine per product: fitted together on 87 small carriers
+# on a 2-core x86-64 host under CPython 3.11, so costs compare in one unit.
+CLASS_CALL_US = 50
+CLASS_STEP_US = 0.75
+PRODUCT_US = 0.15
+
+
 @lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _carrier_profile(carrier: Carrier) -> SubsetProfile:
     """Profile of a carrier, by its family's engine or class enumeration.
 
     A binary matrix takes the span-state engine, or is refused by its
-    figure.  A rooted graph or digraph takes the engine of least calibrated
-    cost: enumeration over the classes of identical elements (see
-    :func:`_thinned`) takes 2^classes steps, and costs ``CLASS_CALL_US``
-    plus ``CLASS_STEP_US`` per step, in microseconds; the vertex-subset
-    engine states its figures, products first, and costs ``PRODUCT_US`` per
-    product.  That engine runs when its figures all fit and its cost is
-    less, or when the enumeration's steps or
-    :func:`.greedoid.class_table_bits` do not fit.  When neither engine
-    fits, ``GroundSetTooLargeError`` names every figure past the limit.
+    figure.  A rooted graph or digraph reads the figures, steps first, of
+    enumeration over its classes of identical elements (see
+    :func:`_thinned`) and of the vertex-subset engine.  When neither fits,
+    ``GroundSetTooLargeError`` names every figure of both past the limit.
+    The vertex-subset engine runs when it fits, unless enumeration fits
+    too and costs no more: ``PRODUCT_US`` per product against
+    ``CLASS_CALL_US`` plus ``CLASS_STEP_US`` per step.
     """
     _, _, core, sizes, _ = _thinned(carrier)
     size = carrier.edge_count
@@ -322,17 +327,17 @@ def _carrier_profile(carrier: Carrier) -> SubsetProfile:
         rank = carrier_rank(core)
         _check_work(size, span_state_cost(rank, len(sizes)))
         return SubsetProfile(span_state_profile(core, sizes, rank), size, rank)
-    steps = 2 ** len(sizes)
     reached = root_reach(core)
     rank = len(reached) - 1
-    figures = vertex_subset_cost(core, reached, size)
-    enumeration_fits = steps <= _MAX_WORK and class_table_bits(sizes) <= _MAX_WORK
-    if all(figure <= _MAX_WORK for figure, _ in figures) and (
-        not enumeration_fits or PRODUCT_US * figures[0][0] < CLASS_CALL_US + CLASS_STEP_US * steps
+    enumeration = class_enumeration_cost(sizes)
+    vertex = vertex_subset_cost(core, reached, size)
+    enumeration_fits, vertex_fits = (all(f <= _MAX_WORK for f, _ in figures) for figures in (enumeration, vertex))
+    if not (enumeration_fits or vertex_fits):
+        _check_work(size, enumeration + vertex)
+    if vertex_fits and (
+        not enumeration_fits or PRODUCT_US * vertex[0][0] < CLASS_CALL_US + CLASS_STEP_US * enumeration[0][0]
     ):
         return SubsetProfile(vertex_subset_profile(carrier, reached), size, rank)
-    if steps > _MAX_WORK:  # so neither engine fits
-        _check_work(size, [(steps, "steps by enumeration"), *figures])
     return SubsetProfile(rank_size_profile(to_greedoid(core), size, sizes), size, rank)
 
 

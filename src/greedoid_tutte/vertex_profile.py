@@ -102,12 +102,6 @@ from .carriers import RootedDigraph, RootedGraph, carrier_elements
 from .primitives import block_elements, packed_fields, packed_powers, unpack_profile
 
 
-# Microseconds per product, the engine's first figure, fitted with class
-# enumeration's constants (:data:`.greedoid.CLASS_STEP_US`) on a 2-core x86-64
-# host under CPython 3.11: the router compares the two in this unit.
-PRODUCT_US = 0.15
-
-
 def vertex_subset_cost(core: RootedGraph | RootedDigraph, reached: set[int], size: int) -> list[tuple[int, str]]:
     """The products and the bits this engine takes for a carrier of ``size`` elements.
 

@@ -243,6 +243,8 @@ def test_malformed_matrix_rejected():
         parse_matrix_text("102\n")
     with pytest.raises(ParseError):
         parse_matrix_text("10\n1\n")
+    with pytest.raises(ParseError, match="^empty matrix file$"):
+        parse_matrix_text("# no rows\n\n")
 
 
 def test_carrier_sniffing():

@@ -77,6 +77,30 @@ def test_reduce_curve_report(files, capsys):
     assert report["recovered"] == report["direct"]
 
 
+def triangle_file(tmp_path):
+    path = tmp_path / "triangle.graph"
+    path.write_text(format_carrier(RootedGraph(3, ((0, 1), (0, 2), (1, 2)), 0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("curve, power", [("h0x", 1), ("h0y", 2)])
+def test_restrict_to_the_lines_x_and_y_one(tmp_path, capsys, curve, power):
+    """On the triangle rooted at 0, T(1, y) = 2 + y and T(x, 1) = 2 + x^2."""
+    assert main(["restrict", triangle_file(tmp_path), "--curve", curve]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"exp": 0, "num": "2", "den": "1"},
+        {"exp": power, "num": "1", "den": "1"},
+    ]
+
+
+@pytest.mark.parametrize("a, b, curve, calls", [("2", "1", "y=1", 3), ("1", "2", "x=1", 6)])
+def test_reduce_curve_on_the_lines_x_and_y_one(tmp_path, capsys, a, b, curve, calls):
+    """A point on y = 1 or x = 1 recovers that line, not a hyperbola."""
+    assert main(["reduce", "curve", triangle_file(tmp_path), "--a", a, "--b", b]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["curve"], report["oracle_calls"], report["match"]) == (curve, calls, True)
+
+
 def test_reduce_forbidden_point_exit_code(files, capsys):
     assert main(["reduce", "yminus1", str(files["p2"]), "--a", "1/2", "--b", "-1"]) == 3
     err = capsys.readouterr().err
@@ -107,6 +131,13 @@ def test_construct_round_trip(files, capsys, tmp_path):
     assert main(["construct", "fullrank", str(files["demo"]), "--with", str(files["demo"])]) == 0
     doubled = parse_carrier_text(capsys.readouterr().out)
     assert doubled.col_count == 8
+
+
+def test_construct_attach_refuses_mixed_kinds(files, capsys):
+    for base, patch in (("p2", "dpath"), ("dpath", "p2")):
+        assert main(["construct", "attach", str(files[base]), "--with", str(files[patch])]) == 3
+        err = capsys.readouterr().err
+        assert "attachment needs two rooted graphs or two rooted digraphs" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["missing/out.txt", "."])
@@ -143,6 +174,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["tutte", str(bad)]) == 2
     missing = tmp_path / "missing.graph"
     assert main(["tutte", str(missing)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("root 0\nroot 1\nedge 0 1\n", "line 2: duplicate root line"), ("root\nedge 0 1\n", "expected 'root <v>'")],
+)
+def test_malformed_root_line_exit_code(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    assert main(["tutte", str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_non_integer_vertex_exit_code(tmp_path, capsys):

@@ -18,11 +18,13 @@ from greedoid_tutte import (
     bidirect,
     block_diag,
     branching_attachment_function,
+    branching_greedoid,
     count_subtrees,
     count_subtrees_typed,
     demo_binary_matrix,
     digon_stretch,
     directed_path,
+    directed_star,
     enumerate_feasible_sets,
     full_rank_attach,
     identity_matrix,
@@ -44,7 +46,7 @@ from greedoid_tutte import (
     tutte_polynomial,
     tutte_restrict,
 )
-from greedoid_tutte.constructions import AttachmentFunction, attachment_violations
+from greedoid_tutte.constructions import AttachmentFunction, attach_carrier, attachment_violations
 from greedoid_tutte.errors import (
     AttachmentInvariantError,
     DenominatorVanishesError,
@@ -188,6 +190,21 @@ def test_attachment_function_invariants_rejected():
         attach(g, broken, to_greedoid(star_graph(1)))
 
 
+def test_attachment_function_that_breaks_closure_rejected():
+    """Two parallel root edges e0, e1 and an edge e2 beyond them: each of
+    {e0} and {e1} lies in the closure of the other, so slots {1} for {e0}
+    and {2} for {e1} break the closure rule both ways."""
+    g = branching_greedoid(RootedGraph(3, ((0, 1), (0, 1), (1, 2)), 0))
+    slots = {0b0: frozenset(), 0b1: frozenset({1}), 0b10: frozenset({2})}
+    func = AttachmentFunction(g, lambda mask: slots.get(mask, frozenset({1, 2})))
+    assert attachment_violations(func) == [
+        "0b1 lies in the closure of 0b10 but f(0b1) is not contained in f(0b10)",
+        "0b10 lies in the closure of 0b1 but f(0b10) is not contained in f(0b1)",
+    ]
+    with pytest.raises(AttachmentInvariantError):
+        attach(g, func, to_greedoid(star_graph(1)))
+
+
 def test_attach_star_to_star_gives_path():
     g1 = to_greedoid(star_graph(1))
     combined = attach(g1, trivial_attachment_function(g1), g1)
@@ -260,6 +277,24 @@ def test_attach_graphs_requires_connected():
         attach_graphs(RootedGraph(3, ((0, 1),), 0), star_graph(1))
     with pytest.raises(NotRootConnectedError):
         attach_digraphs(RootedDigraph(2, ((1, 0),), 0), directed_path(1))
+
+
+@pytest.mark.parametrize(
+    "base, patch",
+    [
+        (path_graph(2), directed_star(1)),
+        (directed_path(2), star_graph(1)),
+        (RootedGraph(3, ((0, 1),), 0), directed_star(1)),  # not connected either
+        (RootedDigraph(2, ((1, 0),), 0), star_graph(1)),  # not root-connected either
+    ],
+)
+def test_mixed_kind_attachments_refused(base, patch):
+    """A base and a patch of different kinds are refused by each attachment
+    before the base's connectivity is checked."""
+    for attach_function in (attach_graphs, attach_digraphs, attach_carrier):
+        with pytest.raises(PreconditionError) as refused:
+            attach_function(base, patch)
+        assert str(refused.value) == "attachment needs two rooted graphs or two rooted digraphs"
 
 
 def test_full_rank_attach_examples():

@@ -26,7 +26,14 @@ from greedoid_tutte import (
 from greedoid_tutte.basis_counting import Field
 from greedoid_tutte.constructions import predicted_thickening
 from greedoid_tutte.exact import ExactMatrix
-from greedoid_tutte.greedoid import ParallelClasses, rank_size_profile, subset_ranks, _check_work
+from greedoid_tutte import greedoid as greedoid_module
+from greedoid_tutte.greedoid import (
+    ParallelClasses,
+    _check_work,
+    class_enumeration_cost,
+    rank_size_profile,
+    subset_ranks,
+)
 from greedoid_tutte.errors import ElementOutOfRangeError, GroundSetTooLargeError, PreconditionError
 from greedoid_tutte.polynomials import BivariatePoly, LaurentPoly
 
@@ -331,6 +338,21 @@ def test_rank_table_passes_match_a_loop_over_every_mask(case):
         used |= a
     loops = tuple(e for e in range(n) if not used >> e & 1) or None
     assert parallel_classes(g) == ParallelClasses(tuple(sorted(classes)), loops)
+
+
+def test_class_enumeration_refused_by_its_own_figures(monkeypatch):
+    """27 elements take 2^27 steps, refused before the rank table; classes
+    of several elements also state the bits of their size polynomials."""
+
+    def refused(*args):
+        raise AssertionError("the rank table was made")
+
+    monkeypatch.setattr(greedoid_module, "subset_ranks", refused)
+    with pytest.raises(GroundSetTooLargeError) as too_many:
+        rank_size_profile(Greedoid(27, lambda m: True), 27)
+    assert str(too_many.value) == "these 27 elements take about 2^27 steps by enumeration, past the limit of 2^26"
+    assert class_enumeration_cost((1, 3, 2)) == [(8, "steps by enumeration"), (7 * (4 + 2 * 5), "bits by class enumeration")]
+    assert class_enumeration_cost((1,) * 27) == [(2**27, "steps by enumeration")]
 
 
 @pytest.mark.parametrize(

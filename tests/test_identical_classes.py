@@ -405,3 +405,18 @@ def test_class_table_refused_before_the_rank_table(monkeypatch, tmp_path, capsys
     assert main(["eval", str(path), "--x", "3", "--y", "3/2", "--max-elements", "421"]) == 4
     assert "2^38 bits by class enumeration" in capsys.readouterr().err
 
+
+def test_class_table_refusal_names_both_engines():
+    """The 421-element carrier above is refused in one place, by every
+    figure of both engines past the limit: class enumeration's bits, with
+    its 2^22 steps inside it, and the vertex-subset engine's 76.9M bits."""
+    base = seeded_rooted_graph(10, 30, 7)
+    single = next(e for e in base.edges if base.edges.count(e) + base.edges.count(e[::-1]) == 1)
+    carrier = with_elements(base, thicken(base, 14).edges + (single,))
+    tutte_module._carrier_profile.cache_clear()
+    with pytest.raises(GroundSetTooLargeError) as refused:
+        tutte_eval(carrier, 3, Fraction(3, 2), max_elements=421)
+    assert str(refused.value) == (
+        "these 421 elements take about 2^38 bits by class enumeration, and about 2^26 bits"
+        " by the vertex-subset engine, past the limit of 2^26"
+    )

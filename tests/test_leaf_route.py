@@ -253,6 +253,22 @@ def test_leafy_carrier_past_the_bits_figure_takes_its_own_route():
     assert tutte_eval(carrier, 1, 1, max_elements=411) == 410 == spanning_tree_count(carrier)
 
 
+def test_leafy_carrier_whose_core_is_refused_meets_its_own_figures():
+    """K18 rooted at 0 with one leaf at each non-root vertex: 170 elements,
+    whose own 2^22 bits pass the leaf route's gate, but whose core K18 takes
+    3^17 products.  The leaf route gives way, and the carrier is refused by
+    its own figures."""
+    complete = RootedGraph(18, tuple((i, j) for i in range(18) for j in range(i + 1, 18)), 0)
+    carrier = attach_graphs(complete, star_graph(1))
+    assert carrier.edge_count == 170 and tutte_module._thinned(carrier)[4] == (complete, 1, 0)
+    with pytest.raises(GroundSetTooLargeError) as refused:
+        tutte_eval(carrier, 2, 3, max_elements=170)
+    assert str(refused.value) == (
+        "these 170 elements take about 2^170 steps by enumeration, and about 2^26 products"
+        " by the vertex-subset engine, past the limit of 2^26"
+    )
+
+
 def test_star_attachment_past_the_bits_figure(tmp_path, capsys):
     """The 30-edge path with 11 leaves at each non-root vertex: 360
     elements, whose profile would take (360 + 361 + 1) * 361^2 = 2^26.5
